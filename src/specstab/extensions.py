@@ -20,7 +20,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .herglotz import (BoundaryReport, HerglotzMatrix, boundary_value,
                        evaluate, richardson_limit, t_matrix)
-from .measure import Divergent, hermitian_part, is_divergent
+from .measure import Divergent, hermitian_part, is_divergent, is_hermitian
 
 
 class ConditioningError(np.linalg.LinAlgError):
@@ -45,7 +45,7 @@ class ExtensionParameter:
         d = np.asarray(self.D, dtype=complex)
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise ValueError(f"D must be square, got shape {d.shape}")
-        if np.linalg.norm(d - d.conj().T) > 1e-12 * max(1.0, np.linalg.norm(d)):
+        if not is_hermitian(d):
             raise ValueError("D must be Hermitian")
         d.setflags(write=False)
         object.__setattr__(self, "D", d)

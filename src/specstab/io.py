@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .herglotz import HerglotzMatrix
-from .measure import ACPiece, Atom, MatrixMeasure, MeasureError
+from .measure import ACPiece, Atom, MatrixMeasure, MeasureError, is_hermitian
 
 
 class InputError(ValueError):
@@ -105,7 +105,7 @@ def load_hermitian(path: str, where: str = None) -> np.ndarray:
     if not isinstance(rows, list) or not rows:
         raise InputError(f"{where}: expected a matrix")
     a = matrix_in(rows, len(rows), where)
-    if np.linalg.norm(a - a.conj().T) > 1e-12 * max(1.0, np.linalg.norm(a)):
+    if not is_hermitian(a):
         raise InputError(f"{where}: matrix is not Hermitian")
     return a
 

@@ -6,11 +6,15 @@ with respect to Lebesgue measure.  All the kernels the library needs
 integrate in closed form against such measures, so no quadrature is
 involved anywhere: divergence is decided analytically (a kernel pole
 meeting the support), never by numeric overflow.
+
+A measure is stored as arrays, built once when it is validated, so every
+integral is one weighted sum: kernel values at the atoms times their
+weights plus exact segment integrals times the piece densities.
 """
 
 from __future__ import annotations
 
-import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -28,20 +32,22 @@ class DefinedNowhereError(ValueError):
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-12) -> bool:
-    scale = max(1.0, float(np.linalg.norm(a)))
-    return float(np.linalg.norm(a - a.conj().T)) <= tol * scale
+def is_hermitian(a: np.ndarray, tol: float = 1e-12):
+    """Whether a matrix (or each of a stack) is Hermitian to tol·max(1, ‖a‖)."""
+    a = np.asarray(a)
+    scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
+    return np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol * scale
 
 
-def is_psd(a: np.ndarray, rank_tol: float) -> bool:
-    if not is_hermitian(a):
-        return False
+def is_psd(a: np.ndarray, rank_tol: float):
+    """Whether a matrix (or each of a stack) is Hermitian PSD, eigenvalues
+    down to -rank_tol·max(1, top |eigenvalue|) counting as zero."""
     w = np.linalg.eigvalsh(hermitian_part(a))
-    scale = max(1.0, float(abs(w).max(initial=0.0)))
-    return bool(w.min(initial=0.0) >= -rank_tol * scale)
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
+    return is_hermitian(a) & (w.min(axis=-1, initial=0.0) >= -rank_tol * scale)
 
 
 def matrix_rank(a: np.ndarray, rank_tol: float) -> int:
@@ -52,11 +58,26 @@ def matrix_rank(a: np.ndarray, rank_tol: float) -> int:
     return int(np.count_nonzero(w > rank_tol * top))
 
 
-def _as_matrix(m, n: int, what: str) -> np.ndarray:
-    a = np.asarray(m, dtype=complex)
-    if a.shape != (n, n):
-        raise MeasureError(f"{what}: expected {n}x{n} matrix, got shape {a.shape}")
-    return a
+def _stack(mats: list, n: int, what: str) -> np.ndarray:
+    """The n x n matrices as one (len, n, n) array; ``what`` names entry k."""
+    if not mats:
+        return np.zeros((0, n, n), dtype=complex)
+    try:
+        out = np.array(mats, dtype=complex)
+    except ValueError:   # ragged shapes
+        out = None
+    if out is None or out.shape[1:] != (n, n):
+        k = next(k for k, m in enumerate(mats) if np.shape(m) != (n, n))
+        raise MeasureError(f"{what.format(k)}: expected {n}x{n} matrix, "
+                           f"got shape {np.shape(mats[k])}")
+    return out
+
+
+def _reject_first(bad: np.ndarray, message) -> None:
+    """Raise MeasureError(message(k)) for the first flagged index k."""
+    hits = np.flatnonzero(bad)
+    if hits.size:
+        raise MeasureError(message(int(hits[0])))
 
 
 @dataclass(frozen=True)
@@ -69,22 +90,17 @@ class Interval:
     include_b: bool = True
 
     def __post_init__(self):
-        if not (math.isfinite(self.a) and math.isfinite(self.b)):
+        if not (np.isfinite(self.a) and np.isfinite(self.b)):
             raise MeasureError("interval endpoints must be finite")
         if self.a > self.b:
             raise MeasureError(f"interval [{self.a}, {self.b}] has a > b")
 
-    def contains(self, x: float) -> bool:
-        if self.a < x < self.b:
-            return True
-        if x == self.a and self.include_a:
-            return True
-        if x == self.b and self.include_b:
-            return True
-        return False
-
-    def overlap_length(self, a: float, b: float) -> float:
-        return max(0.0, min(self.b, b) - max(self.a, a))
+    def contains(self, x):
+        """Membership of x, a number or an array of numbers."""
+        x = np.asarray(x)
+        return (((self.a < x) & (x < self.b))
+                | ((x == self.a) & self.include_a)
+                | ((x == self.b) & self.include_b))
 
 
 class IntervalUnion:
@@ -108,23 +124,25 @@ class IntervalUnion:
     def empty(cls) -> "IntervalUnion":
         return cls(())
 
-    def contains(self, x: float) -> bool:
-        return any(iv.contains(x) for iv in self.intervals)
+    def contains(self, x):
+        """Membership of x, a number or an array of numbers."""
+        out = np.zeros(np.shape(x), dtype=bool)
+        for iv in self.intervals:
+            out |= iv.contains(x)
+        return out
 
-    def overlap_length(self, a: float, b: float) -> float:
-        """Lebesgue measure of (union) ∩ [a, b]; merges overlaps."""
+    def length_below(self, ys):
+        """Lebesgue measure of (union) ∩ (-inf, y] for each y in ys."""
         segs = sorted((iv.a, iv.b) for iv in self.intervals if iv.b > iv.a)
-        total = 0.0
-        cur_a = cur_b = None
+        merged = []
         for s, e in segs:
-            if cur_b is None or s > cur_b:
-                if cur_b is not None:
-                    total += max(0.0, min(cur_b, b) - max(cur_a, a))
-                cur_a, cur_b = s, e
+            if merged and s <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], e)
             else:
-                cur_b = max(cur_b, e)
-        if cur_b is not None:
-            total += max(0.0, min(cur_b, b) - max(cur_a, a))
+                merged.append([s, e])
+        total = np.zeros(np.shape(ys))
+        for s, e in merged:
+            total += np.clip(ys, s, e) - s
         return total
 
 
@@ -182,8 +200,21 @@ def is_divergent(v) -> bool:
     return isinstance(v, Divergent)
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 class MatrixMeasure:
-    """Nontrivial matrix-valued measure: atoms plus constant-density pieces."""
+    """Nontrivial matrix-valued measure: atoms plus constant-density pieces.
+
+    ``atoms`` and ``ac_pieces`` hold the terms as given, sorted.  The
+    terms carrying mass (nonzero trace) are also held as read-only arrays:
+    ``xs`` (K,) and ``W`` (K, n*n) for the atoms, ``a``, ``b`` (P,) and
+    ``rho`` (P, n*n) for the pieces, weights flattened row-major.
+    ``cauchy_offset`` (n*n,) is ∫ y/(1+y²) dΩ(y), the z-independent part
+    of the Cauchy kernel integral.
+    """
 
     def __init__(self, dim: int, atoms: Sequence[Atom] = (),
                  ac_pieces: Sequence[ACPiece] = (),
@@ -197,89 +228,128 @@ class MatrixMeasure:
         self._validate()
 
     def _validate(self):
-        n, rt = self.dim, self.tols.rank_tol
-        for k, at in enumerate(self.atoms):
-            w = _as_matrix(at.W, n, f"atoms[{k}].W")
-            if not is_psd(w, rt):
-                raise MeasureError(f"atoms[{k}].W is not Hermitian positive semidefinite")
-        for k, pc in enumerate(self.ac_pieces):
-            r = _as_matrix(pc.rho, n, f"ac[{k}].rho")
-            if not pc.a < pc.b:
-                raise MeasureError(f"ac[{k}]: requires a < b, got [{pc.a}, {pc.b}]")
-            if not is_psd(r, rt):
-                raise MeasureError(f"ac[{k}].rho is not Hermitian positive semidefinite")
-        pts = [at.x for at in self.atoms]
-        for i in range(1, len(pts)):
-            if abs(pts[i] - pts[i - 1]) <= self.tols.tol_x:
-                raise MeasureError(f"atom points {pts[i - 1]} and {pts[i]} coincide")
-        for i in range(1, len(self.ac_pieces)):
-            if self.ac_pieces[i].a < self.ac_pieces[i - 1].b - self.tols.tol_x:
-                raise MeasureError("ac pieces have overlapping interiors")
-        total = sum(float(np.trace(at.W).real) for at in self.atoms)
-        total += sum(float(np.trace(pc.rho).real) * (pc.b - pc.a) for pc in self.ac_pieces)
-        if total <= 0.0:
+        n, rt, tol_x = self.dim, self.tols.rank_tol, self.tols.tol_x
+        xs = np.array([at.x for at in self.atoms], dtype=float)
+        W = _stack([at.W for at in self.atoms], n, "atoms[{}].W")
+        ends = np.array([(pc.a, pc.b) for pc in self.ac_pieces], dtype=float).reshape(-1, 2)
+        rho = _stack([pc.rho for pc in self.ac_pieces], n, "ac[{}].rho")
+        a, b = ends[:, 0], ends[:, 1]
+
+        _reject_first(~np.isfinite(xs), lambda k: f"atoms[{k}].x is not finite")
+        _reject_first(~np.isfinite(W).all(axis=(1, 2)), lambda k: f"atoms[{k}].W is not finite")
+        _reject_first(~np.isfinite(ends).all(axis=1), lambda k: f"ac[{k}]: ends are not finite")
+        _reject_first(~np.isfinite(rho).all(axis=(1, 2)), lambda k: f"ac[{k}].rho is not finite")
+        _reject_first(~(a < b), lambda k: f"ac[{k}]: requires a < b, got [{a[k]}, {b[k]}]")
+        _reject_first(~is_psd(W, rt), lambda k: f"atoms[{k}].W is not Hermitian positive semidefinite")
+        _reject_first(~is_psd(rho, rt), lambda k: f"ac[{k}].rho is not Hermitian positive semidefinite")
+        _reject_first(np.abs(np.diff(xs)) <= tol_x,
+                      lambda k: f"atom points {xs[k]} and {xs[k + 1]} coincide")
+        _reject_first(a[1:] < b[:-1] - tol_x, lambda k: "ac pieces have overlapping interiors")
+        w_tr = np.trace(W, axis1=1, axis2=2).real
+        r_tr = np.trace(rho, axis1=1, axis2=2).real
+        if w_tr.sum() + (r_tr * (b - a)).sum() <= 0.0:
             raise MeasureError("measure is trivial (no mass anywhere)")
+
+        # Terms without mass are left out: they add nothing, and a kernel
+        # pole on one would give inf * 0.
+        atom_kept, piece_kept = w_tr > 0.0, r_tr > 0.0
+        self._atom_ids = np.flatnonzero(atom_kept)
+        self.xs = _frozen(xs[atom_kept])
+        self.a = _frozen(a[piece_kept])
+        self.b = _frozen(b[piece_kept])
+        # integrate's one product weighs the kernel values at xs by W and
+        # the segment integrals by rho: both are views of one array
+        self._weights = _frozen(np.concatenate([W[atom_kept], rho[piece_kept]]).reshape(-1, n * n))
+        self._weights_re_im = self._weights.view(float)
+        self.W, self.rho = self._weights[:len(self.xs)], self._weights[len(self.xs):]
+        self._ends = _frozen(np.stack([self.a, self.b]))
+        self.cauchy_offset = _frozen(
+            (self.xs / (1.0 + self.xs ** 2)) @ self.W
+            + (0.5 * np.log((1.0 + self.b ** 2) / (1.0 + self.a ** 2))) @ self.rho)
+
+        # Support of every term widened by tol_x, atoms first, then pieces:
+        # [lo, hi] sorted by lo, with the running maximum of hi, so that the
+        # terms holding a point are found by two bisections.
+        lo = np.concatenate([self.xs - tol_x, self.a - tol_x])
+        hi = np.concatenate([self.xs + tol_x, self.b + tol_x])
+        self._order = np.argsort(lo, kind="stable")
+        self._lo = lo[self._order].tolist()
+        self._hi = hi[self._order]
+        self._reach = np.maximum.accumulate(self._hi).tolist()
+        diag = np.concatenate([np.diagonal(W[atom_kept], axis1=1, axis2=2),
+                               np.diagonal(rho[piece_kept], axis1=1, axis2=2)]).real
+        self._directions = diag > 0.0
 
     # -- support queries -------------------------------------------------
 
-    def atom_at(self, x: float):
-        """Atom whose point is within tol_x of x, or None."""
-        for at in self.atoms:
-            if abs(at.x - x) <= self.tols.tol_x:
-                return at
-        return None
+    def _terms_at(self, x: float) -> np.ndarray:
+        """Ids of the terms carrying mass (atoms, then pieces) whose
+        support, widened by tol_x, contains x."""
+        i = bisect_left(self._reach, x)
+        j = bisect_right(self._lo, x)
+        if i >= j:
+            return self._order[:0]
+        return self._order[i:j][self._hi[i:j] >= x]
 
-    def pieces_at(self, x: float):
-        """Pieces whose closed support contains x (within tol_x)."""
-        t = self.tols.tol_x
-        return [pc for pc in self.ac_pieces if pc.a - t <= x <= pc.b + t]
+    def _divergent_directions(self, x: float) -> tuple:
+        """Directions i with diagonal mass mu_ii within tol_x of x."""
+        ids = self._terms_at(x)
+        if not ids.size:
+            return ()
+        return tuple(int(i) for i in np.flatnonzero(self._directions[ids].any(axis=0)))
+
+    def atom_at(self, x: float):
+        """Atom carrying mass whose point is within tol_x of x, or None."""
+        ids = self._terms_at(x)
+        ids = ids[ids < len(self.xs)]
+        return self.atoms[self._atom_ids[ids.min()]] if ids.size else None
 
     def on_support(self, x: float) -> bool:
-        at = self.atom_at(x)
-        if at is not None and float(np.trace(at.W).real) > 0.0:
-            return True
-        return any(float(np.trace(pc.rho).real) > 0.0 for pc in self.pieces_at(x))
+        return bool(self._terms_at(x).size)
 
     def support_bounds(self):
-        lo = math.inf
-        hi = -math.inf
-        for at in self.atoms:
-            lo, hi = min(lo, at.x), max(hi, at.x)
-        for pc in self.ac_pieces:
-            lo, hi = min(lo, pc.a), max(hi, pc.b)
-        return lo, hi
+        pts = np.concatenate([self.xs, self.a, self.b])
+        return float(pts.min()), float(pts.max())
 
     @property
     def purely_atomic(self) -> bool:
-        return all(float(np.trace(pc.rho).real) == 0.0 for pc in self.ac_pieces)
+        return not self.a.size
 
 
 # -- kernels -------------------------------------------------------------
-#
-# Each kernel evaluates pointwise (for atoms), integrates exactly over a
-# segment (for constant-density pieces), and knows where it is singular.
 
 
-class PoissonSquareKernel:
+class Kernel:
+    """A closed-form integrand.
+
+    ``values(ys)`` evaluates it at an array of atom points and
+    ``primitive(ys)`` evaluates an antiderivative at an array of piece
+    ends, so a piece [a, b] integrates to primitive(b) - primitive(a).
+    ``pole`` is the real point where it is singular, or None; ``integrate``
+    reports divergence there instead of evaluating.  A ``compensated``
+    kernel's values and primitive omit the z-independent Cauchy
+    compensator y/(1+y²), whose integral ``integrate`` takes from the
+    measure's precomputed ``cauchy_offset``.
+    """
+
+    pole = None
+    compensated = False
+
+
+class PoissonSquareKernel(Kernel):
     """y -> 1/(x - y)^2; the integrand of the divergence matrix."""
 
     def __init__(self, x: float):
-        self.x = float(x)
+        self.x = self.pole = float(x)
 
-    def value(self, y: float):
-        return 1.0 / (self.x - y) ** 2
+    def values(self, ys):
+        return 1.0 / (self.x - ys) ** 2
 
-    def segment(self, a: float, b: float):
-        return 1.0 / (self.x - b) - 1.0 / (self.x - a)
-
-    def singular_at_point(self, y: float, tol_x: float) -> bool:
-        return abs(self.x - y) <= tol_x
-
-    def singular_on_segment(self, a: float, b: float, tol_x: float) -> bool:
-        return a - tol_x <= self.x <= b + tol_x
+    def primitive(self, ys):
+        return 1.0 / (self.x - ys)
 
 
-class RegularizedKernel:
+class RegularizedKernel(Kernel):
     """y -> 1/((x - y)^2 + 1/m^2); everywhere finite."""
 
     def __init__(self, x: float, m: float):
@@ -287,90 +357,72 @@ class RegularizedKernel:
         self.m = float(m)
         if self.m <= 0:
             raise ValueError("regularization level m must be positive")
+        self._width = 1.0 / self.m
 
-    def value(self, y: float):
-        return 1.0 / ((self.x - y) ** 2 + 1.0 / self.m ** 2)
+    def values(self, ys):
+        return 1.0 / ((self.x - ys) ** 2 + self._width ** 2)
 
-    def segment(self, a: float, b: float):
-        m, x = self.m, self.x
-        return m * (math.atan(m * (b - x)) - math.atan(m * (a - x)))
-
-    def singular_at_point(self, y, tol_x):
-        return False
-
-    def singular_on_segment(self, a, b, tol_x):
-        return False
+    def primitive(self, ys):
+        # m·atan(m(y - x)), with the product inside atan folded into atan2
+        return self.m * np.arctan2(ys - self.x, self._width)
 
 
-class CauchyKernel:
+class CauchyKernel(Kernel):
     """y -> 1/(y - z) - y/(1 + y^2), the Herglotz representation integrand.
 
     Works for complex z off the real axis and, as the boundary-value fast
-    path, for real z off the support.
+    path, for real z off the support, where it is evaluated in real
+    arithmetic.
     """
+
+    compensated = True
 
     def __init__(self, z: complex):
         self.z = complex(z)
+        if self.z.imag == 0.0:
+            self.pole = self._w = self.z.real
+        else:
+            self._w = self.z
 
-    @property
-    def real_axis(self) -> bool:
-        return self.z.imag == 0.0
+    def values(self, ys):
+        return 1.0 / (ys - self._w)
 
-    def value(self, y: float):
-        return 1.0 / (y - self.z) - y / (1.0 + y * y)
-
-    def segment(self, a: float, b: float):
-        # The segment from a-z to b-z never crosses the branch cut when
-        # Im z != 0; for real z off [a, b] the log argument is a positive real.
-        v = np.log((b - self.z) / (a - self.z)) - 0.5 * math.log((1 + b * b) / (1 + a * a))
-        return v.real if self.real_axis else v
-
-    def singular_at_point(self, y: float, tol_x: float) -> bool:
-        return self.real_axis and abs(self.z.real - y) <= tol_x
-
-    def singular_on_segment(self, a: float, b: float, tol_x: float) -> bool:
-        return self.real_axis and a - tol_x <= self.z.real <= b + tol_x
+    def primitive(self, ys):
+        # The ends of a piece lie in one open half-plane when Im z != 0, so
+        # their principal logs differ by the log of the ratio; for real z
+        # off the piece they lie on one side of it.
+        if self.pole is None:
+            return np.log(ys - self._w)
+        return np.log(np.abs(ys - self._w))
 
 
-class InvOnePlusY2Kernel:
+class InvOnePlusY2Kernel(Kernel):
     """y -> 1/(1 + y^2); the integrability weight of the representation."""
 
-    def value(self, y: float):
-        return 1.0 / (1.0 + y * y)
+    def values(self, ys):
+        return 1.0 / (1.0 + ys * ys)
 
-    def segment(self, a: float, b: float):
-        return math.atan(b) - math.atan(a)
-
-    def singular_at_point(self, y, tol_x):
-        return False
-
-    def singular_on_segment(self, a, b, tol_x):
-        return False
+    def primitive(self, ys):
+        return np.arctan(ys)
 
 
-class IndicatorKernel:
+class IndicatorKernel(Kernel):
     """Indicator of a finite interval union; reduces to measure_of_set."""
 
     def __init__(self, region: IntervalUnion):
         self.region = region
 
-    def value(self, y: float):
-        return 1.0 if self.region.contains(y) else 0.0
+    def values(self, ys):
+        return self.region.contains(ys).astype(float)
 
-    def segment(self, a: float, b: float):
-        return self.region.overlap_length(a, b)
-
-    def singular_at_point(self, y, tol_x):
-        return False
-
-    def singular_on_segment(self, a, b, tol_x):
-        return False
+    def primitive(self, ys):
+        return self.region.length_below(ys)
 
 
 # -- operations ----------------------------------------------------------
 
 
-def integrate(kernel, omega: MatrixMeasure):
+def integrate(kernel: Kernel, omega: MatrixMeasure):
     """Integrate a closed-form kernel against the measure.
 
     Returns the matrix, or a :class:`Divergent` carrying the 0-based
@@ -378,38 +430,26 @@ def integrate(kernel, omega: MatrixMeasure):
     Divergence is directional: a kernel pole sitting on an atom or inside
     a piece only kills the directions with nonzero diagonal mass there.
     """
-    n = omega.dim
-    tol_x = omega.tols.tol_x
-    bad = set()
-    for at in omega.atoms:
-        if kernel.singular_at_point(at.x, tol_x):
-            diag = np.real(np.diag(at.W))
-            bad.update(int(i) for i in np.nonzero(diag > 0)[0])
-    for pc in omega.ac_pieces:
-        if kernel.singular_on_segment(pc.a, pc.b, tol_x):
-            diag = np.real(np.diag(pc.rho))
-            bad.update(int(i) for i in np.nonzero(diag > 0)[0])
-    if bad:
-        return Divergent(tuple(sorted(bad)))
-
-    total = np.zeros((n, n), dtype=complex)
-    for at in omega.atoms:
-        total += kernel.value(at.x) * at.W
-    for pc in omega.ac_pieces:
-        total += kernel.segment(pc.a, pc.b) * pc.rho
-    return total
+    if kernel.pole is not None:
+        bad = omega._divergent_directions(kernel.pole)
+        if bad:
+            return Divergent(bad)
+    coef = kernel.values(omega.xs)
+    if omega.a.size:
+        prim = kernel.primitive(omega._ends)
+        coef = np.concatenate((coef, prim[1] - prim[0]))
+    if coef.dtype.kind == "c":
+        total = coef @ omega._weights
+    else:   # real coefficients: one real product over (re, im) pairs
+        total = (coef @ omega._weights_re_im).view(complex)
+    if kernel.compensated:
+        total -= omega.cauchy_offset
+    return total.reshape(omega.dim, omega.dim)
 
 
 def measure_of_set(omega: MatrixMeasure, region: IntervalUnion) -> np.ndarray:
     """Measure of a finite union of bounded intervals (Hermitian PSD)."""
-    n = omega.dim
-    total = np.zeros((n, n), dtype=complex)
-    for at in omega.atoms:
-        if region.contains(at.x):
-            total += at.W
-    for pc in omega.ac_pieces:
-        total += region.overlap_length(pc.a, pc.b) * pc.rho
-    return total
+    return integrate(IndicatorKernel(region), omega)
 
 
 def trace_measure(omega: MatrixMeasure, region: IntervalUnion) -> float:
@@ -425,13 +465,12 @@ def density_matrix(omega: MatrixMeasure, t: float) -> DensityMatrixValue:
     have no density value.
     """
     at = omega.atom_at(t)
-    if at is not None and float(np.trace(at.W).real) > 0.0:
+    if at is not None:
         w = np.asarray(at.W)
-        psi = w / np.trace(w).real
-        return DensityMatrixValue(t, psi, matrix_rank(psi, omega.tols.rank_tol))
-    for pc in omega.ac_pieces:
-        if pc.a < t < pc.b and float(np.trace(pc.rho).real) > 0.0:
-            rho = np.asarray(pc.rho)
-            psi = rho / np.trace(rho).real
-            return DensityMatrixValue(t, psi, matrix_rank(psi, omega.tols.rank_tol))
-    raise DefinedNowhereError(f"no trace mass at t={t}")
+    else:
+        inside = np.flatnonzero((omega.a < t) & (t < omega.b))
+        if not inside.size:
+            raise DefinedNowhereError(f"no trace mass at t={t}")
+        w = omega.rho[inside[0]].reshape(omega.dim, omega.dim)
+    psi = w / np.trace(w).real
+    return DensityMatrixValue(t, psi, matrix_rank(psi, omega.tols.rank_tol))

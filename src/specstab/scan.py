@@ -22,7 +22,6 @@ from .measure import (Divergent, MatrixMeasure, RegularizedKernel, integrate,
 from .herglotz import HerglotzMatrix, t_matrix
 
 DEFAULT_M_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
-DEFAULT_K_THRESHOLD = 1e6
 
 
 @dataclass(frozen=True)
@@ -31,7 +30,6 @@ class ScanConfig:
     b: float
     steps: int
     m_schedule: Tuple[int, ...] = DEFAULT_M_SCHEDULE
-    k_threshold: float = DEFAULT_K_THRESHOLD
     tols: Tolerances = DEFAULT_TOLS
 
     def __post_init__(self):

@@ -1,0 +1,163 @@
+"""Property test: the array ``integrate`` against a term-by-term reference.
+
+The reference below evaluates every kernel one atom and one piece at a
+time, with the closed forms written out per term, and decides divergence
+term by term.  Random measures vary the number of atoms, the dimension,
+rank-deficient and zero weights and abutting pieces; the evaluation points
+sit exactly on atoms and piece ends, within tol_x/2 of them and 2·tol_x
+away.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
+                      IndicatorKernel, IntervalUnion, InvOnePlusY2Kernel,
+                      MatrixMeasure, PoissonSquareKernel, RegularizedKernel,
+                      integrate)
+
+TOL_X = DEFAULT_TOLS.tol_x
+REL = 1e-12
+
+
+def _overlap(region: IntervalUnion, a: float, b: float) -> float:
+    """Length of region ∩ [a, b], merging the region's intervals first."""
+    merged = []
+    for s, e in sorted((iv.a, iv.b) for iv in region.intervals):
+        if merged and s <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], e)
+        else:
+            merged.append([s, e])
+    return sum(max(0.0, min(e, b) - max(s, a)) for s, e in merged)
+
+
+def _in_region(region: IntervalUnion, y: float) -> bool:
+    return any(iv.a < y < iv.b or (y == iv.a and iv.include_a) or (y == iv.b and iv.include_b)
+               for iv in region.intervals)
+
+
+def reference_kernel(kernel):
+    """(value parts at y, segment parts on [a, b], real pole or None).
+
+    The parts of a closed form sum to it; their absolute values bound the
+    rounding of any order of summation.
+    """
+    if isinstance(kernel, PoissonSquareKernel):
+        x = kernel.x
+        return (lambda y: [1.0 / (x - y) ** 2],
+                lambda a, b: [1.0 / (x - b), -1.0 / (x - a)], x)
+    if isinstance(kernel, RegularizedKernel):
+        x, m = kernel.x, kernel.m
+        return (lambda y: [1.0 / ((x - y) ** 2 + 1.0 / m ** 2)],
+                lambda a, b: [m * math.atan(m * (b - x)), -m * math.atan(m * (a - x))], None)
+    if isinstance(kernel, CauchyKernel):
+        z = kernel.z
+        pole = z.real if z.imag == 0.0 else None
+
+        def segment(a, b):
+            log = complex(np.log((b - z) / (a - z)))
+            return [log.real if pole is not None else log,
+                    -0.5 * math.log((1 + b * b) / (1 + a * a))]
+        return (lambda y: [1.0 / (y - z), -y / (1.0 + y * y)], segment, pole)
+    if isinstance(kernel, InvOnePlusY2Kernel):
+        return (lambda y: [1.0 / (1.0 + y * y)],
+                lambda a, b: [math.atan(b), -math.atan(a)], None)
+    region = kernel.region
+    return (lambda y: [1.0 if _in_region(region, y) else 0.0],
+            lambda a, b: [_overlap(region, a, b)], None)
+
+
+def reference_integrate(kernel, omega: MatrixMeasure):
+    """(matrix or Divergent, size): size bounds the sum's rounding."""
+    value, segment, pole = reference_kernel(kernel)
+    terms = [(at.W, at.x, None) for at in omega.atoms]
+    terms += [(pc.rho, pc.a, pc.b) for pc in omega.ac_pieces]
+    bad = set()
+    total = np.zeros((omega.dim, omega.dim), dtype=complex)
+    size = 0.0
+    for w, a, b in terms:
+        if np.trace(w).real <= 0.0:   # the zero matrix adds nothing anywhere
+            continue
+        if pole is not None and (abs(a - pole) <= TOL_X if b is None
+                                 else a - TOL_X <= pole <= b + TOL_X):
+            bad.update(int(i) for i in np.flatnonzero(np.real(np.diag(w)) > 0))
+            continue
+        parts = value(a) if b is None else segment(a, b)
+        total += sum(parts) * w
+        size += sum(abs(p) for p in parts) * float(np.linalg.norm(w))
+    if bad:
+        return Divergent(tuple(sorted(bad))), 0.0
+    return total, size
+
+
+def _psd(rng, n, rank):
+    """Random PSD weight of the given rank; half of them live on a random
+    set of canonical directions, so some diagonal entries are exactly 0."""
+    b = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    if rng.random() < 0.5:
+        drop = rng.random(n) < 0.4
+        drop[rng.integers(n)] = False
+        b[drop] = 0.0
+    return float(rng.uniform(0.1, 10.0)) * (b @ b.conj().T) / max(rank, 1)
+
+
+@st.composite
+def measures(draw):
+    n = draw(st.sampled_from([1, 2, 3]))
+    atom_ranks = draw(st.lists(st.integers(0, n), max_size=40))
+    piece_ranks = draw(st.lists(st.integers(0, n), max_size=4))
+    abut = draw(st.lists(st.booleans(), min_size=len(piece_ranks), max_size=len(piece_ranks)))
+    if not any(atom_ranks + piece_ranks):   # keep the measure nontrivial
+        atom_ranks = [n] + atom_ranks[1:]
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    xs = np.sort(rng.uniform(-5.0, 5.0, size=len(atom_ranks)))
+    atoms = [Atom(float(x), _psd(rng, n, r)) for x, r in zip(xs, atom_ranks)]
+    pieces, cur = [], float(rng.uniform(-6.0, 2.0))
+    for r, joined in zip(piece_ranks, abut):
+        a = cur if joined else cur + float(rng.uniform(0.1, 1.0))
+        cur = a + float(rng.uniform(0.05, 1.0))
+        pieces.append(ACPiece(a, cur, _psd(rng, n, r)))
+    return MatrixMeasure(n, atoms, pieces)
+
+
+@st.composite
+def points(draw, omega: MatrixMeasure):
+    """A free point, or one on, within tol_x/2 of or 2·tol_x from an atom
+    or a piece end."""
+    anchors = draw(st.sampled_from([
+        [],
+        [at.x for at in omega.atoms],
+        [e for pc in omega.ac_pieces for e in (pc.a, pc.b)]]))
+    if not anchors:
+        return draw(st.floats(-7.0, 7.0))
+    offset = draw(st.sampled_from([0.0, 0.5, -0.5, 2.0, -2.0])) * TOL_X
+    return draw(st.sampled_from(anchors)) + offset
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_array_integrate_matches_term_by_term_reference(data):
+    omega = data.draw(measures())
+    x = data.draw(points(omega))
+    imag = data.draw(st.sampled_from([1e-3, 0.5, -0.7]))
+    m = data.draw(st.sampled_from([1.0, 64.0, 1024.0]))
+    region = IntervalUnion.of((x - 1.0, x + 0.25), (x, x + 1.0, False, True), (x + 2.0, x + 3.0))
+    kernels = [PoissonSquareKernel(x), RegularizedKernel(x, m), CauchyKernel(x + 1j * imag),
+               CauchyKernel(x), InvOnePlusY2Kernel(), IndicatorKernel(region)]
+    for kernel in kernels:
+        got = integrate(kernel, omega)
+        ref, size = reference_integrate(kernel, omega)
+        name = type(kernel).__name__
+        if isinstance(ref, Divergent):
+            assert isinstance(got, Divergent), name
+            assert got.directions == ref.directions, name
+        else:
+            assert not isinstance(got, Divergent), name
+            assert got.shape == (omega.dim, omega.dim)
+            err = float(np.linalg.norm(got - ref))
+            assert err <= REL * size, (name, err, size)

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
-                      IndicatorKernel, IntervalUnion, InvOnePlusY2Kernel,
-                      MatrixMeasure, MeasureError, PoissonSquareKernel,
-                      RegularizedKernel, density_matrix, integrate,
-                      is_divergent, measure_of_set, trace_measure)
+                      HerglotzMatrix, IndicatorKernel, IntervalUnion,
+                      InvOnePlusY2Kernel, MatrixMeasure, MeasureError,
+                      PoissonSquareKernel, RegularizedKernel, boundary_value,
+                      density_matrix, integrate, is_divergent, measure_of_set,
+                      trace_measure)
 from specstab.measure import DefinedNowhereError
 from specstab.randgen import random_atomic_measure
 
@@ -42,6 +43,35 @@ class TestValidation:
 
     def test_rank_deficient_weight_allowed(self):
         MatrixMeasure(2, [Atom(0.0, np.diag([3.0, 0.0]))])
+
+    @pytest.mark.parametrize("atoms, pieces, where", [
+        ([Atom(np.nan, [[1.0]]), Atom(1.0, [[1.0]])], [], "x"),
+        ([Atom(np.inf, [[1.0]])], [], "x"),
+        ([Atom(0.0, [[np.nan]])], [], "W"),
+        ([Atom(0.0, [[1.0]])], [ACPiece(-np.inf, 1.0, [[1.0]])], "ends"),
+        ([Atom(0.0, [[1.0]])], [ACPiece(1.0, 2.0, [[np.inf]])], "rho"),
+    ])
+    def test_non_finite_data_rejected(self, atoms, pieces, where):
+        with pytest.raises(MeasureError, match=f"{where}.* not finite"):
+            MatrixMeasure(1, atoms, pieces)
+
+
+class TestMasslessTerms:
+    """A zero weight adds nothing, not even at a kernel pole."""
+
+    def zero_atom(self):
+        return MatrixMeasure(2, [Atom(0.0, np.zeros((2, 2))), Atom(1.0, np.eye(2))])
+
+    def test_poisson_square_at_zero_weight_atom(self):
+        omega = self.zero_atom()
+        assert not omega.on_support(0.0)
+        assert omega.atom_at(0.0) is None
+        np.testing.assert_allclose(integrate(PoissonSquareKernel(0.0), omega), np.eye(2))
+
+    def test_boundary_value_at_zero_weight_atom(self):
+        rep = boundary_value(HerglotzMatrix.from_measure(self.zero_atom()), 0.0)
+        assert rep.converged
+        np.testing.assert_allclose(rep.t_matrix, np.eye(2))
 
 
 class TestMeasureOfSet:

@@ -166,6 +166,15 @@ class TestCLI:
         assert self.run("tmatrix", "--measure", path, "--x", "2") == 2
         assert "atoms[0]" in capsys.readouterr().err
 
+    def test_nan_atom_is_an_input_error(self, tmp_path, capsys):
+        path = write_json(tmp_path / "nan.json", {
+            "n": 1, "atoms": [{"x": float("nan"), "W": [[[1, 0]]]},
+                              {"x": 1.0, "W": [[[1, 0]]]}]})
+        assert self.run("boundary", "--measure", path, "--x", "2") == 2
+        captured = capsys.readouterr()
+        assert "atoms[" in captured.err
+        assert "NaN" not in captured.out + captured.err
+
     def test_module_entry_point(self, single_atom_file):
         proc = subprocess.run(
             [sys.executable, "-m", "specstab.cli", "tmatrix",
