@@ -3,22 +3,23 @@
 Commands: eval, boundary, tmatrix, masses, eigs, test, scan, verify.
 Inputs are the JSON measure/matrix files documented in ``specstab.io``;
 outputs go to stdout or --out as JSON (default) or CSV where meaningful.
-Exit codes: 0 ok, 1 verification mismatch, 2 input error.
+Exit codes: 0 ok, 1 verification mismatch, 2 input error (NaN or ±inf
+among the real arguments included).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
+import math
 import sys
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .extensions import (ExtensionParameter, PreconditionError, max_mult_test,
+from .extensions import (PreconditionError, extension_weyl, max_mult_test,
                          max_mult_test_via, weyl_of_extension)
-from .herglotz import HerglotzMatrix, atom_mass, boundary_value, evaluate, t_matrix
+from .herglotz import atom_mass, boundary_value, evaluate, t_matrix
 from .io import InputError, dump_json, load_herglotz, load_hermitian, matrix_out
 from .measure import is_divergent
 from .oracle import OracleError, classify
@@ -30,22 +31,34 @@ EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 
 
+# argument types: a bad value makes the parser exit with EXIT_INPUT
+def finite_float(spec) -> float:
+    """float(spec), rejecting NaN and ±inf with ValueError."""
+    v = float(spec)
+    if not math.isfinite(v):
+        raise ValueError(f"not a finite real number: {spec!r}")
+    return v
+
+
 def _parse_grid(spec: str):
     try:
         a, b, steps = spec.split(":")
-        return float(a), float(b), int(steps)
+        return finite_float(a), finite_float(b), int(steps)
     except ValueError:
-        raise InputError(f"--grid expects a:b:steps, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"expected a:b:steps with finite a, b, got {spec!r}")
 
 
 def _parse_complex(spec: str) -> complex:
     try:
         if "," in spec:
             re, im = spec.split(",")
-            return complex(float(re), float(im))
-        return complex(spec)
+        else:
+            z = complex(spec)
+            re, im = z.real, z.imag
+        return complex(finite_float(re), finite_float(im))
     except ValueError:
-        raise InputError(f"expected a complex number as RE,IM or python literal, got {spec!r}")
+        raise argparse.ArgumentTypeError(
+            f"expected a finite complex number as RE,IM or python literal, got {spec!r}")
 
 
 def _tols(args):
@@ -80,12 +93,11 @@ def _evidence_doc(ev) -> dict:
 
 def cmd_eval(args):
     m = load_herglotz(args.measure, _tols(args))
-    z = _parse_complex(args.z)
     if args.d_matrix:
-        val = weyl_of_extension(m, load_hermitian(args.d_matrix), z)
+        val = weyl_of_extension(m, load_hermitian(args.d_matrix), args.z)
     else:
-        val = evaluate(m, z)
-    _emit({"z": [z.real, z.imag], "value": matrix_out(val)}, args)
+        val = evaluate(m, args.z)
+    _emit({"z": [args.z.real, args.z.imag], "value": matrix_out(val)}, args)
     return EXIT_OK
 
 
@@ -111,11 +123,7 @@ def cmd_tmatrix(args):
 def cmd_masses(args):
     tols = _tols(args)
     m = load_herglotz(args.measure, tols)
-    if args.d_matrix:
-        from .extensions import extension_weyl
-        fn = extension_weyl(m, load_hermitian(args.d_matrix))
-    else:
-        fn = m
+    fn = extension_weyl(m, load_hermitian(args.d_matrix)) if args.d_matrix else m
     w = atom_mass(fn, args.x, tols)
     _emit({"x": args.x, "mass": matrix_out(w)}, args)
     return EXIT_OK
@@ -125,7 +133,7 @@ def cmd_eigs(args):
     tols = _tols(args)
     m = load_herglotz(args.measure, tols)
     d = load_hermitian(args.d_matrix)
-    a, b, _ = _parse_grid(args.grid)
+    a, b, _ = args.grid
     report = classify(m, d, (a, b), tols, measure_ref=args.measure)
     doc = {"interval": [a, b], "dim": report.dim, "measure": report.measure_ref,
            "poles": [{"p": pr.p, "rank": pr.rank, "is_max_mult": pr.is_max_mult,
@@ -150,7 +158,7 @@ def cmd_test(args):
 def cmd_scan(args):
     tols = _tols(args)
     m = load_herglotz(args.measure, tols)
-    a, b, steps = _parse_grid(args.grid)
+    a, b, steps = args.grid
     config = ScanConfig(a, b, steps, tols=tols)
     records = scan_forbidden(m.omega, config)
     n = m.dim
@@ -192,21 +200,21 @@ def build_parser() -> argparse.ArgumentParser:
         if d_prime:
             p.add_argument("--d-prime", help="second Hermitian parameter JSON file")
         if x:
-            p.add_argument("--x", type=float, required=True, help="real energy")
+            p.add_argument("--x", type=finite_float, required=True, help="real energy")
         if z:
-            p.add_argument("--z", required=True, help="complex point as RE,IM")
+            p.add_argument("--z", type=_parse_complex, required=True, help="complex point as RE,IM")
         if grid:
-            p.add_argument("--grid", required=True, help="a:b:steps")
+            p.add_argument("--grid", type=_parse_grid, required=True, help="a:b:steps")
         if trials:
             p.add_argument("--trials", type=int, default=10)
         if seed:
             p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", help="output file (default stdout)")
         p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.add_argument("--tol-rank", type=float, dest="tol_rank")
-        p.add_argument("--tol-bv", type=float, dest="tol_bv")
-        p.add_argument("--tol-match", type=float, dest="tol_match")
-        p.add_argument("--tol-x", type=float, dest="tol_x")
+        p.add_argument("--tol-rank", type=finite_float, dest="tol_rank")
+        p.add_argument("--tol-bv", type=finite_float, dest="tol_bv")
+        p.add_argument("--tol-match", type=finite_float, dest="tol_match")
+        p.add_argument("--tol-x", type=finite_float, dest="tol_x")
 
     p = sub.add_parser("eval", help="evaluate M(z) or M_D(z)")
     common(p, d_matrix=True, z=True)

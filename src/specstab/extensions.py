@@ -11,6 +11,7 @@ equals (D' - D)^{-1} with the corresponding divergence integral finite.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -18,9 +19,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .herglotz import (BoundaryReport, HerglotzMatrix, boundary_value,
+from .herglotz import (HerglotzMatrix, InconsistencyError, boundary_value,
                        evaluate, richardson_limit, t_matrix)
 from .measure import Divergent, hermitian_part, is_divergent, is_hermitian
+
+
+# smallest singular value of D' - D accepted by the second-parameter test
+MIN_GAP_SV = 1e-8
 
 
 class ConditioningError(np.linalg.LinAlgError):
@@ -29,10 +34,6 @@ class ConditioningError(np.linalg.LinAlgError):
 
 class PreconditionError(ValueError):
     """An operation precondition was violated."""
-
-
-class InconsistencyError(RuntimeError):
-    """Finite T(x) but no converged boundary value: a tolerance bug."""
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,15 @@ def _inv_checked(a: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.inv(a)
 
 
-def weyl_of_extension(m: HerglotzMatrix, d, z: complex) -> np.ndarray:
-    """M_D(z) = (D - M(z))^{-1} for z off the real axis."""
-    D = _coerce_d(d)
-    return _inv_checked(D - evaluate(m, z), "D - M(z)")
-
-
 def extension_weyl(m: HerglotzMatrix, d):
-    """The function z -> M_D(z) as a callable."""
+    """The function z -> M_D(z) = (D - M(z))^{-1}, z off the real axis."""
     D = _coerce_d(d)
     return lambda z: _inv_checked(D - evaluate(m, z), "D - M(z)")
+
+
+def weyl_of_extension(m: HerglotzMatrix, d, z: complex) -> np.ndarray:
+    """M_D(z) = (D - M(z))^{-1} for z off the real axis."""
+    return extension_weyl(m, d)(z)
 
 
 def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> float:
@@ -121,63 +121,39 @@ def max_mult_test(m: HerglotzMatrix, d, x: float,
     return MaxMultEvidence(x, rep.t_matrix, rep.m_boundary, residual, verdict)
 
 
-def _t_via_eps(fn, x: float, tols: Tolerances):
-    """∫ dΩ_F(y)/(x-y)² for the measure of the Herglotz function fn.
-
-    Evaluated purely through the limit of Im fn(x+iε)/ε (error O(ε²),
-    so second-order Richardson applies).  Returns a matrix, or Divergent
-    when the sequence blows up, or None when undecided.
-    """
-    w = 4.0
-    eps = tols.eps0
-    samples = []
-    prev = prev_r = None
-    for _ in range(tols.max_halvings + 1):
-        v = np.asarray(fn(x + 1j * eps))
-        cur = hermitian_part((v - v.conj().T) / 2j) / eps
-        samples.append(cur)
-        if prev is not None:
-            r = (w * cur - prev) / (w - 1.0)
-            if prev_r is not None:
-                diff = float(np.linalg.norm(r - prev_r))
-                if diff <= tols.tol_bv * max(1.0, float(np.linalg.norm(r))):
-                    return hermitian_part(r)
-            prev_r = r
-        # geometric blow-up over the last few halvings: divergent integral
-        if len(samples) >= 4:
-            norms = [float(np.linalg.norm(s)) for s in samples[-4:]]
-            if norms[-1] > 1e8 and all(norms[i + 1] > 1.8 * norms[i] for i in range(3)):
-                diag = np.real(np.diag(samples[-1]))
-                dirs = tuple(int(i) for i in np.nonzero(diag > 1e6)[0])
-                return Divergent(dirs if dirs else tuple(range(v.shape[0])))
-        prev = cur
-        eps *= 0.5
-    return None
-
-
 def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float,
-                      tols: Tolerances = DEFAULT_TOLS,
-                      min_gap_sv: float = 1e-8) -> MaxMultEvidence:
+                      tols: Tolerances = DEFAULT_TOLS) -> MaxMultEvidence:
     """The same verdict computed through a second extension parameter D'.
 
     Checks that the divergence integral of the measure of M_{D'} is finite
     and that M_{D'}(x+i0) = (D'-D)^{-1}.  All integrals of that measure are
     taken through ε-limits of M_{D'}; the measure itself is never built.
+    The divergence integral is the limit of Im M_{D'}(x+iε)/ε, whose error
+    is O(ε²), so it is extrapolated at second order; both limits share one
+    evaluation of M_{D'} per ε.  Undecided is reported as Divergent(()).
     """
     D, Dp = _coerce_d(d), _coerce_d(d_prime)
     gap = Dp - D
     s = np.linalg.svd(gap, compute_uv=False)
-    if s[-1] <= min_gap_sv:
+    if s[-1] <= MIN_GAP_SV:
         raise PreconditionError(
             f"det(D - D') vanishes within tolerance (smallest sv {s[-1]:.3e})")
     target = _inv_checked(gap, "D' - D")
 
     fn = extension_weyl(m, Dp)
-    t_val = _t_via_eps(fn, x, tols)
+    sample = functools.lru_cache(maxsize=None)(lambda e: fn(x + 1j * e))
+
+    def im_over_eps(e):
+        v = sample(e)
+        return hermitian_part((v - v.conj().T) / 2j) / e
+
+    t_val, _, ok = richardson_limit(im_over_eps, tols, order=2)
     if t_val is None:
         return MaxMultEvidence(x, Divergent(()), None, math.inf, False)
+    if ok:
+        t_val = hermitian_part(t_val)
 
-    bval, _, ok = richardson_limit(lambda e: fn(x + 1j * e), tols)
+    bval, _, ok = richardson_limit(sample, tols)
     if not ok:
         return MaxMultEvidence(x, t_val, None, math.inf, False)
     bval = hermitian_part(bval)

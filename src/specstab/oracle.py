@@ -13,13 +13,13 @@ means that rank equals the ambient dimension.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .extensions import ExtensionParameter, _coerce_d, extension_weyl
+from .extensions import _coerce_d, extension_weyl
 from .herglotz import HerglotzMatrix, atom_mass, integrate_cauchy, t_matrix
 from .measure import hermitian_part, is_divergent, matrix_rank
 
@@ -59,12 +59,10 @@ def _h_eigs(m: HerglotzMatrix, D: np.ndarray, x: float) -> np.ndarray:
 def _bisect_branch(m, D, k: int, lo: float, hi: float, tol_x: float) -> float:
     """Root of the k-th sorted eigenvalue branch of H on [lo, hi].
 
-    The branch is continuous and strictly decreasing, so plain bisection
-    is exact up to tol_x.
+    The branch is continuous and strictly decreasing, positive at lo and
+    negative at hi (the caller has checked both), so plain bisection is
+    exact up to tol_x.
     """
-    flo = _h_eigs(m, D, lo)[k]
-    fhi = _h_eigs(m, D, hi)[k]
-    assert flo > 0.0 > fhi
     while hi - lo > tol_x:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:

@@ -8,6 +8,8 @@ from .config import DEFAULT_TOLS, Tolerances
 from .herglotz import HerglotzMatrix
 from .measure import Atom, MatrixMeasure
 
+MAX_DRAWS = 10000   # cap on every rejection-sampling loop
+
 
 def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -48,9 +50,13 @@ def random_atomic_measure(rng: np.random.Generator, n: int,
     """
     if n_atoms is None:
         n_atoms = int(rng.integers(3, 9))
-    pts = np.sort(rng.uniform(-3.0, 3.0, size=n_atoms))
-    while np.diff(pts).min(initial=1.0) < 0.2:
+    for _ in range(MAX_DRAWS):
         pts = np.sort(rng.uniform(-3.0, 3.0, size=n_atoms))
+        if np.diff(pts).min(initial=1.0) >= 0.2:
+            break
+    else:
+        raise ValueError(f"could not place K={n_atoms} atoms 0.2 apart in [-3, 3] "
+                         f"within {MAX_DRAWS} draws")
     atoms = []
     for k, x in enumerate(pts):
         if allow_rank_deficient and n > 1 and k > 0 and rng.random() < 0.3:
@@ -80,7 +86,7 @@ def point_off_atoms(rng: np.random.Generator, omega: MatrixMeasure,
                     lo: float, hi: float, min_dist: float = 0.05) -> float:
     """Uniform draw in [lo, hi] rejected while too close to an atom."""
     pts = np.array([at.x for at in omega.atoms])
-    for _ in range(10000):
+    for _ in range(MAX_DRAWS):
         x = float(rng.uniform(lo, hi))
         if pts.size == 0 or np.abs(pts - x).min() >= min_dist:
             return x

@@ -17,14 +17,12 @@ output is byte-identical across reruns.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .extensions import (extension_weyl, max_mult_test, max_mult_test_via,
                          mass_at_max_mult)
-from .herglotz import HerglotzMatrix, atom_mass, boundary_value
+from .herglotz import HerglotzMatrix, atom_mass, boundary_value, integrate_cauchy
 from .io import matrix_out
 from .measure import MatrixMeasure
 from .oracle import classify
@@ -33,6 +31,7 @@ from .randgen import point_off_atoms, random_gap_matrix
 
 X_AGREE_TOL = 1e-9
 MASS_AGREE_TOL = 1e-6
+N_DPRIME = 3        # random second parameters D' tried per max-mult pole
 
 
 def _scan_window(rng, omega: MatrixMeasure, x0: float, m: HerglotzMatrix, d):
@@ -40,7 +39,6 @@ def _scan_window(rng, omega: MatrixMeasure, x0: float, m: HerglotzMatrix, d):
     lo, hi = omega.support_bounds()
     lo = min(lo, x0) - 0.5
     hi = max(hi, x0) + 0.5
-    from .herglotz import integrate_cauchy
     for _ in range(50):
         a = lo - float(rng.uniform(0.0, 0.5))
         b = hi + float(rng.uniform(0.0, 0.5))
@@ -53,7 +51,7 @@ def _scan_window(rng, omega: MatrixMeasure, x0: float, m: HerglotzMatrix, d):
 
 
 def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
-              n_dprime: int = 3, tols: Tolerances = DEFAULT_TOLS) -> dict:
+              tols: Tolerances = DEFAULT_TOLS) -> dict:
     """One equivalence trial on a purely atomic Herglotz function."""
     omega = m.omega
     n = m.dim
@@ -89,7 +87,7 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
             if max(d_res, d_eps) > MASS_AGREE_TOL:
                 mismatches.append({"kind": "mass_disagrees", **row})
             via_ok = True
-            for _ in range(n_dprime):
+            for _ in range(N_DPRIME):
                 dp = d + random_gap_matrix(rng, n)
                 ev2 = max_mult_test_via(m, d, dp, pr.p, tols)
                 via_ok = via_ok and bool(ev2.verdict)
@@ -113,8 +111,11 @@ def run_verify(m: HerglotzMatrix, trials: int, seed: int,
     """Full campaign on one measure; deterministic given the seed."""
     if not m.omega.purely_atomic:
         raise ValueError("verification campaigns require a purely atomic measure")
+    trials = int(trials)
+    if trials < 1:
+        raise ValueError(f"a campaign needs at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
-    results = [run_trial(rng, m, tols=tols) for _ in range(int(trials))]
+    results = [run_trial(rng, m, tols=tols) for _ in range(trials)]
     ok = all(r["ok"] for r in results)
-    return {"seed": int(seed), "trials": int(trials), "dim": m.dim,
+    return {"seed": int(seed), "trials": trials, "dim": m.dim,
             "ok": ok, "results": results}

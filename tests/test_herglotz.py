@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from specstab import (ACPiece, Atom, HerglotzMatrix, MatrixMeasure,
-                      NotConvergedError, atom_mass, boundary_value, evaluate,
+from specstab import (DEFAULT_TOLS, ACPiece, Atom, Divergent, HerglotzMatrix,
+                      InconsistencyError, MatrixMeasure, NotConvergedError,
+                      atom_mass, boundary_value, evaluate, herglotz,
                       is_divergent, t_matrix)
+from specstab.herglotz import richardson_limit
 from specstab.randgen import random_herglotz
 
 
@@ -82,6 +84,39 @@ class TestBoundaryValue:
         rep = boundary_value(m, 0.0)
         assert rep.converged
         assert not rep.t_finite
+
+
+    def test_non_hermitian_limit_with_finite_t_is_an_error(self, single_atom, monkeypatch):
+        # unreachable with consistent tolerances; it must raise, not assert
+        monkeypatch.setattr(herglotz, "t_matrix", lambda m, x: np.eye(1))
+        monkeypatch.setattr(herglotz, "richardson_limit",
+                            lambda sample, tols: (np.array([[1j]]), [], True))
+        with pytest.raises(InconsistencyError, match="not Hermitian"):
+            boundary_value(single_atom, 0.0)
+
+
+class TestRichardsonLimit:
+    FULL = DEFAULT_TOLS.max_halvings + 1
+
+    def test_blow_up_is_divergent_before_the_schedule_ends(self):
+        val, trace, ok = richardson_limit(lambda e: np.diag([1.0 / e, 1.0]))
+        assert not ok and isinstance(val, Divergent) and val.directions == (0,)
+        assert len(trace) < self.FULL
+        # no real diagonal entry grows: every direction is reported
+        val, trace, ok = richardson_limit(lambda e: np.diag([1j / e, 1.0]))
+        assert not ok and val.directions == (0, 1) and len(trace) < self.FULL
+
+    def test_oscillation_is_undecided(self):
+        val, trace, ok = richardson_limit(lambda e: np.array([[np.sin(1.0 / e)]]))
+        assert val is None and not ok
+        assert len(trace) == self.FULL
+
+    def test_second_order_error_converges(self):
+        a = np.array([[2.0, 1j], [-1j, 3.0]])
+        val, trace, ok = richardson_limit(lambda e: a + 5.0 * e ** 2 + 7.0 * e ** 3,
+                                          order=2)
+        assert ok and np.linalg.norm(val - a) < 1e-8
+        assert len(trace) == 7      # first-order extrapolation needs 12 samples
 
 
 class TestTMatrix:

@@ -175,6 +175,22 @@ class TestCLI:
         assert "atoms[" in captured.err
         assert "NaN" not in captured.out + captured.err
 
+    @pytest.mark.parametrize("args", [
+        ("boundary", "--x", "nan"), ("boundary", "--x", "inf"),
+        ("tmatrix", "--x=-inf"), ("eval", "--z", "nan,1"), ("eval", "--z", "1+infj"),
+        ("scan", "--grid", "0:nan:3"), ("boundary", "--x", "1", "--tol-bv", "nan")])
+    def test_non_finite_real_argument_exits_2(self, single_atom_file, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            self.run(args[0], "--measure", single_atom_file, *args[1:])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "finite" in captured.err
+
+    def test_verify_rejects_negative_trials(self, single_atom_file, capsys):
+        assert self.run("verify", "--measure", single_atom_file, "--trials", "-1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "at least one trial" in captured.err
+
     def test_module_entry_point(self, single_atom_file):
         proc = subprocess.run(
             [sys.executable, "-m", "specstab.cli", "tmatrix",
