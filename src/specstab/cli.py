@@ -134,8 +134,8 @@ def cmd_eigs(args):
     m = load_herglotz(args.measure, tols)
     d = load_hermitian(args.d_matrix)
     a, b, _ = args.grid
-    report = classify(m, d, (a, b), tols, measure_ref=args.measure)
-    doc = {"interval": [a, b], "dim": report.dim, "measure": report.measure_ref,
+    report = classify(m, d, (a, b), tols)
+    doc = {"interval": [a, b], "dim": m.dim, "measure": args.measure,
            "poles": [{"p": pr.p, "rank": pr.rank, "is_max_mult": pr.is_max_mult,
                       "mass": matrix_out(pr.mass)} for pr in report.poles]}
     _emit(doc, args)

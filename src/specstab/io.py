@@ -12,6 +12,7 @@ row-major nested lists, exactly n x n.  A measure file looks like
 from __future__ import annotations
 
 import json
+import math
 from typing import Optional, Tuple
 
 import numpy as np
@@ -110,6 +111,17 @@ def load_hermitian(path: str, where: str = None) -> np.ndarray:
     return a
 
 
+def _finite_or_null(obj):
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def dump_json(obj, fh) -> None:
-    json.dump(obj, fh, sort_keys=True, indent=2)
+    """Strict JSON: a non-finite float (an infinite residual, say) is null."""
+    json.dump(_finite_or_null(obj), fh, sort_keys=True, indent=2, allow_nan=False)
     fh.write("\n")

@@ -1,27 +1,35 @@
 """Brute-force spectral analysis of one extension, for atomic measures.
 
-Ground truth, independent of the boundary-value criterion: for purely
-atomic measures M is a rational matrix function, H(x) := D - M(x) has
-strictly decreasing eigenvalue branches between consecutive atoms (its
-derivative is -T(x), negative definite), so every real pole of M_D is
-found by bracketing sign changes of the sorted branches and bisecting.
-Masses come from residue calculus on the kernel of H at each pole, and
-the rank of the mass is the eigenspace dimension; maximum multiplicity
-means that rank equals the ambient dimension.
+Ground truth, independent of the boundary-value criterion: it uses no
+boundary value and no ε-limit.  For a purely atomic Ω the real poles of
+M_D are where H(x) := D - M(x) is singular.  With W_k = B_k B_k*, a shift
+s off the atoms where H(s) is invertible and μ = 1/(x - s),
+
+    H(x) = H(s) - B'(μI - X')^{-1} B'*,
+    B' = [B_k/(s - x_k)],  X' = diag(1/(x_k - s)),
+
+so the poles are s + 1/μ over the nonzero eigenvalues μ of the Hermitian
+X' + B'* H(s)^{-1} B' (a pole at infinity is μ = 0), with the eigenvalue
+multiplicity as kernel dimension.  Masses come from residue calculus on
+the kernel of H at each pole; maximum multiplicity means that the rank
+of the mass equals the ambient dimension.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import List, Tuple
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .extensions import _coerce_d, extension_weyl
-from .herglotz import HerglotzMatrix, atom_mass, integrate_cauchy, t_matrix
+from .extensions import _coerce_d
+from .herglotz import HerglotzMatrix, integrate_cauchy, t_matrix
 from .measure import hermitian_part, is_divergent, matrix_rank
+
+# an eigenvalue of H within KERNEL_TOL·max(1, ‖H‖) of 0 counts as a kernel
+# direction; a shift with one is numerically singular
+KERNEL_TOL = 1e-8
 
 
 class OracleError(ValueError):
@@ -32,7 +40,8 @@ class OracleError(ValueError):
 class PoleRecord:
     p: float
     mass: np.ndarray
-    rank: int
+    rank: int           # rank of the mass
+    kernel_dim: int     # dimension of ker(D - M(p))
     is_max_mult: bool
 
 
@@ -41,77 +50,31 @@ class SpectralReport:
     """All real poles of M_D in the window, with masses and verdicts."""
 
     poles: List[PoleRecord]
-    scan_interval: Tuple[float, float]
-    measure_ref: str = ""
-    dim: int = 0
 
     def max_mult_points(self) -> List[float]:
         return [pr.p for pr in self.poles if pr.is_max_mult]
 
 
-def _h_eigs(m: HerglotzMatrix, D: np.ndarray, x: float) -> np.ndarray:
+def _h(m: HerglotzMatrix, D: np.ndarray, x: float) -> np.ndarray:
     val = integrate_cauchy(m, x)
     if is_divergent(val):
         raise OracleError(f"H evaluated on the support at x={x}")
-    return np.linalg.eigvalsh(hermitian_part(D - val))
+    return hermitian_part(D - val)
 
 
-def _bisect_branch(m, D, k: int, lo: float, hi: float, tol_x: float) -> float:
-    """Root of the k-th sorted eigenvalue branch of H on [lo, hi].
-
-    The branch is continuous and strictly decreasing, positive at lo and
-    negative at hi (the caller has checked both), so plain bisection is
-    exact up to tol_x.
-    """
-    while hi - lo > tol_x:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if _h_eigs(m, D, mid)[k] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _polish_root(m: HerglotzMatrix, D: np.ndarray, p: float,
-                 lo: float, hi: float) -> float:
-    """Newton refinement of a bisected root of an eigenvalue branch.
-
-    The branch derivative is -v* T(p) v for the corresponding eigenvector v,
-    so a couple of Newton steps pin the root near machine precision, which
-    the downstream eps-limit mass cross-checks need.
-    """
-    for _ in range(3):
-        val = integrate_cauchy(m, p)
-        if is_divergent(val):
-            break
-        h = hermitian_part(D - val)
-        w, vecs = np.linalg.eigh(h)
-        k = int(np.argmin(np.abs(w)))
-        v = vecs[:, k]
-        t = t_matrix(m, p)
-        if is_divergent(t):
-            break
-        slope = -float(np.real(v.conj() @ (t @ v)))
-        if slope >= 0.0:
-            break
-        step = -w[k] / slope
-        if not lo < p + step < hi:
-            break
-        p += step
-        if abs(step) <= 1e-16 * max(1.0, abs(p)):
-            break
-    return p
+def _negative_count(h: np.ndarray) -> int:
+    return int(np.count_nonzero(np.linalg.eigvalsh(h) < 0.0))
 
 
 def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float],
                tols: Tolerances = DEFAULT_TOLS) -> List[Tuple[float, int]]:
     """All points in [a, b] where D - M is singular, with kernel dimensions.
 
-    Works interval-by-interval between consecutive atoms; the bracket
-    endpoints adjacent to an atom are shaved inward, where the diverging
-    branches are enormous but finite.
+    The shift is the midpoint of the widest gap between consecutive points
+    of {a, b} ∪ atoms where H is not numerically singular.  Raises
+    OracleError when there is none, or when the pole count differs from
+    ν(b) - ν(a) + Σ_{a<x_k<b} rank W_k, ν counting the negative eigenvalues
+    of H (H decreases between atoms, and crossing x_k takes rank W_k away).
     """
     D = _coerce_d(d)
     omega = m.omega
@@ -120,30 +83,44 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float],
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise OracleError(f"empty or inverted interval [{a}, {b}]")
-    pts = [at.x for at in omega.atoms]
-    if any(abs(e - p) <= tols.tol_x for e in (a, b) for p in pts):
+    xs, n = omega.xs, omega.dim
+    if np.any(np.abs(np.subtract.outer([a, b], xs)) <= tols.tol_x):
         raise OracleError("interval endpoints must not be atoms")
 
-    cuts = [a] + [p for p in pts if a < p < b] + [b]
-    roots = []
-    for l, r in zip(cuts[:-1], cuts[1:]):
-        margin = 1e-9 * max(1.0, abs(l), abs(r))
-        lo = l + margin if l in pts else l
-        hi = r - margin if r in pts else r
-        if lo >= hi:
+    pts = np.unique(np.concatenate([[a, b], xs]))
+    widest_first = np.argsort(-np.diff(pts), kind="stable")
+    for s in 0.5 * (pts[:-1] + pts[1:])[widest_first]:
+        val = integrate_cauchy(m, s)
+        if is_divergent(val):
             continue
-        eig_lo = _h_eigs(m, D, lo)
-        eig_hi = _h_eigs(m, D, hi)
-        for k in range(omega.dim):
-            # strictly decreasing branch: a root exists iff the signs flip
-            if eig_lo[k] > 0.0 > eig_hi[k]:
-                rt = _bisect_branch(m, D, k, lo, hi, tols.tol_x)
-                roots.append(_polish_root(m, D, rt, lo, hi))
+        hs = hermitian_part(D - val)
+        sv = np.linalg.svd(hs, compute_uv=False)
+        if sv[-1] > KERNEL_TOL * max(1.0, sv[0]):
+            break
+    else:
+        raise OracleError("D - M(x) is numerically singular at every shift tried")
 
-    roots.sort()
+    # W_k = B_k B_k*: one column sqrt(λ)u per eigenpair of W_k above rank_tol
+    lam, vecs = np.linalg.eigh(hermitian_part(omega.W.reshape(-1, n, n)))
+    kept = lam > tols.rank_tol * lam.max(axis=1, keepdims=True)
+    k_of, j_of = np.nonzero(kept)
+    dist = s - xs[k_of]
+    bp = (vecs[k_of, :, j_of] * (np.sqrt(lam[k_of, j_of]) / dist)[:, None]).T
+    lin = np.diag(-1.0 / dist) + bp.conj().T @ np.linalg.solve(hs, bp)
+    with np.errstate(divide="ignore"):
+        xs_poles = s + 1.0 / np.linalg.eigvalsh(hermitian_part(lin))
+    roots = np.sort(xs_poles[(a <= xs_poles) & (xs_poles <= b)])
+
+    inside = (a < xs) & (xs < b)
+    expected = (_negative_count(_h(m, D, b)) - _negative_count(_h(m, D, a))
+                + int(kept[inside].sum()))
+    if roots.size != expected:
+        raise OracleError(f"found {roots.size} poles in [{a}, {b}] where the "
+                          f"inertia of D - M at the ends gives {expected}")
+
     cluster_tol = max(1e3 * tols.tol_x, 1e-10)
     out: List[Tuple[float, int]] = []
-    for rt in roots:
+    for rt in roots.tolist():
         if out and abs(rt - out[-1][0]) <= cluster_tol:
             p, kdim = out[-1]
             out[-1] = ((p * kdim + rt) / (kdim + 1), kdim + 1)
@@ -157,18 +134,15 @@ def residue_mass(m: HerglotzMatrix, d, p: float, kernel_dim: int = None,
     """Mass of the pole p of M_D: minus its residue, by kernel projection.
 
     With V an orthonormal basis of ker(D - M(p)) and M'(p) = T(p), the
-    residue closed form is V (V* T(p) V)^{-1} V*.  Falls back to the
-    -iε M_D(p+iε) limit when the projected derivative is ill-conditioned.
+    residue closed form is V (V* T(p) V)^{-1} V*.  Raises OracleError when
+    the projected derivative is ill-conditioned.
     """
     D = _coerce_d(d)
-    val = integrate_cauchy(m, p)
-    if is_divergent(val):
-        raise OracleError(f"pole query on the support at x={p}")
-    h = hermitian_part(D - val)
+    h = _h(m, D, p)
     w, vecs = np.linalg.eigh(h)
     if kernel_dim is None:
         scale = max(1.0, float(np.abs(w).max()))
-        kernel_dim = int(np.count_nonzero(np.abs(w) <= 1e-8 * scale))
+        kernel_dim = int(np.count_nonzero(np.abs(w) <= KERNEL_TOL * scale))
         if kernel_dim == 0:
             raise OracleError(f"x={p} is not a pole of M_D")
     order = np.argsort(np.abs(w))
@@ -180,23 +154,23 @@ def residue_mass(m: HerglotzMatrix, d, p: float, kernel_dim: int = None,
     proj = v.conj().T @ t @ v
     s = np.linalg.svd(proj, compute_uv=False)
     if s[-1] <= 1e-10 * max(1.0, s[0]):
-        warnings.warn(f"ill-conditioned projected derivative at p={p}; "
-                      "falling back to the eps-limit mass", RuntimeWarning)
-        return atom_mass(extension_weyl(m, D), p, tols)
+        raise OracleError(f"ill-conditioned projected derivative at p={p}")
     return hermitian_part(v @ np.linalg.inv(proj) @ v.conj().T)
 
 
 def classify(m: HerglotzMatrix, d, interval: Tuple[float, float],
-             tols: Tolerances = DEFAULT_TOLS, measure_ref: str = "") -> SpectralReport:
-    """Locate every pole in the window and classify its multiplicity."""
+             tols: Tolerances = DEFAULT_TOLS) -> SpectralReport:
+    """Locate every pole in the window and classify its multiplicity.
+
+    ``rank`` is the rank of the residue mass and ``kernel_dim`` the
+    dimension of the kernel at the pole; they should agree, and a
+    disagreement is left in the record for the caller to report.
+    """
     D = _coerce_d(d)
     n = m.dim
     records = []
     for p, kdim in real_poles(m, D, interval, tols):
         mass = residue_mass(m, D, p, kdim, tols)
         rank = matrix_rank(mass, tols.rank_tol)
-        if rank != kdim:  # branch clustering and mass rank must agree
-            rank = kdim
-        records.append(PoleRecord(p, mass, rank, rank == n))
-    return SpectralReport(records, (float(interval[0]), float(interval[1])),
-                          measure_ref, n)
+        records.append(PoleRecord(p, mass, rank, kdim, rank == n))
+    return SpectralReport(records)

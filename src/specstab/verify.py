@@ -7,6 +7,8 @@ is a maximum-multiplicity point by construction, and then demands that
     poles (to x-tolerance), with no other disagreement: the boundary
     criterion holds exactly at the oracle's max-mult poles and fails at
     the rest;
+  * the rank of every residue mass equals the kernel dimension at its
+    pole;
   * the residue mass, the eps-limit mass and T(x)^{-1} all agree;
   * the second-parameter criterion gives the same verdict for several
     random well-separated D'.
@@ -74,9 +76,11 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
                "criterion": bool(ev.verdict), "residual": ev.residual}
         if ev.verdict != pr.is_max_mult:
             mismatches.append({"kind": "criterion_disagrees", **row})
+        if pr.rank != pr.kernel_dim:
+            mismatches.append({"kind": "rank_disagrees", "kernel_dim": pr.kernel_dim, **row})
         if pr.is_max_mult:
             mass_t = mass_at_max_mult(m, d, pr.p, tols)
-            # the pole location carries O(1e-15) error, which caps the
+            # the pole location carries up to ~1e-13 error, which caps the
             # attainable eps-limit precision well above tol_bv
             mass_eps = atom_mass(extension_weyl(m, d), pr.p,
                                  tols.with_overrides(tol_bv=1e-6))

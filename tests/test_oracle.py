@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from specstab import (Atom, HerglotzMatrix, MatrixMeasure, OracleError,
-                      classify, real_poles, residue_mass)
+                      classify, oracle, real_poles, residue_mass, run_verify)
+from specstab.cli import main
 from specstab.extensions import extension_weyl
 from specstab.herglotz import atom_mass, boundary_value, integrate_cauchy, t_matrix
 from specstab.measure import hermitian_part, ACPiece
@@ -136,3 +139,29 @@ class TestClassify:
         assert ps == sorted(ps)
         assert all(1 <= pr.rank <= 3 for pr in rep.poles)
         assert all(pr.is_max_mult == (pr.rank == 3) for pr in rep.poles)
+
+    def test_rank_disagreement_is_reported(self, single_atom, single_atom_file, monkeypatch):
+        monkeypatch.setattr(oracle, "matrix_rank", lambda a, rank_tol: 0)
+        pr, = classify(single_atom, [[-0.5]], (-1.0, 5.0)).poles
+        assert (pr.rank, pr.kernel_dim, pr.is_max_mult) == (0, 1, False)
+        trial, = run_verify(single_atom, 1, 7)["results"]
+        assert not trial["ok"]
+        assert "rank_disagrees" in [mm["kind"] for mm in trial["mismatches"]]
+        assert main(["verify", "--measure", single_atom_file, "--trials", "1"]) == 1
+
+
+class TestLinearization:
+    def test_singular_everywhere_raises(self):
+        # every weight lives on e1, and D = C leaves H(x) e2 = 0 for all x
+        omega = MatrixMeasure(2, [Atom(-1.0, np.diag([1.0, 0.0])),
+                                  Atom(1.0, np.diag([1.0, 0.0]))])
+        m = HerglotzMatrix.from_measure(omega)
+        with pytest.raises(OracleError, match="singular"):
+            real_poles(m, np.zeros((2, 2)), (-3.0, 3.0))
+
+    def test_ill_conditioned_projection_raises_without_warning(self, two_atom, monkeypatch):
+        monkeypatch.setattr(oracle, "t_matrix", lambda m, x: np.diag([1.0, 1e-12]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OracleError, match="ill-conditioned"):
+                residue_mass(two_atom, np.zeros((2, 2)), 0.0, 2)

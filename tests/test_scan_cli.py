@@ -132,6 +132,18 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"] and doc["t_finite"]
 
+    def test_non_finite_residual_is_strict_json_null(self, single_atom_file, tmp_path, capsys):
+        # at the atom the boundary value does not converge: residual is inf
+        d = write_json(tmp_path / "d.json", [[[-0.5, 0]]])
+        assert self.run("test", "--measure", single_atom_file,
+                        "--d-matrix", d, "--x", "0") == 0
+
+        def reject(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc["residual"] is None and not doc["verdict"]
+
     def test_test_command_with_dprime(self, single_atom_file, tmp_path, capsys):
         d = write_json(tmp_path / "d.json", [[[-0.5, 0]]])
         dp = write_json(tmp_path / "dp.json", [[[0.0, 0]]])
