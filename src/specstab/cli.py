@@ -4,7 +4,9 @@ Commands: eval, boundary, tmatrix, masses, eigs, test, scan, verify.
 Inputs are the JSON measure/matrix files documented in ``specstab.io``;
 outputs go to stdout or --out as JSON (default) or CSV where meaningful.
 Exit codes: 0 ok, 1 verification mismatch, 2 input error (NaN or ±inf
-among the real arguments included).
+among the real arguments included), 3 numerical failure (a limit that
+did not converge, a numerically singular matrix, an inconsistent
+boundary value).
 """
 
 from __future__ import annotations
@@ -17,18 +19,26 @@ import sys
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .extensions import (PreconditionError, extension_weyl, max_mult_test,
-                         max_mult_test_via, weyl_of_extension)
-from .herglotz import atom_mass, boundary_value, evaluate, t_matrix
-from .io import InputError, dump_json, load_herglotz, load_hermitian, matrix_out
+from .extensions import (extension_weyl, max_mult_test, max_mult_test_via,
+                         weyl_of_extension)
+from .herglotz import (ConditioningError, InconsistencyError, NotConvergedError,
+                       atom_mass, boundary_value, evaluate, t_matrix)
+from .io import dump_json, load_herglotz, load_hermitian, matrix_out
 from .measure import is_divergent
-from .oracle import OracleError, classify
+from .oracle import classify
 from .scan import ScanConfig, csv_header, record_to_dict, record_to_row, scan_forbidden
 from .verify import run_verify
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
+EXIT_NUMERIC = 3
+
+# error type -> exit code, first match wins: ConditioningError is a
+# ValueError (through LinAlgError), and every other ValueError, the input,
+# precondition and oracle errors included, is an input error
+EXIT_CODES = ((NotConvergedError, EXIT_NUMERIC), (InconsistencyError, EXIT_NUMERIC),
+              (ConditioningError, EXIT_NUMERIC), (ValueError, EXIT_INPUT))
 
 
 # argument types: a bad value makes the parser exit with EXIT_INPUT
@@ -255,9 +265,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (InputError, PreconditionError, OracleError, ValueError) as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -11,7 +11,6 @@ equals (D' - D)^{-1} with the corresponding divergence integral finite.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -19,17 +18,14 @@ from typing import Optional, Union
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .herglotz import (HerglotzMatrix, InconsistencyError, boundary_value,
-                       evaluate, richardson_limit, t_matrix)
+from .herglotz import (ConditioningError, HerglotzMatrix, InconsistencyError,
+                       boundary_value, eps_schedule, evaluate, richardson_limit,
+                       t_matrix)
 from .measure import Divergent, hermitian_part, is_divergent, is_hermitian
 
 
 # smallest singular value of D' - D accepted by the second-parameter test
 MIN_GAP_SV = 1e-8
-
-
-class ConditioningError(np.linalg.LinAlgError):
-    """A matrix that should be invertible is numerically singular."""
 
 
 class PreconditionError(ValueError):
@@ -71,31 +67,45 @@ class MaxMultEvidence:
         return not is_divergent(self.t_value)
 
 
-def _coerce_d(d) -> np.ndarray:
-    return d.D if isinstance(d, ExtensionParameter) else ExtensionParameter(np.asarray(d)).D
+def as_parameter(d) -> ExtensionParameter:
+    """d itself if it is an ExtensionParameter, else d validated as one."""
+    return d if isinstance(d, ExtensionParameter) else ExtensionParameter(np.asarray(d))
 
 
 def _inv_checked(a: np.ndarray, what: str) -> np.ndarray:
+    """Inverse of a matrix, or of each of a stack.  One whose smallest
+    singular value is within 1e-13·max(1, largest) of 0 is numerically
+    singular: alone it raises ConditioningError, in a stack it is NaN."""
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= 1e-13 * max(1.0, s[0]):
+    ok = s[..., -1] > 1e-13 * np.maximum(1.0, s[..., 0])
+    if ok.all():
+        return np.linalg.inv(a)
+    if a.ndim == 2:
         raise ConditioningError(f"{what} is numerically singular (smallest sv {s[-1]:.3e})")
-    return np.linalg.inv(a)
+    out = np.full_like(a, np.nan)
+    out[ok] = np.linalg.inv(a[ok])
+    return out
 
 
 def extension_weyl(m: HerglotzMatrix, d):
-    """The function z -> M_D(z) = (D - M(z))^{-1}, z off the real axis."""
-    D = _coerce_d(d)
+    """The function z -> M_D(z) = (D - M(z))^{-1}, z off the real axis.
+
+    For a 1-D array of z it returns the stack of values, with NaN for
+    every z where D - M(z) is numerically singular; a single z raises
+    ConditioningError there.
+    """
+    D = as_parameter(d).D
     return lambda z: _inv_checked(D - evaluate(m, z), "D - M(z)")
 
 
-def weyl_of_extension(m: HerglotzMatrix, d, z: complex) -> np.ndarray:
+def weyl_of_extension(m: HerglotzMatrix, d, z) -> np.ndarray:
     """M_D(z) = (D - M(z))^{-1} for z off the real axis."""
     return extension_weyl(m, d)(z)
 
 
 def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> float:
     """Relative Frobenius defect of both composed forms of M_D via M_{D'}."""
-    D, Dp = _coerce_d(d), _coerce_d(d_prime)
+    D, Dp = as_parameter(d).D, as_parameter(d_prime).D
     n = D.shape[0]
     eye = np.eye(n)
     md = weyl_of_extension(m, D, z)
@@ -111,7 +121,7 @@ def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> fl
 def max_mult_test(m: HerglotzMatrix, d, x: float,
                   tols: Tolerances = DEFAULT_TOLS) -> MaxMultEvidence:
     """Decide maximum multiplicity at x: T(x) finite and M(x+i0) = D."""
-    D = _coerce_d(d)
+    D = as_parameter(d).D
     rep = boundary_value(m, x, tols)
     if rep.converged:
         residual = float(np.linalg.norm(rep.m_boundary - D))
@@ -129,31 +139,29 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float,
     and that M_{D'}(x+i0) = (D'-D)^{-1}.  All integrals of that measure are
     taken through ε-limits of M_{D'}; the measure itself is never built.
     The divergence integral is the limit of Im M_{D'}(x+iε)/ε, whose error
-    is O(ε²), so it is extrapolated at second order; both limits share one
-    evaluation of M_{D'} per ε.  Undecided is reported as Divergent(()).
+    is O(ε²), so it is extrapolated at second order; M_{D'} is evaluated
+    once, over the whole ε-schedule, for both limits.  Undecided is
+    reported as Divergent(()).
     """
-    D, Dp = _coerce_d(d), _coerce_d(d_prime)
-    gap = Dp - D
+    D, dp = as_parameter(d).D, as_parameter(d_prime)
+    gap = dp.D - D
     s = np.linalg.svd(gap, compute_uv=False)
     if s[-1] <= MIN_GAP_SV:
         raise PreconditionError(
             f"det(D - D') vanishes within tolerance (smallest sv {s[-1]:.3e})")
     target = _inv_checked(gap, "D' - D")
 
-    fn = extension_weyl(m, Dp)
-    sample = functools.lru_cache(maxsize=None)(lambda e: fn(x + 1j * e))
+    eps = eps_schedule(tols)
+    v = extension_weyl(m, dp)(x + 1j * eps)
+    im_over_eps = hermitian_part((v - v.conj().swapaxes(1, 2)) / 2j) / eps[:, None, None]
 
-    def im_over_eps(e):
-        v = sample(e)
-        return hermitian_part((v - v.conj().T) / 2j) / e
-
-    t_val, _, ok = richardson_limit(im_over_eps, tols, order=2)
+    t_val, _, ok = richardson_limit(lambda _: im_over_eps, tols, order=2)
     if t_val is None:
         return MaxMultEvidence(x, Divergent(()), None, math.inf, False)
     if ok:
         t_val = hermitian_part(t_val)
 
-    bval, _, ok = richardson_limit(sample, tols)
+    bval, _, ok = richardson_limit(lambda _: v, tols)
     if not ok:
         return MaxMultEvidence(x, t_val, None, math.inf, False)
     bval = hermitian_part(bval)

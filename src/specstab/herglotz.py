@@ -6,7 +6,9 @@ atomic mass recovery via -iε M(x+iε).  All ε-limits (boundary values,
 masses, and the divergence integrals of extension Weyl functions) run
 through one halving ε-schedule, ``richardson_limit``, with Richardson
 extrapolation and geometric blow-up detection; a closed-form fast path
-replaces it whenever the real point is off the support.
+replaces it whenever the real point is off the support.  The schedule is
+sampled in one array call: ``evaluate`` takes a 1-D array of z and returns
+the stack of M(z), so a limit costs one ``integrate`` over every ε.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .measure import (CauchyKernel, Divergent, MatrixMeasure,
-                      PoissonSquareKernel, hermitian_part, is_divergent,
-                      is_hermitian)
+                      PoissonSquareKernel, hermitian_part, integrate,
+                      is_divergent, is_hermitian)
 
 
 class NotConvergedError(RuntimeError):
@@ -28,6 +30,10 @@ class NotConvergedError(RuntimeError):
 
 class InconsistencyError(RuntimeError):
     """Finite T(x) contradicted by the boundary limit: a tolerance bug."""
+
+
+class ConditioningError(np.linalg.LinAlgError):
+    """A matrix that should be invertible is numerically singular."""
 
 
 @dataclass(frozen=True)
@@ -76,16 +82,15 @@ class BoundaryReport:
         return not is_divergent(self.t_matrix)
 
 
-def evaluate(m: HerglotzMatrix, z: complex) -> np.ndarray:
-    """M(z) for z off the real axis."""
-    z = complex(z)
-    if z.imag == 0.0:
+def evaluate(m: HerglotzMatrix, z) -> np.ndarray:
+    """M(z) for z off the real axis: (n, n) for a number, (S, n, n) for a
+    1-D array of S points (ValueError if any of them is real)."""
+    if not np.ndim(z) and complex(z).imag == 0.0:
         raise ValueError("evaluate requires Im z != 0; use boundary_value for real x")
     return integrate_cauchy(m, z)
 
 
-def integrate_cauchy(m: HerglotzMatrix, z: complex):
-    from .measure import integrate
+def integrate_cauchy(m: HerglotzMatrix, z):
     v = integrate(CauchyKernel(z), m.omega)
     if is_divergent(v):
         return v
@@ -94,48 +99,64 @@ def integrate_cauchy(m: HerglotzMatrix, z: complex):
 
 def t_matrix(m: HerglotzMatrix, x: float) -> Union[np.ndarray, Divergent]:
     """T(x) = ∫ dΩ(y)/(x-y)², or Divergent with the offending directions."""
-    from .measure import integrate
     v = integrate(PoissonSquareKernel(x), m.omega)
     if is_divergent(v):
         return v
     return hermitian_part(v)
 
 
-def richardson_limit(sample: Callable[[float], np.ndarray],
+def eps_schedule(tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+    """The halving schedule eps_j = eps0·2^-j, j = 0..max_halvings."""
+    return tols.eps0 * 0.5 ** np.arange(tols.max_halvings + 1)
+
+
+def richardson_limit(sample: Callable[[np.ndarray], np.ndarray],
                      tols: Tolerances = DEFAULT_TOLS,
                      order: int = 1):
     """Limit of sample(eps) as eps -> 0 on the halving schedule.
 
-    Applies Richardson extrapolation of the given order (error assumed
-    O(eps**order)) and stops at the first extrapolate within tol_bv of the
-    previous one (Frobenius), or at a geometric blow-up: four extrapolate
-    norms each over 1.8 times the last, ending above 1e8.  Returns
-    (value, trace, converged); value is the converged extrapolate, a
-    Divergent in the directions where the last sample's real diagonal
-    exceeds 1e6 (all directions if none does), or None when the schedule
-    ends undecided.  The trace records the raw samples.
+    ``sample`` is called once, with the whole ``eps_schedule`` array, and
+    returns the stack of samples, (S, n, n); a sample that could not be
+    formed (a numerically singular inverse) is NaN.  The scan is the one a
+    sequential loop over the schedule would make: Richardson extrapolation
+    of the given order (error assumed O(eps**order)), stopping at the
+    first extrapolate within tol_bv of the previous one (Frobenius), or at
+    a geometric blow-up: four extrapolate norms each over 1.8 times the
+    last, ending above 1e8; convergence wins when both fire at once.
+    Only the samples up to that stop are consumed, and ConditioningError is
+    raised exactly when a NaN sample is among them.  Returns (value, trace,
+    converged); value is the converged extrapolate, a Divergent in the
+    directions where the last consumed sample's real diagonal exceeds 1e6
+    (all directions if none does), or None when the schedule ends
+    undecided.  The trace holds the consumed (eps, sample) pairs.
     """
+    eps = eps_schedule(tols)
+    s = np.asarray(sample(eps), dtype=complex)
     w = 2.0 ** order
-    eps = tols.eps0
-    prev = np.asarray(sample(eps), dtype=complex)
-    trace = [(eps, prev)]
-    prev_r = None
-    norms = []
-    for _ in range(tols.max_halvings):
-        eps *= 0.5
-        cur = np.asarray(sample(eps), dtype=complex)
-        trace.append((eps, cur))
-        r = (w * cur - prev) / (w - 1.0)
-        norms.append(float(np.linalg.norm(r)))
-        if (prev_r is not None
-                and np.linalg.norm(r - prev_r) <= tols.tol_bv * max(1.0, norms[-1])):
-            return r, trace, True
-        if (len(norms) >= 4 and norms[-1] > 1e8
-                and all(norms[i + 1] > 1.8 * norms[i] for i in range(-4, -1))):
-            dirs = tuple(int(i) for i in np.nonzero(np.real(np.diag(cur)) > 1e6)[0])
-            return Divergent(dirs or tuple(range(cur.shape[0]))), trace, False
-        prev, prev_r = cur, r
-    return None, trace, False
+    r = (w * s[1:] - s[:-1]) / (w - 1.0)     # r[i] extrapolates samples i, i+1
+    norms = np.linalg.norm(r, axis=(1, 2))
+    grows = norms[1:] > 1.8 * norms[:-1]
+    converged = np.zeros(norms.size, dtype=bool)
+    converged[1:] = (np.linalg.norm(r[1:] - r[:-1], axis=(1, 2))
+                     <= tols.tol_bv * np.maximum(1.0, norms[1:]))
+    blown = np.zeros(norms.size, dtype=bool)
+    blown[3:] = (norms[3:] > 1e8) & grows[:-2] & grows[1:-1] & grows[2:]
+    stops = np.flatnonzero(converged | blown)
+    used = int(stops[0]) + 2 if stops.size else len(eps)
+    unformed = np.flatnonzero(np.isnan(s[:used]).any(axis=(1, 2)))
+    if unformed.size:
+        raise ConditioningError(
+            f"the ε-sample at eps={eps[unformed[0]]:.3e} could not be formed "
+            "(numerically singular)")
+    trace = list(zip(eps[:used].tolist(), s[:used]))
+    if not stops.size:
+        return None, trace, False
+    i = used - 2
+    if converged[i]:
+        return r[i], trace, True
+    last = s[i + 1]
+    dirs = tuple(int(k) for k in np.nonzero(np.real(np.diag(last)) > 1e6)[0])
+    return Divergent(dirs or tuple(range(last.shape[0]))), trace, False
 
 
 def boundary_value(m: HerglotzMatrix, x: float,
@@ -166,11 +187,13 @@ def boundary_value(m: HerglotzMatrix, x: float,
 def atom_mass(f, x: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     """Mass of the point x recovered as the limit of -iε f(x+iε).
 
-    ``f`` is a HerglotzMatrix or any callable z -> matrix that is Herglotz
-    (an extension Weyl function, typically).  Returns the Hermitian PSD
-    mass, the zero matrix when x carries none.
+    ``f`` is a HerglotzMatrix or any Herglotz callable that maps a 1-D
+    array of z to the stack of its values (an extension Weyl function,
+    typically).  Returns the Hermitian PSD mass, the zero matrix when x
+    carries none.
     """
-    val, _, ok = richardson_limit(lambda e: -1j * e * np.asarray(f(x + 1j * e)), tols)
+    val, _, ok = richardson_limit(
+        lambda e: -1j * e[:, None, None] * np.asarray(f(x + 1j * e)), tols)
     if not ok:
         raise NotConvergedError(f"atom mass limit at x={x} did not converge")
     return hermitian_part(val)

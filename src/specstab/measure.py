@@ -262,7 +262,7 @@ class MatrixMeasure:
         self._weights = _frozen(np.concatenate([W[atom_kept], rho[piece_kept]]).reshape(-1, n * n))
         self._weights_re_im = self._weights.view(float)
         self.W, self.rho = self._weights[:len(self.xs)], self._weights[len(self.xs):]
-        self._ends = _frozen(np.stack([self.a, self.b]))
+        self._ends = _frozen(np.concatenate([self.a, self.b]))
         self.cauchy_offset = _frozen(
             (self.xs / (1.0 + self.xs ** 2)) @ self.W
             + (0.5 * np.log((1.0 + self.b ** 2) / (1.0 + self.a ** 2))) @ self.rho)
@@ -324,12 +324,13 @@ class Kernel:
 
     ``values(ys)`` evaluates it at an array of atom points and
     ``primitive(ys)`` evaluates an antiderivative at an array of piece
-    ends, so a piece [a, b] integrates to primitive(b) - primitive(a).
-    ``pole`` is the real point where it is singular, or None; ``integrate``
-    reports divergence there instead of evaluating.  A ``compensated``
-    kernel's values and primitive omit the z-independent Cauchy
-    compensator y/(1+y²), whose integral ``integrate`` takes from the
-    measure's precomputed ``cauchy_offset``.
+    ends, so a piece [a, b] integrates to primitive(b) - primitive(a);
+    a kernel holding a batch of parameters puts the batch on a leading
+    axis of both.  ``pole`` is the real point where it is singular, or
+    None; ``integrate`` reports divergence there instead of evaluating.
+    A ``compensated`` kernel's values and primitive omit the z-independent
+    Cauchy compensator y/(1+y²), whose integral ``integrate`` takes from
+    the measure's precomputed ``cauchy_offset``.
     """
 
     pole = None
@@ -372,12 +373,19 @@ class CauchyKernel(Kernel):
 
     Works for complex z off the real axis and, as the boundary-value fast
     path, for real z off the support, where it is evaluated in real
-    arithmetic.
+    arithmetic.  A 1-D array of z off the real axis is a batch: the
+    integral comes out stacked along a leading axis.
     """
 
     compensated = True
 
-    def __init__(self, z: complex):
+    def __init__(self, z):
+        if np.ndim(z):
+            self.z = np.asarray(z, dtype=complex)
+            if self.z.ndim != 1 or not self.z.imag.all():
+                raise ValueError("a batch of z must be a 1-D array off the real axis (Im z != 0)")
+            self._w = self.z[:, None]
+            return
         self.z = complex(z)
         if self.z.imag == 0.0:
             self.pole = self._w = self.z.real
@@ -425,26 +433,28 @@ class IndicatorKernel(Kernel):
 def integrate(kernel: Kernel, omega: MatrixMeasure):
     """Integrate a closed-form kernel against the measure.
 
-    Returns the matrix, or a :class:`Divergent` carrying the 0-based
-    directions i whose diagonal scalar integral against mu_ii diverges.
-    Divergence is directional: a kernel pole sitting on an atom or inside
-    a piece only kills the directions with nonzero diagonal mass there.
+    Returns the matrix (a stack of them, on a leading axis, for a batched
+    kernel), or a :class:`Divergent` carrying the 0-based directions i
+    whose diagonal scalar integral against mu_ii diverges.  Divergence is
+    directional: a kernel pole sitting on an atom or inside a piece only
+    kills the directions with nonzero diagonal mass there.
     """
     if kernel.pole is not None:
         bad = omega._divergent_directions(kernel.pole)
         if bad:
             return Divergent(bad)
     coef = kernel.values(omega.xs)
-    if omega.a.size:
+    p = omega.a.size
+    if p:
         prim = kernel.primitive(omega._ends)
-        coef = np.concatenate((coef, prim[1] - prim[0]))
+        coef = np.concatenate((coef, prim[..., p:] - prim[..., :p]), axis=-1)
     if coef.dtype.kind == "c":
         total = coef @ omega._weights
     else:   # real coefficients: one real product over (re, im) pairs
         total = (coef @ omega._weights_re_im).view(complex)
     if kernel.compensated:
         total -= omega.cauchy_offset
-    return total.reshape(omega.dim, omega.dim)
+    return total.reshape(*coef.shape[:-1], omega.dim, omega.dim)
 
 
 def measure_of_set(omega: MatrixMeasure, region: IntervalUnion) -> np.ndarray:

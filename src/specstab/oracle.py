@@ -23,7 +23,7 @@ from typing import List, Tuple
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .extensions import _coerce_d
+from .extensions import as_parameter
 from .herglotz import HerglotzMatrix, integrate_cauchy, t_matrix
 from .measure import hermitian_part, is_divergent, matrix_rank
 
@@ -76,7 +76,7 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float],
     ν(b) - ν(a) + Σ_{a<x_k<b} rank W_k, ν counting the negative eigenvalues
     of H (H decreases between atoms, and crossing x_k takes rank W_k away).
     """
-    D = _coerce_d(d)
+    D = as_parameter(d).D
     omega = m.omega
     if not omega.purely_atomic:
         raise OracleError("pole search requires a purely atomic measure")
@@ -137,7 +137,7 @@ def residue_mass(m: HerglotzMatrix, d, p: float, kernel_dim: int = None,
     residue closed form is V (V* T(p) V)^{-1} V*.  Raises OracleError when
     the projected derivative is ill-conditioned.
     """
-    D = _coerce_d(d)
+    D = as_parameter(d).D
     h = _h(m, D, p)
     w, vecs = np.linalg.eigh(h)
     if kernel_dim is None:
@@ -166,11 +166,11 @@ def classify(m: HerglotzMatrix, d, interval: Tuple[float, float],
     dimension of the kernel at the pole; they should agree, and a
     disagreement is left in the record for the caller to report.
     """
-    D = _coerce_d(d)
+    d = as_parameter(d)
     n = m.dim
     records = []
-    for p, kdim in real_poles(m, D, interval, tols):
-        mass = residue_mass(m, D, p, kdim, tols)
+    for p, kdim in real_poles(m, d, interval, tols):
+        mass = residue_mass(m, d, p, kdim, tols)
         rank = matrix_rank(mass, tols.rank_tol)
         records.append(PoleRecord(p, mass, rank, kdim, rank == n))
     return SpectralReport(records)

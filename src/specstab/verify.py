@@ -22,8 +22,8 @@ from __future__ import annotations
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .extensions import (extension_weyl, max_mult_test, max_mult_test_via,
-                         mass_at_max_mult)
+from .extensions import (ExtensionParameter, extension_weyl, max_mult_test,
+                         max_mult_test_via, mass_at_max_mult)
 from .herglotz import HerglotzMatrix, atom_mass, boundary_value, integrate_cauchy
 from .io import matrix_out
 from .measure import MatrixMeasure
@@ -44,8 +44,8 @@ def _scan_window(rng, omega: MatrixMeasure, x0: float, m: HerglotzMatrix, d):
     for _ in range(50):
         a = lo - float(rng.uniform(0.0, 0.5))
         b = hi + float(rng.uniform(0.0, 0.5))
-        ha = np.asarray(d) - integrate_cauchy(m, a)
-        hb = np.asarray(d) - integrate_cauchy(m, b)
+        ha = d.D - integrate_cauchy(m, a)
+        hb = d.D - integrate_cauchy(m, b)
         if (np.linalg.svd(ha, compute_uv=False)[-1] > 1e-6
                 and np.linalg.svd(hb, compute_uv=False)[-1] > 1e-6):
             return a, b
@@ -59,7 +59,8 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
     n = m.dim
     lo, hi = omega.support_bounds()
     x0 = point_off_atoms(rng, omega, lo - 1.0, hi + 1.0)
-    d = boundary_value(m, x0, tols).m_boundary
+    # validated once here; every criterion and oracle call takes it as is
+    d = ExtensionParameter(boundary_value(m, x0, tols).m_boundary)
     window = _scan_window(rng, omega, x0, m, d)
     report = classify(m, d, window, tols)
 
@@ -92,7 +93,7 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
                 mismatches.append({"kind": "mass_disagrees", **row})
             via_ok = True
             for _ in range(N_DPRIME):
-                dp = d + random_gap_matrix(rng, n)
+                dp = d.D + random_gap_matrix(rng, n)
                 ev2 = max_mult_test_via(m, d, dp, pr.p, tols)
                 via_ok = via_ok and bool(ev2.verdict)
             row["dprime_criterion"] = via_ok
@@ -102,7 +103,7 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
 
     return {
         "x0": x0,
-        "d_matrix": matrix_out(d),
+        "d_matrix": matrix_out(d.D),
         "window": list(window),
         "poles": pole_rows,
         "mismatches": mismatches,

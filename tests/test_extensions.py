@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from specstab import (DEFAULT_TOLS, ExtensionParameter, PreconditionError,
+from specstab import (DEFAULT_TOLS, Atom, ConditioningError, ExtensionParameter,
+                      HerglotzMatrix, MatrixMeasure, PreconditionError,
                       extension_for_point, is_divergent, mass_at_max_mult,
                       max_mult_test, max_mult_test_via,
                       resolvent_identity_residual, weyl_of_extension)
-from specstab.extensions import extension_weyl
+from specstab.extensions import _inv_checked, extension_weyl
 from specstab.herglotz import atom_mass, boundary_value
 from specstab.randgen import (random_gap_matrix, random_herglotz,
                               random_hermitian, point_off_atoms)
@@ -42,6 +43,27 @@ class TestWeylOfExtension:
         v = weyl_of_extension(two_atom, d, 0.4 + 0.9j)
         w = np.linalg.eigvalsh((v - v.conj().T) / 2j)
         assert w.min() >= -1e-12
+
+
+class TestStackedInverse:
+    def test_singular_members_of_a_stack_are_nan(self):
+        stack = np.array([np.eye(2), [[1.0, 2.0], [0.5, 1.0]], 4.0 * np.eye(2)], dtype=complex)
+        out = _inv_checked(stack, "A")
+        assert np.isnan(out[1]).all()
+        np.testing.assert_allclose(out[[0, 2]], [np.eye(2), 0.25 * np.eye(2)])
+        with pytest.raises(ConditioningError, match="A is numerically singular"):
+            _inv_checked(stack[1], "A")
+
+    def test_weyl_function_singular_off_the_axis(self):
+        # no mass in the second direction and D = 0 there: D - M(z) is
+        # singular at every z, so the eps-limit fails at its first sample
+        omega = MatrixMeasure(2, [Atom(0.0, np.diag([1.0, 0.0]))])
+        fn = extension_weyl(HerglotzMatrix.from_measure(omega), np.diag([1.0, 0.0]))
+        assert np.isnan(fn(np.array([1j, 2.0 - 0.5j]))).all()
+        with pytest.raises(ConditioningError, match="D - M"):
+            fn(1j)
+        with pytest.raises(ConditioningError, match="eps="):
+            atom_mass(fn, 0.0)
 
 
 class TestResolventIdentity:

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from specstab import (DEFAULT_TOLS, ACPiece, Atom, Divergent, HerglotzMatrix,
-                      InconsistencyError, MatrixMeasure, NotConvergedError,
-                      atom_mass, boundary_value, evaluate, herglotz,
-                      is_divergent, t_matrix)
-from specstab.herglotz import richardson_limit
+from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
+                      HerglotzMatrix, InconsistencyError, MatrixMeasure,
+                      NotConvergedError, atom_mass, boundary_value, evaluate,
+                      herglotz, is_divergent, t_matrix)
+from specstab.herglotz import eps_schedule, richardson_limit
 from specstab.randgen import random_herglotz
 
 
@@ -95,28 +95,158 @@ class TestBoundaryValue:
             boundary_value(single_atom, 0.0)
 
 
+def diag_stack(*columns):
+    """The stack of diagonal matrices whose i-th diagonal entry runs
+    through columns[i] (one entry per ε)."""
+    cols = np.broadcast_arrays(*columns)
+    out = np.zeros(cols[0].shape + (len(cols), len(cols)), dtype=complex)
+    for i, c in enumerate(cols):
+        out[:, i, i] = c
+    return out
+
+
 class TestRichardsonLimit:
     FULL = DEFAULT_TOLS.max_halvings + 1
 
     def test_blow_up_is_divergent_before_the_schedule_ends(self):
-        val, trace, ok = richardson_limit(lambda e: np.diag([1.0 / e, 1.0]))
+        val, trace, ok = richardson_limit(lambda e: diag_stack(1.0 / e, 1.0))
         assert not ok and isinstance(val, Divergent) and val.directions == (0,)
         assert len(trace) < self.FULL
         # no real diagonal entry grows: every direction is reported
-        val, trace, ok = richardson_limit(lambda e: np.diag([1j / e, 1.0]))
+        val, trace, ok = richardson_limit(lambda e: diag_stack(1j / e, 1.0))
         assert not ok and val.directions == (0, 1) and len(trace) < self.FULL
 
     def test_oscillation_is_undecided(self):
-        val, trace, ok = richardson_limit(lambda e: np.array([[np.sin(1.0 / e)]]))
+        val, trace, ok = richardson_limit(lambda e: np.sin(1.0 / e)[:, None, None])
         assert val is None and not ok
         assert len(trace) == self.FULL
 
     def test_second_order_error_converges(self):
         a = np.array([[2.0, 1j], [-1j, 3.0]])
-        val, trace, ok = richardson_limit(lambda e: a + 5.0 * e ** 2 + 7.0 * e ** 3,
-                                          order=2)
+        val, trace, ok = richardson_limit(
+            lambda e: a + (5.0 * e ** 2 + 7.0 * e ** 3)[:, None, None], order=2)
         assert ok and np.linalg.norm(val - a) < 1e-8
         assert len(trace) == 7      # first-order extrapolation needs 12 samples
+
+
+def sequential_limit(sample, tols=DEFAULT_TOLS, order=1):
+    """Reference for richardson_limit: the scan as a loop that asks for one
+    ε at a time, so it stops sampling where it stops; ``sample(eps)``
+    raises ConditioningError where the sample cannot be formed."""
+    w = 2.0 ** order
+    eps = tols.eps0
+    prev = sample(eps)
+    trace = [(eps, prev)]
+    prev_r = None
+    norms = []
+    for _ in range(tols.max_halvings):
+        eps *= 0.5
+        cur = sample(eps)
+        trace.append((eps, cur))
+        r = (w * cur - prev) / (w - 1.0)
+        norms.append(float(np.linalg.norm(r)))
+        if (prev_r is not None
+                and np.linalg.norm(r - prev_r) <= tols.tol_bv * max(1.0, norms[-1])):
+            return r, trace, True
+        if (len(norms) >= 4 and norms[-1] > 1e8
+                and all(norms[i + 1] > 1.8 * norms[i] for i in range(-4, -1))):
+            dirs = tuple(int(i) for i in np.nonzero(np.real(np.diag(cur)) > 1e6)[0])
+            return Divergent(dirs or tuple(range(cur.shape[0]))), trace, False
+        prev, prev_r = cur, r
+    return None, trace, False
+
+
+_A = np.array([[2.0, 1j, 0.0], [-1j, 3.0, 0.5], [0.0, 0.5, -1.0]])
+_B = np.array([[1.0, 0.0, 2j], [0.0, -4.0, 0.0], [-2j, 0.0, 0.5]])
+SEQUENCES = {
+    "linear": lambda e: _A + 3.0 * e * _B,
+    "quadratic": lambda e: _A + 5.0 * e ** 2 * _B + 7.0 * e ** 3 * np.eye(3),
+    "sqrt": lambda e: _A + np.sqrt(e) * _B,
+    "blow_up": lambda e: _A + np.diag([1.0 / e, 0.0, 0.0]),
+    "blow_up_imaginary": lambda e: _A + 1j * _B / e ** 2,
+    "oscillating": lambda e: np.sin(1.0 / e) * _B,
+    # a small oscillation growing like 1/ε delays convergence to sample 33
+    # at first order; one growing like 1/ε² ends in a late blow-up
+    "noise_then_converged": lambda e: _A + 5.0 * e ** 2 * _B + 1e-13 * np.sin(1e9 * e) * _B / e,
+    "noise_blow_up": lambda e: _A + 3.0 * e * _B + 1e-12 * np.cos(e ** -0.5) * _B / e ** 2,
+}
+
+
+def _samplers(fn, unformed):
+    """The same sequence as a scalar sampler that raises and as an array
+    sampler that marks the unformed schedule indices with NaN."""
+    schedule = eps_schedule().tolist()
+
+    def scalar(e):
+        if schedule.index(e) in unformed:
+            raise ConditioningError(f"no sample at eps={e}")
+        return np.asarray(fn(e), dtype=complex)
+
+    def stacked(eps):
+        out = np.array([fn(e) for e in eps], dtype=complex)
+        out[list(unformed)] = np.nan
+        return out
+
+    return scalar, stacked
+
+
+def _run(limit, sampler, order):
+    try:
+        return limit(sampler, DEFAULT_TOLS, order)
+    except ConditioningError:
+        return "raised"
+
+
+class TestVectorizedScan:
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("unformed", [(), (0,), (3,), (6, 7), (12,), (30,), (40,)])
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_matches_the_sequential_loop(self, name, unformed, order):
+        scalar, stacked = _samplers(SEQUENCES[name], set(unformed))
+        want = _run(sequential_limit, scalar, order)
+        got = _run(richardson_limit, stacked, order)
+        if want == "raised" or got == "raised":
+            assert got == want
+            return
+        (v0, trace0, ok0), (v1, trace1, ok1) = want, got
+        assert ok1 == ok0
+        assert [e for e, _ in trace1] == [e for e, _ in trace0]
+        assert all(np.array_equal(a, b) for (_, a), (_, b) in zip(trace1, trace0))
+        if v0 is None or isinstance(v0, Divergent):
+            assert v1 == v0
+        else:
+            assert np.array_equal(v1, v0)
+
+    def test_every_kind_of_outcome_is_covered(self):
+        outcomes = set()
+        for fn in SEQUENCES.values():
+            val, _, ok = sequential_limit(_samplers(fn, set())[0])
+            outcomes.add("converged" if ok else type(val).__name__)
+        assert outcomes == {"converged", "Divergent", "NoneType"}
+
+    def test_raises_only_for_an_unformed_sample_it_consumes(self):
+        fn = SEQUENCES["quadratic"]
+        _, trace, ok = richardson_limit(_samplers(fn, set())[1], order=2)
+        used = len(trace)
+        assert ok and used < DEFAULT_TOLS.max_halvings + 1
+        # singular only after the stop: never looked at, no error
+        val, trace, ok = richardson_limit(_samplers(fn, {used, used + 5})[1], order=2)
+        assert ok and len(trace) == used
+        # singular at the last sample the scan consumes: an error
+        with pytest.raises(ConditioningError, match="eps="):
+            richardson_limit(_samplers(fn, {used - 1})[1], order=2)
+
+    def test_sampler_is_called_once_with_the_schedule(self):
+        calls = []
+
+        def sample(eps):
+            calls.append(eps.copy())
+            return np.ones((eps.size, 1, 1))
+
+        richardson_limit(sample)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(
+            calls[0], DEFAULT_TOLS.eps0 * 0.5 ** np.arange(DEFAULT_TOLS.max_halvings + 1))
 
 
 class TestTMatrix:

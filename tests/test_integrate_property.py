@@ -5,7 +5,8 @@ time, with the closed forms written out per term, and decides divergence
 term by term.  Random measures vary the number of atoms, the dimension,
 rank-deficient and zero weights and abutting pieces; the evaluation points
 sit exactly on atoms and piece ends, within tol_x/2 of them and 2·tol_x
-away.
+away.  A batch of complex z near the point goes through the Cauchy kernel
+and ``evaluate`` in one call and must match the scalar calls z by z.
 """
 
 import math
@@ -16,10 +17,11 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
-                      IndicatorKernel, IntervalUnion, InvOnePlusY2Kernel,
-                      MatrixMeasure, PoissonSquareKernel, RegularizedKernel,
-                      integrate)
+from specstab import (ACPiece, Atom, CauchyKernel, ConditioningError,
+                      DEFAULT_TOLS, Divergent, HerglotzMatrix, IndicatorKernel,
+                      IntervalUnion, InvOnePlusY2Kernel, MatrixMeasure,
+                      PoissonSquareKernel, RegularizedKernel, evaluate,
+                      extension_weyl, integrate, weyl_of_extension)
 
 TOL_X = DEFAULT_TOLS.tol_x
 REL = 1e-12
@@ -161,3 +163,45 @@ def test_array_integrate_matches_term_by_term_reference(data):
             assert got.shape == (omega.dim, omega.dim)
             err = float(np.linalg.norm(got - ref))
             assert err <= REL * size, (name, err, size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_batched_cauchy_matches_scalar_calls(data):
+    omega = data.draw(measures())
+    x = data.draw(points(omega))
+    parts = data.draw(st.lists(st.tuples(st.sampled_from([0.0, 0.5, -1.5]),
+                                         st.sampled_from([1e-6, 1e-3, 0.5, -0.7])),
+                               min_size=1, max_size=6))
+    zs = np.array([x + dx + 1j * dy for dx, dy in parts])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(omega.dim,) * 2) + 1j * rng.normal(size=(omega.dim,) * 2)
+    d = a + a.conj().T
+    m = HerglotzMatrix.from_measure(omega)
+    got = integrate(CauchyKernel(zs), omega)
+    assert got.shape == (zs.size, omega.dim, omega.dim)
+    stacked = evaluate(m, zs)
+    weyl = extension_weyl(m, d)(zs)
+    for i, z in enumerate(zs):
+        one = integrate(CauchyKernel(z), omega)
+        _, size = reference_integrate(CauchyKernel(z), omega)
+        assert float(np.linalg.norm(got[i] - one)) <= REL * size
+        assert float(np.linalg.norm(stacked[i] - evaluate(m, z))) <= REL * size
+        try:
+            inv = weyl_of_extension(m, d, z)
+        except ConditioningError:
+            assert np.isnan(weyl[i]).all()
+            continue
+        # the inverse magnifies the (bounded) difference of the two M(z)
+        bound = float(np.linalg.norm(inv)) ** 2 * (
+            REL * size + 1e-14 * float(np.linalg.norm(d - evaluate(m, z))))
+        assert float(np.linalg.norm(weyl[i] - inv)) <= bound
+
+    # one real z anywhere in the batch is rejected, as for a single z
+    real_at = data.draw(st.integers(0, zs.size - 1))
+    with_real = zs.copy()
+    with_real[real_at] = with_real[real_at].real
+    with pytest.raises(ValueError):
+        evaluate(m, with_real)
+    with pytest.raises(ValueError):
+        integrate(CauchyKernel(with_real), omega)

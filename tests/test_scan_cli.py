@@ -5,7 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from specstab import (ACPiece, Atom, MatrixMeasure, ScanConfig, scan_forbidden)
+from specstab import (ACPiece, Atom, ConditioningError, InconsistencyError,
+                      MatrixMeasure, NotConvergedError, ScanConfig, cli,
+                      scan_forbidden)
 from specstab.cli import main
 from specstab.io import InputError, load_herglotz, load_hermitian
 
@@ -202,6 +204,33 @@ class TestCLI:
         assert self.run("verify", "--measure", single_atom_file, "--trials", "-1") == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "at least one trial" in captured.err
+
+    @pytest.mark.parametrize("error", [
+        NotConvergedError("atom mass limit at x=0.0 did not converge"),
+        InconsistencyError("boundary value at x=0.0 not Hermitian despite finite T(x)"),
+        ConditioningError("D - M(z) is numerically singular (smallest sv 1.000e-17)")])
+    def test_numerical_failure_exits_3(self, single_atom_file, tmp_path, capsys,
+                                       monkeypatch, error):
+        def fail(*args, **kwargs):
+            raise error
+        monkeypatch.setattr(cli, "atom_mass", fail)
+        d = write_json(tmp_path / "d.json", [[[-0.5, 0]]])
+        assert self.run("masses", "--measure", single_atom_file, "--d-matrix", d,
+                        "--x", "0") == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {error}\n"
+
+    def test_unformed_eps_sample_exits_3(self, single_atom_file, tmp_path, capsys,
+                                         monkeypatch):
+        # M_D singular all along the schedule: the limit cannot be formed
+        monkeypatch.setattr(cli, "extension_weyl",
+                            lambda m, d: lambda z: np.full((np.size(z), 1, 1), np.nan))
+        d = write_json(tmp_path / "d.json", [[[-0.5, 0]]])
+        assert self.run("masses", "--measure", single_atom_file, "--d-matrix", d,
+                        "--x", "0") == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "numerically singular" in captured.err and captured.err.count("\n") == 1
 
     def test_module_entry_point(self, single_atom_file):
         proc = subprocess.run(
