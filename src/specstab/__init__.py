@@ -17,11 +17,10 @@ from .measure import (ACPiece, Atom, CauchyKernel, DensityMatrixValue,
 from .herglotz import (BoundaryReport, HerglotzMatrix, NotConvergedError,
                        atom_mass, boundary_value, evaluate, t_matrix)
 from .extensions import (ConditioningError, ExtensionParameter,
-                         InconsistencyError, MaxMultEvidence,
-                         PreconditionError, extension_for_point,
-                         extension_weyl, mass_at_max_mult, max_mult_test,
-                         max_mult_test_via, resolvent_identity_residual,
-                         weyl_of_extension)
+                         MaxMultEvidence, PreconditionError,
+                         extension_for_point, extension_weyl,
+                         mass_at_max_mult, max_mult_test, max_mult_test_via,
+                         resolvent_identity_residual, weyl_of_extension)
 from .oracle import (OracleError, PoleRecord, SpectralReport, classify,
                      real_poles, residue_mass)
 from .scan import ScanConfig, GridRecord, scan_forbidden

@@ -3,10 +3,11 @@
 Commands: eval, boundary, tmatrix, masses, eigs, test, scan, verify.
 Inputs are the JSON measure/matrix files documented in ``specstab.io``;
 outputs go to stdout or --out as JSON (default) or CSV where meaningful.
+At a real x, T(x) chooses the boundary-value path: closed form where it
+is finite, the ε-limit where it diverges.
 Exit codes: 0 ok, 1 verification mismatch, 2 input error (NaN or ±inf
 among the real arguments included), 3 numerical failure (a limit that
-did not converge, a numerically singular matrix, an inconsistent
-boundary value).
+did not converge, a numerically singular matrix).
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .extensions import (extension_weyl, max_mult_test, max_mult_test_via,
                          weyl_of_extension)
-from .herglotz import (ConditioningError, InconsistencyError, NotConvergedError,
-                       atom_mass, boundary_value, evaluate, t_matrix)
+from .herglotz import (ConditioningError, NotConvergedError, atom_mass,
+                       boundary_value, evaluate, t_matrix)
 from .io import dump_json, load_herglotz, load_hermitian, matrix_out
 from .measure import is_divergent
 from .oracle import classify
@@ -37,8 +38,8 @@ EXIT_NUMERIC = 3
 # error type -> exit code, first match wins: ConditioningError is a
 # ValueError (through LinAlgError), and every other ValueError, the input,
 # precondition and oracle errors included, is an input error
-EXIT_CODES = ((NotConvergedError, EXIT_NUMERIC), (InconsistencyError, EXIT_NUMERIC),
-              (ConditioningError, EXIT_NUMERIC), (ValueError, EXIT_INPUT))
+EXIT_CODES = ((NotConvergedError, EXIT_NUMERIC), (ConditioningError, EXIT_NUMERIC),
+              (ValueError, EXIT_INPUT))
 
 
 # argument types: a bad value makes the parser exit with EXIT_INPUT
@@ -71,12 +72,6 @@ def _parse_complex(spec: str) -> complex:
             f"expected a finite complex number as RE,IM or python literal, got {spec!r}")
 
 
-def _tols(args):
-    return DEFAULT_TOLS.with_overrides(
-        rank_tol=args.tol_rank, tol_bv=args.tol_bv,
-        tol_match=args.tol_match, tol_x=args.tol_x)
-
-
 def _emit(doc, args):
     if args.out:
         with open(args.out, "w") as fh:
@@ -101,8 +96,7 @@ def _evidence_doc(ev) -> dict:
     return doc
 
 
-def cmd_eval(args):
-    m = load_herglotz(args.measure, _tols(args))
+def cmd_eval(args, m, tols):
     if args.d_matrix:
         val = weyl_of_extension(m, load_hermitian(args.d_matrix), args.z)
     else:
@@ -111,9 +105,7 @@ def cmd_eval(args):
     return EXIT_OK
 
 
-def cmd_boundary(args):
-    tols = _tols(args)
-    m = load_herglotz(args.measure, tols)
+def cmd_boundary(args, m, tols):
     rep = boundary_value(m, args.x, tols)
     doc = {"x": rep.x, "converged": rep.converged, "t_finite": rep.t_finite,
            "t": _maybe_matrix(rep.t_matrix)}
@@ -123,25 +115,20 @@ def cmd_boundary(args):
     return EXIT_OK
 
 
-def cmd_tmatrix(args):
-    m = load_herglotz(args.measure, _tols(args))
+def cmd_tmatrix(args, m, tols):
     t = t_matrix(m, args.x)
     _emit({"x": args.x, "t_finite": not is_divergent(t), "t": _maybe_matrix(t)}, args)
     return EXIT_OK
 
 
-def cmd_masses(args):
-    tols = _tols(args)
-    m = load_herglotz(args.measure, tols)
+def cmd_masses(args, m, tols):
     fn = extension_weyl(m, load_hermitian(args.d_matrix)) if args.d_matrix else m
     w = atom_mass(fn, args.x, tols)
     _emit({"x": args.x, "mass": matrix_out(w)}, args)
     return EXIT_OK
 
 
-def cmd_eigs(args):
-    tols = _tols(args)
-    m = load_herglotz(args.measure, tols)
+def cmd_eigs(args, m, tols):
     d = load_hermitian(args.d_matrix)
     a, b, _ = args.grid
     report = classify(m, d, (a, b), tols)
@@ -152,9 +139,7 @@ def cmd_eigs(args):
     return EXIT_OK
 
 
-def cmd_test(args):
-    tols = _tols(args)
-    m = load_herglotz(args.measure, tols)
+def cmd_test(args, m, tols):
     d = load_hermitian(args.d_matrix)
     if args.d_prime:
         dp = load_hermitian(args.d_prime)
@@ -165,11 +150,9 @@ def cmd_test(args):
     return EXIT_OK
 
 
-def cmd_scan(args):
-    tols = _tols(args)
-    m = load_herglotz(args.measure, tols)
+def cmd_scan(args, m, tols):
     a, b, steps = args.grid
-    config = ScanConfig(a, b, steps, tols=tols)
+    config = ScanConfig(a, b, steps)
     records = scan_forbidden(m.omega, config)
     n = m.dim
     if args.format == "csv":
@@ -187,9 +170,7 @@ def cmd_scan(args):
     return EXIT_OK
 
 
-def cmd_verify(args):
-    tols = _tols(args)
-    m = load_herglotz(args.measure, tols)
+def cmd_verify(args, m, tols):
     report = run_verify(m, args.trials, args.seed, tols)
     _emit(report, args)
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
@@ -264,7 +245,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        tols = DEFAULT_TOLS.with_overrides(
+            rank_tol=args.tol_rank, tol_bv=args.tol_bv,
+            tol_match=args.tol_match, tol_x=args.tol_x)
+        return args.fn(args, load_herglotz(args.measure, tols), tols)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

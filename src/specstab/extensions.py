@@ -18,9 +18,8 @@ from typing import Optional, Union
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .herglotz import (ConditioningError, HerglotzMatrix, InconsistencyError,
-                       boundary_value, eps_schedule, evaluate, richardson_limit,
-                       t_matrix)
+from .herglotz import (ConditioningError, HerglotzMatrix, boundary_value,
+                       eps_schedule, evaluate, richardson_limit)
 from .measure import Divergent, hermitian_part, is_divergent, is_hermitian
 
 
@@ -65,6 +64,10 @@ class MaxMultEvidence:
     @property
     def t_finite(self) -> bool:
         return not is_divergent(self.t_value)
+
+    def mass(self) -> np.ndarray:
+        """Eigenvalue mass T(x)^{-1}; T(x) must be finite."""
+        return hermitian_part(_inv_checked(np.asarray(self.t_value), "T(x)"))
 
 
 def as_parameter(d) -> ExtensionParameter:
@@ -127,7 +130,7 @@ def max_mult_test(m: HerglotzMatrix, d, x: float,
         residual = float(np.linalg.norm(rep.m_boundary - D))
     else:
         residual = math.inf
-    verdict = rep.t_finite and rep.converged and residual <= tols.tol_match
+    verdict = rep.t_finite and residual <= tols.tol_match
     return MaxMultEvidence(x, rep.t_matrix, rep.m_boundary, residual, verdict)
 
 
@@ -175,14 +178,8 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float,
 def extension_for_point(m: HerglotzMatrix, x: float,
                         tols: Tolerances = DEFAULT_TOLS) -> Optional[ExtensionParameter]:
     """The parameter D := M(x+i0) making x maximal, or None when T(x) diverges."""
-    t = t_matrix(m, x)
-    if is_divergent(t):
-        return None
     rep = boundary_value(m, x, tols)
-    if not rep.converged:
-        raise InconsistencyError(
-            f"T({x}) is finite but the boundary value did not converge")
-    return ExtensionParameter(rep.m_boundary)
+    return ExtensionParameter(rep.m_boundary) if rep.t_finite else None
 
 
 def mass_at_max_mult(m: HerglotzMatrix, d, x: float,
@@ -191,4 +188,4 @@ def mass_at_max_mult(m: HerglotzMatrix, d, x: float,
     ev = max_mult_test(m, d, x, tols)
     if not ev.verdict:
         raise PreconditionError(f"x={x} is not a maximum-multiplicity point for this D")
-    return hermitian_part(_inv_checked(np.asarray(ev.t_value), "T(x)"))
+    return ev.mass()

@@ -148,9 +148,7 @@ def residue_mass(m: HerglotzMatrix, d, p: float, kernel_dim: int = None,
     order = np.argsort(np.abs(w))
     v = vecs[:, order[:kernel_dim]]
 
-    t = t_matrix(m, p)
-    if is_divergent(t):
-        raise OracleError(f"T({p}) diverges; p coincides with an atom")
+    t = t_matrix(m, p)      # finite: _h has raised on the support
     proj = v.conj().T @ t @ v
     s = np.linalg.svd(proj, compute_uv=False)
     if s[-1] <= 1e-10 * max(1.0, s[0]):

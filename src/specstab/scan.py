@@ -16,7 +16,6 @@ from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .measure import (Divergent, MatrixMeasure, RegularizedKernel, integrate,
                       is_divergent)
 from .herglotz import HerglotzMatrix, t_matrix
@@ -30,7 +29,6 @@ class ScanConfig:
     b: float
     steps: int
     m_schedule: Tuple[int, ...] = DEFAULT_M_SCHEDULE
-    tols: Tolerances = DEFAULT_TOLS
 
     def __post_init__(self):
         if not self.a < self.b:
@@ -59,10 +57,11 @@ class GridRecord:
 
 def scan_forbidden(omega: MatrixMeasure, config: ScanConfig) -> List[GridRecord]:
     """Evaluate support membership, T-finiteness and regularized layers."""
+    h = HerglotzMatrix.from_measure(omega)
     records = []
     for x in config.grid():
         x = float(x)
-        t = t_matrix(HerglotzMatrix.from_measure(omega), x)
+        t = t_matrix(h, x)
         reg = {}
         for m in config.m_schedule:
             v = integrate(RegularizedKernel(x, float(m)), omega)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .extensions import (ExtensionParameter, extension_weyl, max_mult_test,
-                         max_mult_test_via, mass_at_max_mult)
+                         max_mult_test_via)
 from .herglotz import HerglotzMatrix, atom_mass, boundary_value, integrate_cauchy
 from .io import matrix_out
 from .measure import MatrixMeasure
@@ -80,7 +80,7 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
         if pr.rank != pr.kernel_dim:
             mismatches.append({"kind": "rank_disagrees", "kernel_dim": pr.kernel_dim, **row})
         if pr.is_max_mult:
-            mass_t = mass_at_max_mult(m, d, pr.p, tols)
+            mass_t = ev.mass()
             # the pole location carries up to ~1e-13 error, which caps the
             # attainable eps-limit precision well above tol_bv
             mass_eps = atom_mass(extension_weyl(m, d), pr.p,

@@ -6,7 +6,10 @@ term by term.  Random measures vary the number of atoms, the dimension,
 rank-deficient and zero weights and abutting pieces; the evaluation points
 sit exactly on atoms and piece ends, within tol_x/2 of them and 2·tol_x
 away.  A batch of complex z near the point goes through the Cauchy kernel
-and ``evaluate`` in one call and must match the scalar calls z by z.
+and ``evaluate`` in one call and must match the scalar calls z by z.  On
+the same measures: T(x), the real-x Cauchy integral and ``on_support``
+make one support decision; just off the support the closed-form boundary
+value is the ε-limit; and Im M(z) ⪰ 0 above the axis.
 """
 
 import math
@@ -15,13 +18,15 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from specstab import (ACPiece, Atom, CauchyKernel, ConditioningError,
                       DEFAULT_TOLS, Divergent, HerglotzMatrix, IndicatorKernel,
                       IntervalUnion, InvOnePlusY2Kernel, MatrixMeasure,
-                      PoissonSquareKernel, RegularizedKernel, evaluate,
-                      extension_weyl, integrate, weyl_of_extension)
+                      PoissonSquareKernel, RegularizedKernel, boundary_value,
+                      evaluate, extension_weyl, integrate, is_divergent,
+                      t_matrix, weyl_of_extension)
+from specstab.herglotz import integrate_cauchy, richardson_limit
 
 TOL_X = DEFAULT_TOLS.tol_x
 REL = 1e-12
@@ -205,3 +210,54 @@ def test_batched_cauchy_matches_scalar_calls(data):
         evaluate(m, with_real)
     with pytest.raises(ValueError):
         integrate(CauchyKernel(with_real), omega)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_t_matrix_cauchy_and_support_agree(data):
+    omega = data.draw(measures())
+    x = data.draw(points(omega))
+    m = HerglotzMatrix.from_measure(omega)
+    t = t_matrix(m, x)
+    cauchy = integrate_cauchy(m, x)
+    assert is_divergent(t) == is_divergent(cauchy) == omega.on_support(x)
+    if is_divergent(t):
+        assert t.directions == cauchy.directions
+    # T(x) alone chooses the boundary-value path: closed form iff finite
+    assert (not boundary_value(m, x).eps_trace) == (not is_divergent(t))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_closed_form_is_the_eps_limit_off_the_support(data):
+    omega = data.draw(measures())
+    anchors = [at.x for at in omega.atoms] + [e for pc in omega.ac_pieces
+                                              for e in (pc.a, pc.b)]
+    offset = data.draw(st.sampled_from([1e-1, 1e-2, 1e-3, -1e-1, -1e-2, -1e-3]))
+    x = data.draw(st.sampled_from(anchors)) + offset
+    assume(not omega.on_support(x))
+    m = HerglotzMatrix.from_measure(omega)
+    closed = boundary_value(m, x).m_boundary
+    val, _, ok = richardson_limit(lambda e: evaluate(m, x + 1j * e), DEFAULT_TOLS)
+    assert ok
+    err = float(np.linalg.norm(val - closed))
+    assert err <= 10 * DEFAULT_TOLS.tol_bv * max(1.0, float(np.linalg.norm(closed)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_imaginary_part_is_positive_above_the_axis(data):
+    omega = data.draw(measures())
+    x = data.draw(points(omega))
+    dys = data.draw(st.lists(st.sampled_from([1e-9, 1e-6, 1e-3, 0.5, 20.0]),
+                             min_size=1, max_size=6))
+    dxs = data.draw(st.lists(st.sampled_from([0.0, 1e-3, -0.5, 3.0]),
+                             min_size=len(dys), max_size=len(dys)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.normal(size=(omega.dim,) * 2) + 1j * rng.normal(size=(omega.dim,) * 2)
+    m = HerglotzMatrix.from_measure(omega, a + a.conj().T)
+    vals = evaluate(m, np.array([x + dx + 1j * dy for dx, dy in zip(dxs, dys)]))
+    for v in vals:
+        im = (v - v.conj().T) / 2j
+        floor = -1e-12 * max(1.0, float(np.linalg.norm(v)))
+        assert np.linalg.eigvalsh(im).min() >= floor

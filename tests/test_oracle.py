@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from specstab import (Atom, HerglotzMatrix, MatrixMeasure, OracleError,
-                      classify, oracle, real_poles, residue_mass, run_verify)
+from specstab import (DEFAULT_TOLS, Atom, HerglotzMatrix, MatrixMeasure,
+                      OracleError, classify, oracle, real_poles, residue_mass,
+                      run_verify)
 from specstab.cli import main
 from specstab.extensions import extension_weyl
 from specstab.herglotz import atom_mass, boundary_value, integrate_cauchy, t_matrix
@@ -148,6 +149,20 @@ class TestClassify:
         assert not trial["ok"]
         assert "rank_disagrees" in [mm["kind"] for mm in trial["mismatches"]]
         assert main(["verify", "--measure", single_atom_file, "--trials", "1"]) == 1
+
+    def test_criterion_disagreement_is_reported(self, two_atom, two_atom_file, capsys):
+        # no residual meets tol_match = 1e-30: the criterion says "no" at
+        # the oracle's max-mult pole, and the trial reports it
+        tols = DEFAULT_TOLS.with_overrides(tol_match=1e-30)
+        trial, = run_verify(two_atom, 1, 0, tols)["results"]
+        assert not trial["ok"]
+        kinds = {mm["kind"] for mm in trial["mismatches"]}
+        assert {"criterion_disagrees", "dprime_disagrees"} <= kinds
+        assert "mass_disagrees" not in kinds
+        assert main(["verify", "--measure", two_atom_file, "--trials", "1",
+                     "--tol-match", "1e-30"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "" and '"ok": false' in captured.out
 
 
 class TestLinearization:

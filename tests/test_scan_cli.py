@@ -5,9 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from specstab import (ACPiece, Atom, ConditioningError, InconsistencyError,
-                      MatrixMeasure, NotConvergedError, ScanConfig, cli,
-                      scan_forbidden)
+from specstab import (ACPiece, Atom, ConditioningError, MatrixMeasure,
+                      NotConvergedError, ScanConfig, cli, scan_forbidden)
 from specstab.cli import main
 from specstab.io import InputError, load_herglotz, load_hermitian
 
@@ -207,7 +206,6 @@ class TestCLI:
 
     @pytest.mark.parametrize("error", [
         NotConvergedError("atom mass limit at x=0.0 did not converge"),
-        InconsistencyError("boundary value at x=0.0 not Hermitian despite finite T(x)"),
         ConditioningError("D - M(z) is numerically singular (smallest sv 1.000e-17)")])
     def test_numerical_failure_exits_3(self, single_atom_file, tmp_path, capsys,
                                        monkeypatch, error):
