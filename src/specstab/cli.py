@@ -1,18 +1,20 @@
 """Command-line front end.
 
-Commands: eval, boundary, tmatrix, masses, eigs, test, scan, verify.
+Commands: eval, boundary, tmatrix, masses, eigs, test, scan, verify, each
+declaring only the options it reads (``build_parser`` lists them).
 Inputs are the JSON measure/matrix files documented in ``specstab.io``;
-outputs go to stdout or --out as JSON (default) or CSV where meaningful.
+outputs go to stdout or --out as JSON, or as CSV for ``scan --format csv``.
 At a real x, T(x) chooses the boundary-value path: closed form where it
 is finite, the ε-limit where it diverges.
 Exit codes: 0 ok, 1 verification mismatch, 2 input error (NaN or ±inf
-among the real arguments included), 3 numerical failure (a limit that
+in an argument or a matrix entry included), 3 numerical failure (a limit that
 did not converge, a numerically singular matrix).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import math
 import sys
@@ -20,8 +22,7 @@ import sys
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .extensions import (extension_weyl, max_mult_test, max_mult_test_via,
-                         weyl_of_extension)
+from .extensions import extension_weyl, max_mult_test, max_mult_test_via
 from .herglotz import (ConditioningError, NotConvergedError, atom_mass,
                        boundary_value, evaluate, t_matrix)
 from .io import dump_json, load_herglotz, load_hermitian, matrix_out
@@ -72,12 +73,13 @@ def _parse_complex(spec: str) -> complex:
             f"expected a finite complex number as RE,IM or python literal, got {spec!r}")
 
 
-def _emit(doc, args):
-    if args.out:
-        with open(args.out, "w") as fh:
+def _emit(doc, args, fmt="json"):
+    """doc to --out or stdout: as JSON, or for fmt "csv" as a list of rows."""
+    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if fmt == "csv":
+            csv.writer(fh).writerows(doc)
+        else:
             dump_json(doc, fh)
-    else:
-        dump_json(doc, sys.stdout)
 
 
 def _maybe_matrix(v):
@@ -98,7 +100,7 @@ def _evidence_doc(ev) -> dict:
 
 def cmd_eval(args, m, tols):
     if args.d_matrix:
-        val = weyl_of_extension(m, load_hermitian(args.d_matrix), args.z)
+        val = extension_weyl(m, load_hermitian(args.d_matrix))(args.z)
     else:
         val = evaluate(m, args.z)
     _emit({"z": [args.z.real, args.z.imag], "value": matrix_out(val)}, args)
@@ -142,8 +144,7 @@ def cmd_eigs(args, m, tols):
 def cmd_test(args, m, tols):
     d = load_hermitian(args.d_matrix)
     if args.d_prime:
-        dp = load_hermitian(args.d_prime)
-        ev = max_mult_test_via(m, d, dp, args.x, tols)
+        ev = max_mult_test_via(m, d, load_hermitian(args.d_prime), args.x, tols)
     else:
         ev = max_mult_test(m, d, args.x, tols)
     _emit(_evidence_doc(ev), args)
@@ -156,17 +157,11 @@ def cmd_scan(args, m, tols):
     records = scan_forbidden(m.omega, config)
     n = m.dim
     if args.format == "csv":
-        fh = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
-            writer = csv.writer(fh)
-            writer.writerow(csv_header(n, config.m_schedule))
-            for rec in records:
-                writer.writerow(record_to_row(rec, n, config.m_schedule))
-        finally:
-            if args.out:
-                fh.close()
+        doc = [csv_header(n, config.m_schedule),
+               *(record_to_row(rec, n, config.m_schedule) for rec in records)]
     else:
-        _emit({"grid": [a, b, steps], "records": [record_to_dict(r) for r in records]}, args)
+        doc = {"grid": [a, b, steps], "records": [record_to_dict(r) for r in records]}
+    _emit(doc, args, args.format)
     return EXIT_OK
 
 
@@ -176,68 +171,50 @@ def cmd_verify(args, m, tols):
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
 
+# every option a command may declare; argparse derives each dest from the flag
+OPTIONS = {
+    "--measure": dict(help="measure JSON file"),
+    "--d-matrix": dict(help="Hermitian parameter JSON file"),
+    "--d-prime": dict(help="second Hermitian parameter JSON file"),
+    "--x": dict(type=finite_float, help="real energy"),
+    "--z": dict(type=_parse_complex, help="complex point as RE,IM"),
+    "--grid": dict(type=_parse_grid, help="a:b:steps"),
+    "--trials": dict(type=int, default=10),
+    "--seed": dict(type=int, default=0),
+    "--out": dict(help="output file (default stdout)"),
+    "--format": dict(choices=["csv", "json"], default="json"),
+    **{f"--tol-{name}": dict(type=finite_float) for name in ("rank", "bv", "match", "x")},
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specstab",
         description="Spectral-stability toolkit: Herglotz matrix functions, "
                     "extension parameters, multiplicity criteria and scans.")
+    # a tolerance that a command does not take keeps its default
+    parser.set_defaults(tol_bv=None, tol_match=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, d_matrix=False, d_prime=False, x=False, z=False, grid=False,
-               seed=False, trials=False):
-        p.add_argument("--measure", required=True, help="measure JSON file")
-        if d_matrix:
-            p.add_argument("--d-matrix", help="Hermitian parameter JSON file")
-        if d_prime:
-            p.add_argument("--d-prime", help="second Hermitian parameter JSON file")
-        if x:
-            p.add_argument("--x", type=finite_float, required=True, help="real energy")
-        if z:
-            p.add_argument("--z", type=_parse_complex, required=True, help="complex point as RE,IM")
-        if grid:
-            p.add_argument("--grid", type=_parse_grid, required=True, help="a:b:steps")
-        if trials:
-            p.add_argument("--trials", type=int, default=10)
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--format", choices=["csv", "json"], default="json")
-        p.add_argument("--tol-rank", type=finite_float, dest="tol_rank")
-        p.add_argument("--tol-bv", type=finite_float, dest="tol_bv")
-        p.add_argument("--tol-match", type=finite_float, dest="tol_match")
-        p.add_argument("--tol-x", type=finite_float, dest="tol_x")
+    def command(name, fn, help, *options):
+        """Subcommand running fn(args, m, tols); an option written "--opt!" is required."""
+        p = sub.add_parser(name, help=help)
+        for opt in ("--measure!", *options, "--out", "--tol-rank", "--tol-x"):
+            flag = opt.rstrip("!")
+            p.add_argument(flag, required=opt.endswith("!"), **OPTIONS[flag])
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("eval", help="evaluate M(z) or M_D(z)")
-    common(p, d_matrix=True, z=True)
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("boundary", help="boundary value M(x+i0) and T(x)")
-    common(p, x=True)
-    p.set_defaults(fn=cmd_boundary)
-
-    p = sub.add_parser("tmatrix", help="divergence matrix T(x)")
-    common(p, x=True)
-    p.set_defaults(fn=cmd_tmatrix)
-
-    p = sub.add_parser("masses", help="point mass via -ieps M(x+ieps)")
-    common(p, d_matrix=True, x=True)
-    p.set_defaults(fn=cmd_masses)
-
-    p = sub.add_parser("eigs", help="brute-force pole/multiplicity report")
-    common(p, d_matrix=True, grid=True)
-    p.set_defaults(fn=cmd_eigs)
-    p = sub.add_parser("test", help="maximum-multiplicity criterion at x")
-    common(p, d_matrix=True, d_prime=True, x=True)
-    p.set_defaults(fn=cmd_test)
-
-    p = sub.add_parser("scan", help="forbidden-energy grid scan")
-    common(p, grid=True)
-    p.set_defaults(fn=cmd_scan)
-
-    p = sub.add_parser("verify", help="oracle-vs-criterion campaign")
-    common(p, trials=True, seed=True)
-    p.set_defaults(fn=cmd_verify)
-
+    command("eval", cmd_eval, "evaluate M(z) or M_D(z)", "--d-matrix", "--z!")
+    command("boundary", cmd_boundary, "boundary value M(x+i0) and T(x)", "--x!", "--tol-bv")
+    command("tmatrix", cmd_tmatrix, "divergence matrix T(x)", "--x!")
+    command("masses", cmd_masses, "point mass via -ieps M(x+ieps)",
+            "--d-matrix", "--x!", "--tol-bv")
+    command("eigs", cmd_eigs, "brute-force pole/multiplicity report", "--d-matrix!", "--grid!")
+    command("test", cmd_test, "maximum-multiplicity criterion at x",
+            "--d-matrix!", "--d-prime", "--x!", "--tol-bv", "--tol-match")
+    command("scan", cmd_scan, "forbidden-energy grid scan", "--grid!", "--format")
+    command("verify", cmd_verify, "oracle-vs-criterion campaign",
+            "--trials", "--seed", "--tol-bv", "--tol-match")
     return parser
 
 

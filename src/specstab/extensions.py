@@ -101,18 +101,13 @@ def extension_weyl(m: HerglotzMatrix, d):
     return lambda z: _inv_checked(D - evaluate(m, z), "D - M(z)")
 
 
-def weyl_of_extension(m: HerglotzMatrix, d, z) -> np.ndarray:
-    """M_D(z) = (D - M(z))^{-1} for z off the real axis."""
-    return extension_weyl(m, d)(z)
-
-
 def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> float:
     """Relative Frobenius defect of both composed forms of M_D via M_{D'}."""
     D, Dp = as_parameter(d).D, as_parameter(d_prime).D
     n = D.shape[0]
     eye = np.eye(n)
-    md = weyl_of_extension(m, D, z)
-    mdp = weyl_of_extension(m, Dp, z)
+    md = extension_weyl(m, D)(z)
+    mdp = extension_weyl(m, Dp)(z)
     delta = D - Dp
     form1 = mdp @ _inv_checked(delta @ mdp + eye, "(D-D')M_D' + I")
     form2 = _inv_checked(mdp @ delta + eye, "M_D'(D-D') + I") @ mdp

@@ -43,6 +43,9 @@ def matrix_in(rows, n: int, where: str) -> np.ndarray:
             raise InputError(f"{where}: row {i} must have {n} entries")
         for j, v in enumerate(row):
             out[i, j] = _complex_in(v, f"{where}[{i}][{j}]")
+    if not np.isfinite(out).all():      # json reads NaN and Infinity
+        i, j = np.argwhere(~np.isfinite(out))[0]
+        raise InputError(f"{where}[{i}][{j}]: not a finite number")
     return out
 
 
@@ -94,9 +97,8 @@ def load_herglotz(path: str, tols: Tolerances = DEFAULT_TOLS) -> HerglotzMatrix:
     return HerglotzMatrix.from_measure(omega, c)
 
 
-def load_hermitian(path: str, where: str = None) -> np.ndarray:
+def load_hermitian(path: str) -> np.ndarray:
     """Hermitian matrix file: either bare rows or {"D": rows}."""
-    where = where or path
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -104,10 +106,10 @@ def load_hermitian(path: str, where: str = None) -> np.ndarray:
         raise InputError(f"{path}: {exc}") from exc
     rows = doc.get("D", doc) if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not rows:
-        raise InputError(f"{where}: expected a matrix")
-    a = matrix_in(rows, len(rows), where)
+        raise InputError(f"{path}: expected a matrix")
+    a = matrix_in(rows, len(rows), f"{path}: D")
     if not is_hermitian(a):
-        raise InputError(f"{where}: matrix is not Hermitian")
+        raise InputError(f"{path}: matrix is not Hermitian")
     return a
 
 

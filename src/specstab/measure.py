@@ -35,11 +35,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-12):
-    """Whether a matrix (or each of a stack) is Hermitian to tol·max(1, ‖a‖)."""
+def is_hermitian(a: np.ndarray):
+    """Whether a matrix (or each of a stack) is Hermitian to 1e-12·max(1, ‖a‖)."""
     a = np.asarray(a)
     scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
-    return np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) <= tol * scale
+    return np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) <= 1e-12 * scale
 
 
 def is_psd(a: np.ndarray, rank_tol: float):

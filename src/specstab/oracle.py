@@ -129,8 +129,7 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float],
     return out
 
 
-def residue_mass(m: HerglotzMatrix, d, p: float, kernel_dim: int = None,
-                 tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def residue_mass(m: HerglotzMatrix, d, p: float, kernel_dim: int = None) -> np.ndarray:
     """Mass of the pole p of M_D: minus its residue, by kernel projection.
 
     With V an orthonormal basis of ker(D - M(p)) and M'(p) = T(p), the
@@ -168,7 +167,7 @@ def classify(m: HerglotzMatrix, d, interval: Tuple[float, float],
     n = m.dim
     records = []
     for p, kdim in real_poles(m, d, interval, tols):
-        mass = residue_mass(m, d, p, kdim, tols)
+        mass = residue_mass(m, d, p, kdim)
         rank = matrix_rank(mass, tols.rank_tol)
         records.append(PoleRecord(p, mass, rank, kdim, rank == n))
     return SpectralReport(records)

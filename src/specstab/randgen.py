@@ -29,18 +29,15 @@ def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_gap_matrix(rng: np.random.Generator, n: int,
-                      min_abs_eig: float = 1e-1, max_abs_eig: float = 2.0) -> np.ndarray:
-    """Hermitian matrix whose eigenvalues are bounded away from zero."""
+def random_gap_matrix(rng: np.random.Generator, n: int, min_abs_eig: float = 1e-1) -> np.ndarray:
+    """Hermitian matrix with eigenvalue magnitudes in [min_abs_eig, 2)."""
     q = random_unitary(rng, n)
-    mags = rng.uniform(min_abs_eig, max_abs_eig, size=n)
+    mags = rng.uniform(min_abs_eig, 2.0, size=n)
     signs = rng.choice([-1.0, 1.0], size=n)
     return q @ np.diag(mags * signs) @ q.conj().T
 
 
-def random_atomic_measure(rng: np.random.Generator, n: int,
-                          n_atoms: int = None,
-                          allow_rank_deficient: bool = True,
+def random_atomic_measure(rng: np.random.Generator, n: int, n_atoms: int = None,
                           tols: Tolerances = DEFAULT_TOLS) -> MatrixMeasure:
     """Atoms at well-separated random points with random PSD weights.
 
@@ -59,7 +56,7 @@ def random_atomic_measure(rng: np.random.Generator, n: int,
                          f"within {MAX_DRAWS} draws")
     atoms = []
     for k, x in enumerate(pts):
-        if allow_rank_deficient and n > 1 and k > 0 and rng.random() < 0.3:
+        if n > 1 and k > 0 and rng.random() < 0.3:
             rank = int(rng.integers(1, n))
         else:
             rank = n
@@ -82,12 +79,11 @@ def random_herglotz(rng: np.random.Generator, n: int = None,
     return HerglotzMatrix.from_measure(omega, c)
 
 
-def point_off_atoms(rng: np.random.Generator, omega: MatrixMeasure,
-                    lo: float, hi: float, min_dist: float = 0.05) -> float:
-    """Uniform draw in [lo, hi] rejected while too close to an atom."""
+def point_off_atoms(rng: np.random.Generator, omega: MatrixMeasure, lo: float, hi: float) -> float:
+    """Uniform draw in [lo, hi] rejected while within 0.05 of an atom."""
     pts = np.array([at.x for at in omega.atoms])
     for _ in range(MAX_DRAWS):
         x = float(rng.uniform(lo, hi))
-        if pts.size == 0 or np.abs(pts - x).min() >= min_dist:
+        if pts.size == 0 or np.abs(pts - x).min() >= 0.05:
             return x
     raise RuntimeError("could not place a point away from the atoms")

@@ -5,7 +5,7 @@ from specstab import (DEFAULT_TOLS, Atom, ConditioningError, ExtensionParameter,
                       HerglotzMatrix, MatrixMeasure, PreconditionError,
                       extension_for_point, is_divergent, mass_at_max_mult,
                       max_mult_test, max_mult_test_via,
-                      resolvent_identity_residual, weyl_of_extension)
+                      resolvent_identity_residual)
 from specstab.extensions import _inv_checked, extension_weyl
 from specstab.herglotz import atom_mass, boundary_value
 from specstab.randgen import (random_gap_matrix, random_herglotz,
@@ -24,23 +24,23 @@ class TestExtensionParameter:
 
 class TestWeylOfExtension:
     def test_scalar_closed_form(self, single_atom):
-        v = weyl_of_extension(single_atom, [[-0.5]], 3j)
+        v = extension_weyl(single_atom, [[-0.5]])(3j)
         assert v[0, 0] == pytest.approx(1.0 / (-0.5 - 1j / 3))
 
     def test_two_atom_closed_form(self, two_atom):
         for z in [1j, 2 + 0.5j]:
-            v = weyl_of_extension(two_atom, np.zeros((2, 2)), z)
+            v = extension_weyl(two_atom, np.zeros((2, 2)))(z)
             assert np.allclose(v, (z ** 2 - 1) / (2 * z) * np.eye(2))
 
     def test_conjugate_symmetry(self, two_atom):
         d = random_hermitian(np.random.default_rng(1), 2)
         z = 0.7 + 1.3j
-        assert np.allclose(weyl_of_extension(two_atom, d, np.conj(z)),
-                           weyl_of_extension(two_atom, d, z).conj().T)
+        assert np.allclose(extension_weyl(two_atom, d)(np.conj(z)),
+                           extension_weyl(two_atom, d)(z).conj().T)
 
     def test_herglotz_sign(self, two_atom):
         d = random_hermitian(np.random.default_rng(2), 2)
-        v = weyl_of_extension(two_atom, d, 0.4 + 0.9j)
+        v = extension_weyl(two_atom, d)(0.4 + 0.9j)
         w = np.linalg.eigvalsh((v - v.conj().T) / 2j)
         assert w.min() >= -1e-12
 

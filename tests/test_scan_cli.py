@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -91,6 +92,24 @@ class TestIO:
         path = write_json(tmp_path / "d.json", [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
         with pytest.raises(InputError, match="Hermitian"):
             load_hermitian(path)
+
+    def test_non_finite_entry_names_its_location(self, tmp_path):
+        # json reads NaN and Infinity; each must be named where it stands
+        d = write_json(tmp_path / "d.json", {"D": [[[1, 0], [0, 0]], [[0, 0], [float("nan"), 0]]]})
+        with pytest.raises(InputError) as exc:
+            load_hermitian(d)
+        assert str(exc.value) == f"{d}: D[1][1]: not a finite number"
+        atom = {"x": 0.0, "W": [[[1, 0]]]}
+        for doc, where in [({"n": 1, "atoms": [atom], "C": [[[0, float("-inf")]]]}, "C[0][0]"),
+                           ({"n": 1, "atoms": [{"x": 0.0, "W": [[float("inf")]]}]},
+                            "atoms[0].W[0][0]"),
+                           ({"n": 1, "atoms": [atom], "ac": [{"a": 1.0, "b": 2.0,
+                                                              "rho": [[[float("nan"), 0]]]}]},
+                            "ac[0].rho[0][0]")]:
+            path = write_json(tmp_path / "m.json", doc)
+            with pytest.raises(InputError) as exc:
+                load_herglotz(path)
+            assert str(exc.value) == f"{path}: {where}: not a finite number"
 
 
 class TestCLI:
@@ -198,6 +217,50 @@ class TestCLI:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    def test_nan_in_d_file_exits_2_naming_the_entry(self, single_atom_file, tmp_path, capsys):
+        d = write_json(tmp_path / "d.json", [[[float("nan"), 0]]])
+        assert self.run("test", "--measure", single_atom_file, "--d-matrix", d, "--x", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {d}: D[0][0]: not a finite number\n"
+
+    @pytest.mark.parametrize("args", [("test", "--x", "0.3"), ("eigs", "--grid=-1:1:2")])
+    def test_d_matrix_is_required(self, single_atom_file, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            self.run(args[0], "--measure", single_atom_file, *args[1:])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--d-matrix" in captured.err
+
+    @pytest.mark.parametrize("args", [("boundary", "--x", "2", "--format", "csv"),
+                                      ("eval", "--z", "0,1", "--tol-bv", "1e-8")])
+    def test_option_the_command_does_not_read_exits_2(self, single_atom_file, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            self.run(args[0], "--measure", single_atom_file, *args[1:])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "unrecognized arguments" in captured.err
+
+    def test_option_census(self):
+        # each command declares exactly the options its code reads
+        base = {"--measure", "--out", "--tol-rank", "--tol-x"}
+        expected = {
+            "eval": base | {"--d-matrix", "--z"},
+            "boundary": base | {"--x", "--tol-bv"},
+            "tmatrix": base | {"--x"},
+            "masses": base | {"--d-matrix", "--x", "--tol-bv"},
+            "eigs": base | {"--d-matrix", "--grid"},
+            "test": base | {"--d-matrix", "--d-prime", "--x", "--tol-bv", "--tol-match"},
+            "scan": base | {"--grid", "--format"},
+            "verify": base | {"--trials", "--seed", "--tol-bv", "--tol-match"},
+        }
+        sub = next(a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        declared = {name: {opt for action in p._actions for opt in action.option_strings
+                           if opt not in ("-h", "--help")}
+                    for name, p in sub.choices.items()}
+        assert declared == expected
+        assert sum(map(len, declared.values())) == 53
 
     def test_verify_rejects_negative_trials(self, single_atom_file, capsys):
         assert self.run("verify", "--measure", single_atom_file, "--trials", "-1") == 2
