@@ -7,6 +7,9 @@ identity, and decides whether a real energy is an eigenvalue of maximum
 multiplicity:  T(x) finite and M(x+i0) = D, or equivalently (through any
 second parameter D' with det(D - D') != 0) the boundary value of M_{D'}
 equals (D' - D)^{-1} with the corresponding divergence integral finite.
+``max_mult_test`` also takes a 1-D array of real points: those off the
+support share one T(x) and one closed-form boundary-value call.  Every
+parameter must be n x n for the n of the measure it meets.
 """
 
 from __future__ import annotations
@@ -19,8 +22,10 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .herglotz import (ConditioningError, HerglotzMatrix, boundary_value,
-                       eps_schedule, evaluate, richardson_limit)
-from .measure import Divergent, hermitian_part, is_divergent, is_hermitian
+                       eps_schedule, evaluate, integrate_cauchy,
+                       richardson_limit, t_matrix)
+from .measure import (Divergent, hermitian_part, is_batch, is_divergent,
+                      is_hermitian)
 
 
 # smallest singular value of D' - D accepted by the second-parameter test
@@ -70,9 +75,14 @@ class MaxMultEvidence:
         return hermitian_part(_inv_checked(np.asarray(self.t_value), "T(x)"))
 
 
-def as_parameter(d) -> ExtensionParameter:
-    """d itself if it is an ExtensionParameter, else d validated as one."""
-    return d if isinstance(d, ExtensionParameter) else ExtensionParameter(np.asarray(d))
+def as_parameter(d, n: int) -> ExtensionParameter:
+    """d itself if it is an ExtensionParameter, else d validated as one;
+    PreconditionError unless it is n x n, n the dimension of the measure."""
+    p = d if isinstance(d, ExtensionParameter) else ExtensionParameter(np.asarray(d))
+    if p.dim != n:
+        raise PreconditionError(f"the parameter is {p.dim}x{p.dim} but the measure "
+                                f"has n={n}")
+    return p
 
 
 def _inv_checked(a: np.ndarray, what: str) -> np.ndarray:
@@ -97,14 +107,14 @@ def extension_weyl(m: HerglotzMatrix, d):
     every z where D - M(z) is numerically singular; a single z raises
     ConditioningError there.
     """
-    D = as_parameter(d).D
+    D = as_parameter(d, m.dim).D
     return lambda z: _inv_checked(D - evaluate(m, z), "D - M(z)")
 
 
 def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> float:
     """Relative Frobenius defect of both composed forms of M_D via M_{D'}."""
-    D, Dp = as_parameter(d).D, as_parameter(d_prime).D
-    n = D.shape[0]
+    n = m.dim
+    D, Dp = as_parameter(d, n).D, as_parameter(d_prime, n).D
     eye = np.eye(n)
     md = extension_weyl(m, D)(z)
     mdp = extension_weyl(m, Dp)(z)
@@ -116,10 +126,31 @@ def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> fl
                float(np.linalg.norm(md - form2))) / scale
 
 
-def max_mult_test(m: HerglotzMatrix, d, x: float,
-                  tols: Tolerances = DEFAULT_TOLS) -> MaxMultEvidence:
-    """Decide maximum multiplicity at x: T(x) finite and M(x+i0) = D."""
-    D = as_parameter(d).D
+def max_mult_test(m: HerglotzMatrix, d, x, tols: Tolerances = DEFAULT_TOLS):
+    """Decide maximum multiplicity at x: T(x) finite and M(x+i0) = D.
+
+    For a 1-D array of x, a list with one MaxMultEvidence per point, in
+    order.  The points off the support share one ``t_matrix`` and one
+    ``integrate_cauchy`` call, whose closed form is the boundary value
+    there; each point on the support takes ``boundary_value`` alone.
+    """
+    D = as_parameter(d, m.dim).D
+    if not is_batch(x):
+        return _test_at(m, D, x, tols)
+    xs = np.asarray(x, dtype=float)
+    on = m.omega.on_support(xs)
+    off = xs[~on]
+    t = t_matrix(m, off)
+    mb = hermitian_part(integrate_cauchy(m, off))
+    residuals = np.linalg.norm(mb - D, axis=(1, 2)).tolist()
+    closed = iter([MaxMultEvidence(p, tp, mp, r, r <= tols.tol_match)
+                   for p, tp, mp, r in zip(off.tolist(), t, mb, residuals)])
+    return [_test_at(m, D, p, tols) if at else next(closed)
+            for p, at in zip(xs.tolist(), on.tolist())]
+
+
+def _test_at(m: HerglotzMatrix, D: np.ndarray, x: float,
+             tols: Tolerances) -> MaxMultEvidence:
     rep = boundary_value(m, x, tols)
     if rep.converged:
         residual = float(np.linalg.norm(rep.m_boundary - D))
@@ -141,7 +172,7 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float,
     once, over the whole ε-schedule, for both limits.  Undecided is
     reported as Divergent(()).
     """
-    D, dp = as_parameter(d).D, as_parameter(d_prime)
+    D, dp = as_parameter(d, m.dim).D, as_parameter(d_prime, m.dim)
     gap = dp.D - D
     s = np.linalg.svd(gap, compute_uv=False)
     if s[-1] <= MIN_GAP_SV:

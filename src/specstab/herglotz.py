@@ -9,6 +9,9 @@ extrapolation and geometric blow-up detection.  At a real point T(x)
 chooses the path: where it is finite the boundary value is closed form.
 The schedule is sampled in one array call: ``evaluate`` takes a 1-D array
 of z and returns the stack of M(z), so a limit costs one ``integrate``.
+Real points come in arrays too: ``t_matrix`` and ``integrate_cauchy``
+take a 1-D array of real x and return the stack of T(x) and of the
+closed-form M(x), or a Divergent when any of the points is on the support.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .measure import (CauchyKernel, Divergent, MatrixMeasure,
                       PoissonSquareKernel, hermitian_part, integrate,
-                      is_divergent, is_hermitian)
+                      is_batch, is_divergent, is_hermitian)
 
 
 class NotConvergedError(RuntimeError):
@@ -81,20 +84,27 @@ class BoundaryReport:
 def evaluate(m: HerglotzMatrix, z) -> np.ndarray:
     """M(z) for z off the real axis: (n, n) for a number, (S, n, n) for a
     1-D array of S points (ValueError if any of them is real)."""
-    if not np.ndim(z) and complex(z).imag == 0.0:
+    # a complex batch holding a real z is CauchyKernel's ValueError
+    if (not np.iscomplexobj(z)) if is_batch(z) else complex(z).imag == 0.0:
         raise ValueError("evaluate requires Im z != 0; use boundary_value for real x")
     return integrate_cauchy(m, z)
 
 
 def integrate_cauchy(m: HerglotzMatrix, z):
+    """C + ∫ (1/(y-z) - y/(1+y²)) dΩ(y) at z, or at each point of a 1-D
+    array (a complex one off the real axis, or a real one, batched as in
+    ``CauchyKernel``); Divergent where a real z meets the support."""
     v = integrate(CauchyKernel(z), m.omega)
     if is_divergent(v):
         return v
     return m.C + v
 
 
-def t_matrix(m: HerglotzMatrix, x: float) -> Union[np.ndarray, Divergent]:
-    """T(x) = ∫ dΩ(y)/(x-y)², or Divergent with the offending directions."""
+def t_matrix(m: HerglotzMatrix, x) -> Union[np.ndarray, Divergent]:
+    """T(x) = ∫ dΩ(y)/(x-y)², or Divergent with the offending directions.
+
+    For a 1-D array of real x the stack of T(x), or Divergent when any
+    point is on the support (``integrate``'s all-or-nothing batch)."""
     v = integrate(PoissonSquareKernel(x), m.omega)
     if is_divergent(v):
         return v

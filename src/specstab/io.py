@@ -30,7 +30,11 @@ def _complex_in(v, where: str) -> complex:
     if isinstance(v, (int, float)):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+        try:
+            return complex(float(v[0]), float(v[1]))
+        except (TypeError, ValueError):
+            raise InputError(f"{where}: [re, im] entries must be real numbers, "
+                             f"got {v!r}") from None
     raise InputError(f"{where}: expected [re, im] pair, got {v!r}")
 
 

@@ -11,8 +11,10 @@ s off the atoms where H(s) is invertible and μ = 1/(x - s),
 so the poles are s + 1/μ over the nonzero eigenvalues μ of the Hermitian
 X' + B'* H(s)^{-1} B' (a pole at infinity is μ = 0), with the eigenvalue
 multiplicity as kernel dimension.  Masses come from residue calculus on
-the kernel of H at each pole; maximum multiplicity means that the rank
-of the mass equals the ambient dimension.
+the kernel of H at each pole, for all the poles in one stacked pass (one
+eigendecomposition of the stack of H(p), one batched T(p), one inverse
+per kernel dimension); maximum multiplicity means that the rank of the
+mass equals the ambient dimension.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from .config import DEFAULT_TOLS, Tolerances
 from .extensions import as_parameter
 from .herglotz import HerglotzMatrix, integrate_cauchy, t_matrix
-from .measure import hermitian_part, is_divergent, matrix_rank
+from .measure import hermitian_part, is_batch, is_divergent, matrix_rank
 
 # an eigenvalue of H within KERNEL_TOL·max(1, ‖H‖) of 0 counts as a kernel
 # direction; a shift with one is numerically singular
@@ -55,10 +57,13 @@ class SpectralReport:
         return [pr.p for pr in self.poles if pr.is_max_mult]
 
 
-def _h(m: HerglotzMatrix, D: np.ndarray, x: float) -> np.ndarray:
+def _h(m: HerglotzMatrix, D: np.ndarray, x) -> np.ndarray:
+    """H(x), or the stack of H at a 1-D array of x; OracleError naming the
+    first x on the support."""
     val = integrate_cauchy(m, x)
     if is_divergent(val):
-        raise OracleError(f"H evaluated on the support at x={x}")
+        at = x[m.omega.on_support(x)][0] if is_batch(x) else x
+        raise OracleError(f"H evaluated on the support at x={at}")
     return hermitian_part(D - val)
 
 
@@ -76,7 +81,7 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float],
     ν(b) - ν(a) + Σ_{a<x_k<b} rank W_k, ν counting the negative eigenvalues
     of H (H decreases between atoms, and crossing x_k takes rank W_k away).
     """
-    D = as_parameter(d).D
+    D = as_parameter(d, m.dim).D
     omega = m.omega
     if not omega.purely_atomic:
         raise OracleError("pole search requires a purely atomic measure")
@@ -129,30 +134,39 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float],
     return out
 
 
-def residue_mass(m: HerglotzMatrix, d, p: float, kernel_dim: int = None) -> np.ndarray:
+def residue_mass(m: HerglotzMatrix, d, p, kernel_dim=None) -> np.ndarray:
     """Mass of the pole p of M_D: minus its residue, by kernel projection.
 
     With V an orthonormal basis of ker(D - M(p)) and M'(p) = T(p), the
-    residue closed form is V (V* T(p) V)^{-1} V*.  Raises OracleError when
-    the projected derivative is ill-conditioned.
+    residue closed form is V (V* T(p) V)^{-1} V*.  For a 1-D array of
+    poles (and of kernel dimensions, or one for all) it returns the stack
+    of masses.  Raises OracleError, naming the pole, when p is on the
+    support, is not a pole, or has an ill-conditioned projected derivative.
     """
-    D = as_parameter(d).D
-    h = _h(m, D, p)
-    w, vecs = np.linalg.eigh(h)
+    D = as_parameter(d, m.dim).D
+    ps = np.array(p, dtype=float, ndmin=1)
+    w, vecs = np.linalg.eigh(_h(m, D, ps))
     if kernel_dim is None:
-        scale = max(1.0, float(np.abs(w).max()))
-        kernel_dim = int(np.count_nonzero(np.abs(w) <= KERNEL_TOL * scale))
-        if kernel_dim == 0:
-            raise OracleError(f"x={p} is not a pole of M_D")
-    order = np.argsort(np.abs(w))
-    v = vecs[:, order[:kernel_dim]]
-
-    t = t_matrix(m, p)      # finite: _h has raised on the support
-    proj = v.conj().T @ t @ v
-    s = np.linalg.svd(proj, compute_uv=False)
-    if s[-1] <= 1e-10 * max(1.0, s[0]):
-        raise OracleError(f"ill-conditioned projected derivative at p={p}")
-    return hermitian_part(v @ np.linalg.inv(proj) @ v.conj().T)
+        scale = np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))
+        kernel_dim = np.count_nonzero(np.abs(w) <= KERNEL_TOL * scale[:, None], axis=1)
+        if not kernel_dim.all():
+            raise OracleError(f"x={ps[kernel_dim == 0][0]} is not a pole of M_D")
+    kdims = np.broadcast_to(kernel_dim, ps.shape)
+    # eigenvectors by increasing |eigenvalue|: the kernel comes first
+    vecs = np.take_along_axis(vecs, np.argsort(np.abs(w), axis=1)[:, None, :], axis=2)
+    t = t_matrix(m, ps)      # finite: _h has raised on the support
+    out = np.empty_like(vecs)
+    for k in np.unique(kdims).tolist():
+        sel = kdims == k
+        v = vecs[sel, :, :k]
+        vh = v.conj().swapaxes(1, 2)
+        proj = vh @ t[sel] @ v
+        s = np.linalg.svd(proj, compute_uv=False)
+        bad = s[:, -1] <= 1e-10 * np.maximum(1.0, s[:, 0])
+        if bad.any():
+            raise OracleError(f"ill-conditioned projected derivative at p={ps[sel][bad][0]}")
+        out[sel] = hermitian_part(v @ np.linalg.inv(proj) @ vh)
+    return out if is_batch(p) else out[0]
 
 
 def classify(m: HerglotzMatrix, d, interval: Tuple[float, float],
@@ -163,11 +177,12 @@ def classify(m: HerglotzMatrix, d, interval: Tuple[float, float],
     dimension of the kernel at the pole; they should agree, and a
     disagreement is left in the record for the caller to report.
     """
-    d = as_parameter(d)
     n = m.dim
-    records = []
-    for p, kdim in real_poles(m, d, interval, tols):
-        mass = residue_mass(m, d, p, kdim)
-        rank = matrix_rank(mass, tols.rank_tol)
-        records.append(PoleRecord(p, mass, rank, kdim, rank == n))
-    return SpectralReport(records)
+    d = as_parameter(d, n)
+    poles = real_poles(m, d, interval, tols)
+    ps = np.array([p for p, _ in poles], dtype=float)
+    kdims = np.array([kdim for _, kdim in poles], dtype=int)
+    masses = residue_mass(m, d, ps, kdims)
+    ranks = matrix_rank(masses, tols.rank_tol).tolist()
+    return SpectralReport([PoleRecord(p, mass, rank, kdim, rank == n)
+                           for (p, kdim), mass, rank in zip(poles, masses, ranks)])

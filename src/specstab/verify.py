@@ -44,10 +44,8 @@ def _scan_window(rng, omega: MatrixMeasure, x0: float, m: HerglotzMatrix, d):
     for _ in range(50):
         a = lo - float(rng.uniform(0.0, 0.5))
         b = hi + float(rng.uniform(0.0, 0.5))
-        ha = d.D - integrate_cauchy(m, a)
-        hb = d.D - integrate_cauchy(m, b)
-        if (np.linalg.svd(ha, compute_uv=False)[-1] > 1e-6
-                and np.linalg.svd(hb, compute_uv=False)[-1] > 1e-6):
+        h = d.D - integrate_cauchy(m, [a, b])
+        if (np.linalg.svd(h, compute_uv=False)[:, -1] > 1e-6).all():
             return a, b
     raise RuntimeError("could not pick nonsingular window endpoints")
 
@@ -71,8 +69,8 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
                            "oracle_max_mult": oracle_max})
 
     pole_rows = []
-    for pr in report.poles:
-        ev = max_mult_test(m, d, pr.p, tols)
+    evidence = max_mult_test(m, d, [pr.p for pr in report.poles], tols)
+    for pr, ev in zip(report.poles, evidence):
         row = {"p": pr.p, "rank": pr.rank, "oracle_max_mult": pr.is_max_mult,
                "criterion": bool(ev.verdict), "residual": ev.residual}
         if ev.verdict != pr.is_max_mult:

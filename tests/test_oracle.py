@@ -142,7 +142,8 @@ class TestClassify:
         assert all(pr.is_max_mult == (pr.rank == 3) for pr in rep.poles)
 
     def test_rank_disagreement_is_reported(self, single_atom, single_atom_file, monkeypatch):
-        monkeypatch.setattr(oracle, "matrix_rank", lambda a, rank_tol: 0)
+        monkeypatch.setattr(oracle, "matrix_rank",
+                            lambda a, rank_tol: np.zeros(len(a), dtype=int))
         pr, = classify(single_atom, [[-0.5]], (-1.0, 5.0)).poles
         assert (pr.rank, pr.kernel_dim, pr.is_max_mult) == (0, 1, False)
         trial, = run_verify(single_atom, 1, 7)["results"]
@@ -175,7 +176,8 @@ class TestLinearization:
             real_poles(m, np.zeros((2, 2)), (-3.0, 3.0))
 
     def test_ill_conditioned_projection_raises_without_warning(self, two_atom, monkeypatch):
-        monkeypatch.setattr(oracle, "t_matrix", lambda m, x: np.diag([1.0, 1e-12]))
+        monkeypatch.setattr(oracle, "t_matrix",
+                            lambda m, xs: np.tile(np.diag([1.0, 1e-12]), (len(xs), 1, 1)))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(OracleError, match="ill-conditioned"):

@@ -224,6 +224,22 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err == f"error: {d}: D[0][0]: not a finite number\n"
 
+    def test_non_numeric_entry_exits_2_naming_the_entry(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", {"n": 1, "atoms": [{"x": 0.0, "W": [[["abc", 0]]]}]})
+        assert self.run("tmatrix", "--measure", path, "--x", "1") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: {path}: atoms[0].W[0][0]: [re, im] entries must be real numbers, "
+            "got ['abc', 0]\n")
+
+    @pytest.mark.parametrize("args", [("test", "--x", "0.3"), ("eigs", "--grid=-1:1:2")])
+    def test_d_of_the_wrong_size_exits_2(self, single_atom_file, tmp_path, capsys, args):
+        d = write_json(tmp_path / "d.json", [[[1, 0], [0, 0]], [[0, 0], [1, 0]]])
+        assert self.run(args[0], "--measure", single_atom_file, "--d-matrix", d, *args[1:]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: the parameter is 2x2 but the measure has n=1\n")
+
     @pytest.mark.parametrize("args", [("test", "--x", "0.3"), ("eigs", "--grid=-1:1:2")])
     def test_d_matrix_is_required(self, single_atom_file, capsys, args):
         with pytest.raises(SystemExit) as exc:
