@@ -98,7 +98,7 @@ def _evidence_doc(ev) -> dict:
     return doc
 
 
-def cmd_eval(args, m, tols):
+def cmd_eval(args, m):
     if args.d_matrix:
         val = extension_weyl(m, load_hermitian(args.d_matrix))(args.z)
     else:
@@ -107,8 +107,8 @@ def cmd_eval(args, m, tols):
     return EXIT_OK
 
 
-def cmd_boundary(args, m, tols):
-    rep = boundary_value(m, args.x, tols)
+def cmd_boundary(args, m):
+    rep = boundary_value(m, args.x)
     doc = {"x": rep.x, "converged": rep.converged, "t_finite": rep.t_finite,
            "t": _maybe_matrix(rep.t_matrix)}
     if rep.converged:
@@ -117,23 +117,23 @@ def cmd_boundary(args, m, tols):
     return EXIT_OK
 
 
-def cmd_tmatrix(args, m, tols):
+def cmd_tmatrix(args, m):
     t = t_matrix(m, args.x)
     _emit({"x": args.x, "t_finite": not is_divergent(t), "t": _maybe_matrix(t)}, args)
     return EXIT_OK
 
 
-def cmd_masses(args, m, tols):
+def cmd_masses(args, m):
     fn = extension_weyl(m, load_hermitian(args.d_matrix)) if args.d_matrix else m
-    w = atom_mass(fn, args.x, tols)
+    w = atom_mass(fn, args.x, m.omega.tols)
     _emit({"x": args.x, "mass": matrix_out(w)}, args)
     return EXIT_OK
 
 
-def cmd_eigs(args, m, tols):
+def cmd_eigs(args, m):
     d = load_hermitian(args.d_matrix)
     a, b, _ = args.grid
-    report = classify(m, d, (a, b), tols)
+    report = classify(m, d, (a, b))
     doc = {"interval": [a, b], "dim": m.dim, "measure": args.measure,
            "poles": [{"p": pr.p, "rank": pr.rank, "is_max_mult": pr.is_max_mult,
                       "mass": matrix_out(pr.mass)} for pr in report.poles]}
@@ -141,17 +141,17 @@ def cmd_eigs(args, m, tols):
     return EXIT_OK
 
 
-def cmd_test(args, m, tols):
+def cmd_test(args, m):
     d = load_hermitian(args.d_matrix)
     if args.d_prime:
-        ev = max_mult_test_via(m, d, load_hermitian(args.d_prime), args.x, tols)
+        ev = max_mult_test_via(m, d, load_hermitian(args.d_prime), args.x)
     else:
-        ev = max_mult_test(m, d, args.x, tols)
+        ev = max_mult_test(m, d, args.x)
     _emit(_evidence_doc(ev), args)
     return EXIT_OK
 
 
-def cmd_scan(args, m, tols):
+def cmd_scan(args, m):
     a, b, steps = args.grid
     config = ScanConfig(a, b, steps)
     records = scan_forbidden(m.omega, config)
@@ -165,8 +165,8 @@ def cmd_scan(args, m, tols):
     return EXIT_OK
 
 
-def cmd_verify(args, m, tols):
-    report = run_verify(m, args.trials, args.seed, tols)
+def cmd_verify(args, m):
+    report = run_verify(m, args.trials, args.seed)
     _emit(report, args)
     return EXIT_OK if report["ok"] else EXIT_MISMATCH
 
@@ -197,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, help, *options):
-        """Subcommand running fn(args, m, tols); an option written "--opt!" is required."""
+        """Subcommand running fn(args, m); an option written "--opt!" is required."""
         p = sub.add_parser(name, help=help)
         for opt in ("--measure!", *options, "--out", "--tol-rank", "--tol-x"):
             flag = opt.rstrip("!")
@@ -225,7 +225,7 @@ def main(argv=None) -> int:
         tols = DEFAULT_TOLS.with_overrides(
             rank_tol=args.tol_rank, tol_bv=args.tol_bv,
             tol_match=args.tol_match, tol_x=args.tol_x)
-        return args.fn(args, load_herglotz(args.measure, tols), tols)
+        return args.fn(args, load_herglotz(args.measure, tols))
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))

@@ -1,8 +1,9 @@
 """Global tolerance configuration.
 
-A single immutable record is threaded through every numerical routine so
-that rank decisions, limit convergence and matching thresholds can be
-overridden coherently (e.g. from CLI flags).
+A measure is built with one immutable record, and every analysis of that
+measure reads ``omega.tols``, so rank decisions, limit convergence,
+matching thresholds and support membership are overridden coherently
+(e.g. from CLI flags) by building the measure with the overrides.
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ class Tolerances:
     tol_bv: float = 1e-9        # Frobenius convergence threshold for eps-limits
     tol_match: float = 1e-7     # Frobenius threshold for boundary-value/parameter matching
     tol_x: float = 1e-12        # point location tolerance (roots, support membership)
-    eps0: float = 1e-2          # initial imaginary offset of the eps-schedule
-    max_halvings: int = 40      # eps-schedule length (eps_j = eps0 * 2**-j)
 
     def with_overrides(self, **kw) -> "Tolerances":
         kw = {k: v for k, v in kw.items() if v is not None}

@@ -20,10 +20,8 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
-from .herglotz import (ConditioningError, HerglotzMatrix, boundary_value,
-                       eps_schedule, evaluate, integrate_cauchy,
-                       richardson_limit, t_matrix)
+from .herglotz import (EPS, ConditioningError, HerglotzMatrix, boundary_value,
+                       evaluate, integrate_cauchy, richardson_limit, t_matrix)
 from .measure import (Divergent, hermitian_part, is_batch, is_divergent,
                       is_hermitian)
 
@@ -126,7 +124,7 @@ def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> fl
                float(np.linalg.norm(md - form2))) / scale
 
 
-def max_mult_test(m: HerglotzMatrix, d, x, tols: Tolerances = DEFAULT_TOLS):
+def max_mult_test(m: HerglotzMatrix, d, x):
     """Decide maximum multiplicity at x: T(x) finite and M(x+i0) = D.
 
     For a 1-D array of x, a list with one MaxMultEvidence per point, in
@@ -136,32 +134,30 @@ def max_mult_test(m: HerglotzMatrix, d, x, tols: Tolerances = DEFAULT_TOLS):
     """
     D = as_parameter(d, m.dim).D
     if not is_batch(x):
-        return _test_at(m, D, x, tols)
+        return _test_at(m, D, x)
     xs = np.asarray(x, dtype=float)
     on = m.omega.on_support(xs)
     off = xs[~on]
     t = t_matrix(m, off)
     mb = hermitian_part(integrate_cauchy(m, off))
     residuals = np.linalg.norm(mb - D, axis=(1, 2)).tolist()
-    closed = iter([MaxMultEvidence(p, tp, mp, r, r <= tols.tol_match)
+    closed = iter([MaxMultEvidence(p, tp, mp, r, r <= m.omega.tols.tol_match)
                    for p, tp, mp, r in zip(off.tolist(), t, mb, residuals)])
-    return [_test_at(m, D, p, tols) if at else next(closed)
+    return [_test_at(m, D, p) if at else next(closed)
             for p, at in zip(xs.tolist(), on.tolist())]
 
 
-def _test_at(m: HerglotzMatrix, D: np.ndarray, x: float,
-             tols: Tolerances) -> MaxMultEvidence:
-    rep = boundary_value(m, x, tols)
+def _test_at(m: HerglotzMatrix, D: np.ndarray, x: float) -> MaxMultEvidence:
+    rep = boundary_value(m, x)
     if rep.converged:
         residual = float(np.linalg.norm(rep.m_boundary - D))
     else:
         residual = math.inf
-    verdict = rep.t_finite and residual <= tols.tol_match
+    verdict = rep.t_finite and residual <= m.omega.tols.tol_match
     return MaxMultEvidence(x, rep.t_matrix, rep.m_boundary, residual, verdict)
 
 
-def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float,
-                      tols: Tolerances = DEFAULT_TOLS) -> MaxMultEvidence:
+def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidence:
     """The same verdict computed through a second extension parameter D'.
 
     Checks that the divergence integral of the measure of M_{D'} is finite
@@ -180,17 +176,17 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float,
             f"det(D - D') vanishes within tolerance (smallest sv {s[-1]:.3e})")
     target = _inv_checked(gap, "D' - D")
 
-    eps = eps_schedule(tols)
-    v = extension_weyl(m, dp)(x + 1j * eps)
-    im_over_eps = hermitian_part((v - v.conj().swapaxes(1, 2)) / 2j) / eps[:, None, None]
+    tols = m.omega.tols
+    v = extension_weyl(m, dp)(x + 1j * EPS)
+    im_over_eps = hermitian_part((v - v.conj().swapaxes(1, 2)) / 2j) / EPS[:, None, None]
 
-    t_val, _, ok = richardson_limit(lambda _: im_over_eps, tols, order=2)
+    t_val, _, ok = richardson_limit(im_over_eps, tols, order=2)
     if t_val is None:
         return MaxMultEvidence(x, Divergent(()), None, math.inf, False)
     if ok:
         t_val = hermitian_part(t_val)
 
-    bval, _, ok = richardson_limit(lambda _: v, tols)
+    bval, _, ok = richardson_limit(v, tols)
     if not ok:
         return MaxMultEvidence(x, t_val, None, math.inf, False)
     bval = hermitian_part(bval)
@@ -201,17 +197,15 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float,
     return MaxMultEvidence(x, t_val, bval, residual, verdict)
 
 
-def extension_for_point(m: HerglotzMatrix, x: float,
-                        tols: Tolerances = DEFAULT_TOLS) -> Optional[ExtensionParameter]:
+def extension_for_point(m: HerglotzMatrix, x: float) -> Optional[ExtensionParameter]:
     """The parameter D := M(x+i0) making x maximal, or None when T(x) diverges."""
-    rep = boundary_value(m, x, tols)
+    rep = boundary_value(m, x)
     return ExtensionParameter(rep.m_boundary) if rep.t_finite else None
 
 
-def mass_at_max_mult(m: HerglotzMatrix, d, x: float,
-                     tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def mass_at_max_mult(m: HerglotzMatrix, d, x: float) -> np.ndarray:
     """Eigenvalue mass T(x)^{-1} at a verified maximum-multiplicity point."""
-    ev = max_mult_test(m, d, x, tols)
+    ev = max_mult_test(m, d, x)
     if not ev.verdict:
         raise PreconditionError(f"x={x} is not a maximum-multiplicity point for this D")
     return ev.mass()

@@ -7,8 +7,10 @@ masses, and the divergence integrals of extension Weyl functions) run
 through one halving ε-schedule, ``richardson_limit``, with Richardson
 extrapolation and geometric blow-up detection.  At a real point T(x)
 chooses the path: where it is finite the boundary value is closed form.
-The schedule is sampled in one array call: ``evaluate`` takes a 1-D array
-of z and returns the stack of M(z), so a limit costs one ``integrate``.
+The schedule is the constant ``EPS``, sampled in one array call:
+``evaluate`` takes a 1-D array of z and returns the stack of M(z), so a
+limit costs one ``integrate``.  Every analysis reads the tolerances of the
+measure it runs on, ``m.omega.tols``.
 Real points come in arrays too: ``t_matrix`` and ``integrate_cauchy``
 take a 1-D array of real x and return the stack of T(x) and of the
 closed-form M(x), or a Divergent when any of the points is on the support.
@@ -17,7 +19,7 @@ closed-form M(x), or a Divergent when any of the points is on the support.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -111,19 +113,18 @@ def t_matrix(m: HerglotzMatrix, x) -> Union[np.ndarray, Divergent]:
     return hermitian_part(v)
 
 
-def eps_schedule(tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
-    """The halving schedule eps_j = eps0·2^-j, j = 0..max_halvings."""
-    return tols.eps0 * 0.5 ** np.arange(tols.max_halvings + 1)
+# the halving ε-schedule every limit samples: eps_j = 1e-2·2^-j, j = 0..40
+EPS = 1e-2 * 0.5 ** np.arange(41)
+EPS.setflags(write=False)
 
 
-def richardson_limit(sample: Callable[[np.ndarray], np.ndarray],
-                     tols: Tolerances = DEFAULT_TOLS,
+def richardson_limit(samples: np.ndarray, tols: Tolerances = DEFAULT_TOLS,
                      order: int = 1):
-    """Limit of sample(eps) as eps -> 0 on the halving schedule.
+    """Limit as eps -> 0 of a sequence sampled on the halving schedule.
 
-    ``sample`` is called once, with the whole ``eps_schedule`` array, and
-    returns the stack of samples, (S, n, n); a sample that could not be
-    formed (a numerically singular inverse) is NaN.  The scan is the one a
+    ``samples`` is the stack (len(EPS), n, n) of the sequence at each eps
+    of ``EPS`` (ValueError for any other length); a sample that could not
+    be formed (a numerically singular inverse) is NaN.  The scan is the one a
     sequential loop over the schedule would make: Richardson extrapolation
     of the given order (error assumed O(eps**order)), stopping at the
     first extrapolate within tol_bv of the previous one (Frobenius), or at
@@ -136,8 +137,9 @@ def richardson_limit(sample: Callable[[np.ndarray], np.ndarray],
     (all directions if none does), or None when the schedule ends
     undecided.  The trace holds the consumed (eps, sample) pairs.
     """
-    eps = eps_schedule(tols)
-    s = np.asarray(sample(eps), dtype=complex)
+    s = np.asarray(samples, dtype=complex)
+    if s.shape[:1] != EPS.shape:
+        raise ValueError(f"expected a stack of {len(EPS)} ε-samples, got shape {s.shape}")
     w = 2.0 ** order
     r = (w * s[1:] - s[:-1]) / (w - 1.0)     # r[i] extrapolates samples i, i+1
     norms = np.linalg.norm(r, axis=(1, 2))
@@ -148,13 +150,13 @@ def richardson_limit(sample: Callable[[np.ndarray], np.ndarray],
     blown = np.zeros(norms.size, dtype=bool)
     blown[3:] = (norms[3:] > 1e8) & grows[:-2] & grows[1:-1] & grows[2:]
     stops = np.flatnonzero(converged | blown)
-    used = int(stops[0]) + 2 if stops.size else len(eps)
+    used = int(stops[0]) + 2 if stops.size else len(EPS)
     unformed = np.flatnonzero(np.isnan(s[:used]).any(axis=(1, 2)))
     if unformed.size:
         raise ConditioningError(
-            f"the ε-sample at eps={eps[unformed[0]]:.3e} could not be formed "
+            f"the ε-sample at eps={EPS[unformed[0]]:.3e} could not be formed "
             "(numerically singular)")
-    trace = list(zip(eps[:used].tolist(), s[:used]))
+    trace = list(zip(EPS[:used].tolist(), s[:used]))
     if not stops.size:
         return None, trace, False
     i = used - 2
@@ -165,8 +167,7 @@ def richardson_limit(sample: Callable[[np.ndarray], np.ndarray],
     return Divergent(dirs or tuple(range(last.shape[0]))), trace, False
 
 
-def boundary_value(m: HerglotzMatrix, x: float,
-                   tols: Tolerances = DEFAULT_TOLS) -> BoundaryReport:
+def boundary_value(m: HerglotzMatrix, x: float) -> BoundaryReport:
     """M(x+i0) at a real point, plus T(x), which chooses the path.
 
     T(x) and the real-x Cauchy integral share one support lookup, so T(x)
@@ -180,7 +181,7 @@ def boundary_value(m: HerglotzMatrix, x: float,
         # Real kernel values against Hermitian weights: already Hermitian.
         return BoundaryReport(x, hermitian_part(integrate_cauchy(m, x)), True, t, [])
 
-    val, trace, ok = richardson_limit(lambda e: evaluate(m, x + 1j * e), tols)
+    val, trace, ok = richardson_limit(evaluate(m, x + 1j * EPS), m.omega.tols)
     return BoundaryReport(x, hermitian_part(val) if ok else None, ok, t, trace)
 
 
@@ -193,7 +194,7 @@ def atom_mass(f, x: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     carries none.
     """
     val, _, ok = richardson_limit(
-        lambda e: -1j * e[:, None, None] * np.asarray(f(x + 1j * e)), tols)
+        -1j * EPS[:, None, None] * np.asarray(f(x + 1j * EPS)), tols)
     if not ok:
         raise NotConvergedError(f"atom mass limit at x={x} did not converge")
     return hermitian_part(val)

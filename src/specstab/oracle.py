@@ -24,7 +24,6 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .extensions import as_parameter
 from .herglotz import HerglotzMatrix, integrate_cauchy, t_matrix
 from .measure import hermitian_part, is_batch, is_divergent, matrix_rank
@@ -57,22 +56,16 @@ class SpectralReport:
         return [pr.p for pr in self.poles if pr.is_max_mult]
 
 
-def _h(m: HerglotzMatrix, D: np.ndarray, x) -> np.ndarray:
-    """H(x), or the stack of H at a 1-D array of x; OracleError naming the
+def _h(m: HerglotzMatrix, D: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """The stack of H(x) at a 1-D array of x; OracleError naming the
     first x on the support."""
-    val = integrate_cauchy(m, x)
+    val = integrate_cauchy(m, xs)
     if is_divergent(val):
-        at = x[m.omega.on_support(x)][0] if is_batch(x) else x
-        raise OracleError(f"H evaluated on the support at x={at}")
+        raise OracleError(f"H evaluated on the support at x={xs[m.omega.on_support(xs)][0]}")
     return hermitian_part(D - val)
 
 
-def _negative_count(h: np.ndarray) -> int:
-    return int(np.count_nonzero(np.linalg.eigvalsh(h) < 0.0))
-
-
-def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float],
-               tols: Tolerances = DEFAULT_TOLS) -> List[Tuple[float, int]]:
+def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tuple[float, int]]:
     """All points in [a, b] where D - M is singular, with kernel dimensions.
 
     The shift is the midpoint of the widest gap between consecutive points
@@ -88,7 +81,7 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float],
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise OracleError(f"empty or inverted interval [{a}, {b}]")
-    xs, n = omega.xs, omega.dim
+    xs, n, tols = omega.xs, omega.dim, omega.tols
     if np.any(np.abs(np.subtract.outer([a, b], xs)) <= tols.tol_x):
         raise OracleError("interval endpoints must not be atoms")
 
@@ -117,8 +110,8 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float],
     roots = np.sort(xs_poles[(a <= xs_poles) & (xs_poles <= b)])
 
     inside = (a < xs) & (xs < b)
-    expected = (_negative_count(_h(m, D, b)) - _negative_count(_h(m, D, a))
-                + int(kept[inside].sum()))
+    nu = np.count_nonzero(np.linalg.eigvalsh(_h(m, D, np.array([a, b]))) < 0.0, axis=1)
+    expected = int(nu[1] - nu[0]) + int(kept[inside].sum())
     if roots.size != expected:
         raise OracleError(f"found {roots.size} poles in [{a}, {b}] where the "
                           f"inertia of D - M at the ends gives {expected}")
@@ -141,7 +134,8 @@ def residue_mass(m: HerglotzMatrix, d, p, kernel_dim=None) -> np.ndarray:
     residue closed form is V (V* T(p) V)^{-1} V*.  For a 1-D array of
     poles (and of kernel dimensions, or one for all) it returns the stack
     of masses.  Raises OracleError, naming the pole, when p is on the
-    support, is not a pole, or has an ill-conditioned projected derivative.
+    support, is not a pole, is given a kernel_dim outside 1..n, or has an
+    ill-conditioned projected derivative.
     """
     D = as_parameter(d, m.dim).D
     ps = np.array(p, dtype=float, ndmin=1)
@@ -152,6 +146,10 @@ def residue_mass(m: HerglotzMatrix, d, p, kernel_dim=None) -> np.ndarray:
         if not kernel_dim.all():
             raise OracleError(f"x={ps[kernel_dim == 0][0]} is not a pole of M_D")
     kdims = np.broadcast_to(kernel_dim, ps.shape)
+    bad = (kdims < 1) | (kdims > m.dim)
+    if bad.any():
+        raise OracleError(f"kernel_dim={kdims[bad][0]} at p={ps[bad][0]} is outside "
+                          f"1..{m.dim}")
     # eigenvectors by increasing |eigenvalue|: the kernel comes first
     vecs = np.take_along_axis(vecs, np.argsort(np.abs(w), axis=1)[:, None, :], axis=2)
     t = t_matrix(m, ps)      # finite: _h has raised on the support
@@ -169,8 +167,7 @@ def residue_mass(m: HerglotzMatrix, d, p, kernel_dim=None) -> np.ndarray:
     return out if is_batch(p) else out[0]
 
 
-def classify(m: HerglotzMatrix, d, interval: Tuple[float, float],
-             tols: Tolerances = DEFAULT_TOLS) -> SpectralReport:
+def classify(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> SpectralReport:
     """Locate every pole in the window and classify its multiplicity.
 
     ``rank`` is the rank of the residue mass and ``kernel_dim`` the
@@ -179,10 +176,10 @@ def classify(m: HerglotzMatrix, d, interval: Tuple[float, float],
     """
     n = m.dim
     d = as_parameter(d, n)
-    poles = real_poles(m, d, interval, tols)
+    poles = real_poles(m, d, interval)
     ps = np.array([p for p, _ in poles], dtype=float)
     kdims = np.array([kdim for _, kdim in poles], dtype=int)
     masses = residue_mass(m, d, ps, kdims)
-    ranks = matrix_rank(masses, tols.rank_tol).tolist()
+    ranks = matrix_rank(masses, m.omega.tols.rank_tol).tolist()
     return SpectralReport([PoleRecord(p, mass, rank, kdim, rank == n)
                            for (p, kdim), mass, rank in zip(poles, masses, ranks)])

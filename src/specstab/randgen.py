@@ -4,16 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .herglotz import HerglotzMatrix
 from .measure import Atom, MatrixMeasure
 
 MAX_DRAWS = 10000   # cap on every rejection-sampling loop
 
 
-def random_hermitian(rng: np.random.Generator, n: int, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return scale * 0.5 * (a + a.conj().T)
+    return 0.5 * (a + a.conj().T)
 
 
 def random_psd(rng: np.random.Generator, n: int, rank: int = None,
@@ -37,8 +36,8 @@ def random_gap_matrix(rng: np.random.Generator, n: int, min_abs_eig: float = 1e-
     return q @ np.diag(mags * signs) @ q.conj().T
 
 
-def random_atomic_measure(rng: np.random.Generator, n: int, n_atoms: int = None,
-                          tols: Tolerances = DEFAULT_TOLS) -> MatrixMeasure:
+def random_atomic_measure(rng: np.random.Generator, n: int,
+                          n_atoms: int = None) -> MatrixMeasure:
     """Atoms at well-separated random points with random PSD weights.
 
     The weights are arranged to sum to a positive-definite matrix so that
@@ -66,15 +65,14 @@ def random_atomic_measure(rng: np.random.Generator, n: int, n_atoms: int = None,
     if w[0] < 1e-3 * max(1.0, w[-1]):
         atoms[0] = Atom(atoms[0].x, np.asarray(atoms[0].W) + random_psd(rng, n, n, 0.5)
                         + 0.1 * np.eye(n))
-    return MatrixMeasure(n, atoms, tols=tols)
+    return MatrixMeasure(n, atoms)
 
 
 def random_herglotz(rng: np.random.Generator, n: int = None,
-                    with_offset: bool = True,
-                    tols: Tolerances = DEFAULT_TOLS) -> HerglotzMatrix:
+                    with_offset: bool = True) -> HerglotzMatrix:
     if n is None:
         n = int(rng.integers(1, 4))
-    omega = random_atomic_measure(rng, n, tols=tols)
+    omega = random_atomic_measure(rng, n)
     c = random_hermitian(rng, n) if with_offset and rng.random() < 0.5 else None
     return HerglotzMatrix.from_measure(omega, c)
 

@@ -12,7 +12,7 @@ be audited downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import ClassVar, Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -28,15 +28,13 @@ class ScanConfig:
     a: float
     b: float
     steps: int
-    m_schedule: Tuple[int, ...] = DEFAULT_M_SCHEDULE
+    m_schedule: ClassVar[Tuple[int, ...]] = DEFAULT_M_SCHEDULE
 
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"grid requires a < b, got [{self.a}, {self.b}]")
         if self.steps < 2:
             raise ValueError("grid needs at least 2 steps")
-        if any(m2 <= m1 for m1, m2 in zip(self.m_schedule, self.m_schedule[1:])):
-            raise ValueError("m_schedule must be strictly increasing")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.steps)

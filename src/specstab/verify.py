@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .extensions import (ExtensionParameter, extension_weyl, max_mult_test,
                          max_mult_test_via)
 from .herglotz import HerglotzMatrix, atom_mass, boundary_value, integrate_cauchy
@@ -50,17 +49,16 @@ def _scan_window(rng, omega: MatrixMeasure, x0: float, m: HerglotzMatrix, d):
     raise RuntimeError("could not pick nonsingular window endpoints")
 
 
-def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
-              tols: Tolerances = DEFAULT_TOLS) -> dict:
+def run_trial(rng: np.random.Generator, m: HerglotzMatrix) -> dict:
     """One equivalence trial on a purely atomic Herglotz function."""
     omega = m.omega
     n = m.dim
     lo, hi = omega.support_bounds()
     x0 = point_off_atoms(rng, omega, lo - 1.0, hi + 1.0)
     # validated once here; every criterion and oracle call takes it as is
-    d = ExtensionParameter(boundary_value(m, x0, tols).m_boundary)
+    d = ExtensionParameter(boundary_value(m, x0).m_boundary)
     window = _scan_window(rng, omega, x0, m, d)
-    report = classify(m, d, window, tols)
+    report = classify(m, d, window)
 
     mismatches = []
     oracle_max = report.max_mult_points()
@@ -69,7 +67,7 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
                            "oracle_max_mult": oracle_max})
 
     pole_rows = []
-    evidence = max_mult_test(m, d, [pr.p for pr in report.poles], tols)
+    evidence = max_mult_test(m, d, [pr.p for pr in report.poles])
     for pr, ev in zip(report.poles, evidence):
         row = {"p": pr.p, "rank": pr.rank, "oracle_max_mult": pr.is_max_mult,
                "criterion": bool(ev.verdict), "residual": ev.residual}
@@ -82,7 +80,7 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
             # the pole location carries up to ~1e-13 error, which caps the
             # attainable eps-limit precision well above tol_bv
             mass_eps = atom_mass(extension_weyl(m, d), pr.p,
-                                 tols.with_overrides(tol_bv=1e-6))
+                                 omega.tols.with_overrides(tol_bv=1e-6))
             d_res = float(np.linalg.norm(mass_t - pr.mass))
             d_eps = float(np.linalg.norm(mass_eps - pr.mass))
             row["mass_residue_vs_tinv"] = d_res
@@ -92,7 +90,7 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
             via_ok = True
             for _ in range(N_DPRIME):
                 dp = d.D + random_gap_matrix(rng, n)
-                ev2 = max_mult_test_via(m, d, dp, pr.p, tols)
+                ev2 = max_mult_test_via(m, d, dp, pr.p)
                 via_ok = via_ok and bool(ev2.verdict)
             row["dprime_criterion"] = via_ok
             if not via_ok:
@@ -109,8 +107,7 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix,
     }
 
 
-def run_verify(m: HerglotzMatrix, trials: int, seed: int,
-               tols: Tolerances = DEFAULT_TOLS) -> dict:
+def run_verify(m: HerglotzMatrix, trials: int, seed: int) -> dict:
     """Full campaign on one measure; deterministic given the seed."""
     if not m.omega.purely_atomic:
         raise ValueError("verification campaigns require a purely atomic measure")
@@ -118,7 +115,7 @@ def run_verify(m: HerglotzMatrix, trials: int, seed: int,
     if trials < 1:
         raise ValueError(f"a campaign needs at least one trial, got {trials}")
     rng = np.random.default_rng(seed)
-    results = [run_trial(rng, m, tols=tols) for _ in range(trials)]
+    results = [run_trial(rng, m) for _ in range(trials)]
     ok = all(r["ok"] for r in results)
     return {"seed": int(seed), "trials": trials, "dim": m.dim,
             "ok": ok, "results": results}

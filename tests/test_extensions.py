@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from specstab import (DEFAULT_TOLS, Atom, ConditioningError, ExtensionParameter,
-                      HerglotzMatrix, MatrixMeasure, PreconditionError,
+                      HerglotzMatrix, MatrixMeasure, PreconditionError, Tolerances,
                       extension_for_point, is_divergent, mass_at_max_mult,
                       max_mult_test, max_mult_test_via,
                       resolvent_identity_residual)
@@ -107,6 +107,18 @@ class TestMaxMultTest:
         e /= np.linalg.norm(e)
         d_bad = d + 10 * DEFAULT_TOLS.tol_match * e
         assert not max_mult_test(m, d_bad, x).verdict
+
+
+    def test_the_measures_tol_match_decides(self, two_atom):
+        # x=0 is a max-mult point of D = M(0) = 0; a 1e-12 offset passes
+        # the default tol_match and fails a measure built with 1e-30
+        d = 1e-12 * np.eye(2)
+        strict = HerglotzMatrix.from_measure(
+            MatrixMeasure(2, two_atom.omega.atoms, tols=Tolerances(tol_match=1e-30)))
+        for m, want in ((two_atom, True), (strict, False)):
+            assert max_mult_test(m, d, 0.0).verdict == want
+            assert max_mult_test(m, d, [0.0])[0].verdict == want
+            assert max_mult_test_via(m, d, np.eye(2), 0.0).verdict == want
 
 
 class TestMaxMultTestVia:

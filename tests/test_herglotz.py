@@ -5,7 +5,7 @@ from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       HerglotzMatrix, MatrixMeasure, NotConvergedError,
                       atom_mass, boundary_value, evaluate, is_divergent,
                       t_matrix)
-from specstab.herglotz import eps_schedule, richardson_limit
+from specstab.herglotz import EPS, richardson_limit
 from specstab.randgen import random_herglotz
 
 
@@ -72,7 +72,7 @@ class TestBoundaryValue:
             x = float(rng.uniform(5.0, 6.0))
             rep = boundary_value(m, x)
             from specstab.herglotz import richardson_limit
-            val, _, ok = richardson_limit(lambda e: evaluate(m, x + 1j * e))
+            val, _, ok = richardson_limit(evaluate(m, x + 1j * EPS))
             assert ok
             assert np.linalg.norm(val - rep.m_boundary) < 1e-7
 
@@ -97,25 +97,25 @@ def diag_stack(*columns):
 
 
 class TestRichardsonLimit:
-    FULL = DEFAULT_TOLS.max_halvings + 1
+    FULL = len(EPS)
 
     def test_blow_up_is_divergent_before_the_schedule_ends(self):
-        val, trace, ok = richardson_limit(lambda e: diag_stack(1.0 / e, 1.0))
+        val, trace, ok = richardson_limit(diag_stack(1.0 / EPS, 1.0))
         assert not ok and isinstance(val, Divergent) and val.directions == (0,)
         assert len(trace) < self.FULL
         # no real diagonal entry grows: every direction is reported
-        val, trace, ok = richardson_limit(lambda e: diag_stack(1j / e, 1.0))
+        val, trace, ok = richardson_limit(diag_stack(1j / EPS, 1.0))
         assert not ok and val.directions == (0, 1) and len(trace) < self.FULL
 
     def test_oscillation_is_undecided(self):
-        val, trace, ok = richardson_limit(lambda e: np.sin(1.0 / e)[:, None, None])
+        val, trace, ok = richardson_limit(np.sin(1.0 / EPS)[:, None, None])
         assert val is None and not ok
         assert len(trace) == self.FULL
 
     def test_second_order_error_converges(self):
         a = np.array([[2.0, 1j], [-1j, 3.0]])
         val, trace, ok = richardson_limit(
-            lambda e: a + (5.0 * e ** 2 + 7.0 * e ** 3)[:, None, None], order=2)
+            a + (5.0 * EPS ** 2 + 7.0 * EPS ** 3)[:, None, None], order=2)
         assert ok and np.linalg.norm(val - a) < 1e-8
         assert len(trace) == 7      # first-order extrapolation needs 12 samples
 
@@ -125,13 +125,12 @@ def sequential_limit(sample, tols=DEFAULT_TOLS, order=1):
     ε at a time, so it stops sampling where it stops; ``sample(eps)``
     raises ConditioningError where the sample cannot be formed."""
     w = 2.0 ** order
-    eps = tols.eps0
-    prev = sample(eps)
-    trace = [(eps, prev)]
+    schedule = EPS.tolist()
+    prev = sample(schedule[0])
+    trace = [(schedule[0], prev)]
     prev_r = None
     norms = []
-    for _ in range(tols.max_halvings):
-        eps *= 0.5
+    for eps in schedule[1:]:
         cur = sample(eps)
         trace.append((eps, cur))
         r = (w * cur - prev) / (w - 1.0)
@@ -164,20 +163,17 @@ SEQUENCES = {
 
 
 def _samplers(fn, unformed):
-    """The same sequence as a scalar sampler that raises and as an array
-    sampler that marks the unformed schedule indices with NaN."""
-    schedule = eps_schedule().tolist()
+    """The same sequence as a scalar sampler that raises and as the stack
+    on ``EPS`` that marks the unformed schedule indices with NaN."""
+    schedule = EPS.tolist()
 
     def scalar(e):
         if schedule.index(e) in unformed:
             raise ConditioningError(f"no sample at eps={e}")
         return np.asarray(fn(e), dtype=complex)
 
-    def stacked(eps):
-        out = np.array([fn(e) for e in eps], dtype=complex)
-        out[list(unformed)] = np.nan
-        return out
-
+    stacked = np.array([fn(e) for e in schedule], dtype=complex)
+    stacked[list(unformed)] = np.nan
     return scalar, stacked
 
 
@@ -219,7 +215,7 @@ class TestVectorizedScan:
         fn = SEQUENCES["quadratic"]
         _, trace, ok = richardson_limit(_samplers(fn, set())[1], order=2)
         used = len(trace)
-        assert ok and used < DEFAULT_TOLS.max_halvings + 1
+        assert ok and used < len(EPS)
         # singular only after the stop: never looked at, no error
         val, trace, ok = richardson_limit(_samplers(fn, {used, used + 5})[1], order=2)
         assert ok and len(trace) == used
@@ -227,17 +223,15 @@ class TestVectorizedScan:
         with pytest.raises(ConditioningError, match="eps="):
             richardson_limit(_samplers(fn, {used - 1})[1], order=2)
 
-    def test_sampler_is_called_once_with_the_schedule(self):
-        calls = []
+    def test_schedule_is_a_read_only_constant(self):
+        np.testing.assert_array_equal(EPS, 1e-2 * 0.5 ** np.arange(41))
+        with pytest.raises(ValueError, match="read-only"):
+            EPS[0] = 1.0
 
-        def sample(eps):
-            calls.append(eps.copy())
-            return np.ones((eps.size, 1, 1))
-
-        richardson_limit(sample)
-        assert len(calls) == 1
-        np.testing.assert_array_equal(
-            calls[0], DEFAULT_TOLS.eps0 * 0.5 ** np.arange(DEFAULT_TOLS.max_halvings + 1))
+    @pytest.mark.parametrize("size", [0, 40, 42])
+    def test_a_stack_of_another_length_is_rejected(self, size):
+        with pytest.raises(ValueError, match="41"):
+            richardson_limit(np.ones((size, 1, 1)))
 
 
 class TestTMatrix:

@@ -26,7 +26,7 @@ from specstab import (ACPiece, Atom, CauchyKernel, ConditioningError,
                       PoissonSquareKernel, RegularizedKernel, boundary_value,
                       evaluate, extension_weyl, integrate, is_divergent,
                       t_matrix)
-from specstab.herglotz import integrate_cauchy, richardson_limit
+from specstab.herglotz import EPS, integrate_cauchy, richardson_limit
 
 TOL_X = DEFAULT_TOLS.tol_x
 REL = 1e-12
@@ -238,7 +238,7 @@ def test_closed_form_is_the_eps_limit_off_the_support(data):
     assume(not omega.on_support(x))
     m = HerglotzMatrix.from_measure(omega)
     closed = boundary_value(m, x).m_boundary
-    val, _, ok = richardson_limit(lambda e: evaluate(m, x + 1j * e), DEFAULT_TOLS)
+    val, _, ok = richardson_limit(evaluate(m, x + 1j * EPS), DEFAULT_TOLS)
     assert ok
     err = float(np.linalg.norm(val - closed))
     assert err <= 10 * DEFAULT_TOLS.tol_bv * max(1.0, float(np.linalg.norm(closed)))

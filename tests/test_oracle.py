@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from specstab import (DEFAULT_TOLS, Atom, HerglotzMatrix, MatrixMeasure,
-                      OracleError, classify, oracle, real_poles, residue_mass,
-                      run_verify)
+                      OracleError, Tolerances, classify, oracle, real_poles,
+                      residue_mass, run_verify)
 from specstab.cli import main
 from specstab.extensions import extension_weyl
 from specstab.herglotz import atom_mass, boundary_value, integrate_cauchy, t_matrix
@@ -35,6 +35,13 @@ class TestRealPoles:
     def test_endpoint_on_atom_rejected(self, single_atom):
         with pytest.raises(OracleError, match="endpoints"):
             real_poles(single_atom, [[-0.5]], (0.0, 3.0))
+
+    def test_endpoint_within_the_measures_tol_x_rejected(self, single_atom):
+        assert real_poles(single_atom, [[-0.5]], (1e-4, 3.0)) == [(pytest.approx(2.0), 1)]
+        wide = HerglotzMatrix.from_measure(
+            MatrixMeasure(1, single_atom.omega.atoms, tols=Tolerances(tol_x=1e-3)))
+        with pytest.raises(OracleError, match="endpoints"):
+            real_poles(wide, [[-0.5]], (1e-4, 3.0))
 
     def test_monotone_branches_along_brackets(self):
         # sorted eigenvalue branches of D - M(x) strictly decrease between atoms
@@ -91,6 +98,15 @@ class TestResidueMass:
     def test_not_a_pole(self, single_atom):
         with pytest.raises(OracleError, match="not a pole"):
             residue_mass(single_atom, [[-0.5]], 2.5)
+
+    @pytest.mark.parametrize("kdim", [0, 2])
+    def test_kernel_dim_outside_one_to_n_rejected(self, single_atom, kdim):
+        with pytest.raises(OracleError, match=f"kernel_dim={kdim} at p=2.0"):
+            residue_mass(single_atom, [[-0.5]], 2.0, kdim)
+
+    def test_one_bad_kernel_dim_in_a_batch_rejected(self, single_atom):
+        with pytest.raises(OracleError, match="kernel_dim=2 at p=2.0"):
+            residue_mass(single_atom, [[-0.5]], [2.0, 2.0], [1, 2])
 
     def test_agrees_with_eps_limit(self):
         rng = np.random.default_rng(37)
@@ -154,8 +170,9 @@ class TestClassify:
     def test_criterion_disagreement_is_reported(self, two_atom, two_atom_file, capsys):
         # no residual meets tol_match = 1e-30: the criterion says "no" at
         # the oracle's max-mult pole, and the trial reports it
-        tols = DEFAULT_TOLS.with_overrides(tol_match=1e-30)
-        trial, = run_verify(two_atom, 1, 0, tols)["results"]
+        omega = MatrixMeasure(2, two_atom.omega.atoms,
+                              tols=DEFAULT_TOLS.with_overrides(tol_match=1e-30))
+        trial, = run_verify(HerglotzMatrix.from_measure(omega), 1, 0)["results"]
         assert not trial["ok"]
         kinds = {mm["kind"] for mm in trial["mismatches"]}
         assert {"criterion_disagrees", "dprime_disagrees"} <= kinds

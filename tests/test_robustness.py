@@ -1,4 +1,8 @@
 import ast
+import dataclasses
+import importlib
+import inspect
+import pkgutil
 import time
 from pathlib import Path
 
@@ -18,6 +22,27 @@ def test_no_assert_in_library_code(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"assert statements in {path.name} at lines {lines}"
+
+
+def test_settings_census():
+    # every tolerance lives in the measure's record, which only the
+    # measure's builders take; settings nothing set are constants
+    assert ({f.name for f in dataclasses.fields(specstab.Tolerances)}
+            == {"rank_tol", "tol_bv", "tol_match", "tol_x"})
+    assert {f.name for f in dataclasses.fields(specstab.ScanConfig)} == {"a", "b", "steps"}
+    takes_tols = set()
+    for info in pkgutil.iter_modules(specstab.__path__):
+        mod = importlib.import_module(f"specstab.{info.name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            fns = vars(obj).values() if isinstance(obj, type) else [obj]
+            takes_tols |= {f"{info.name}.{f.__qualname__.removesuffix('.__init__')}"
+                           for f in fns if inspect.isfunction(f)
+                           and "tols" in inspect.signature(f).parameters}
+    assert takes_tols == {"measure.MatrixMeasure", "io.measure_from_dict", "io.load_measure",
+                          "io.load_herglotz", "herglotz.richardson_limit",
+                          "herglotz.atom_mass"}
 
 
 def test_run_verify_rejects_zero_trials(two_atom):
