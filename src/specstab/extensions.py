@@ -7,9 +7,11 @@ identity, and decides whether a real energy is an eigenvalue of maximum
 multiplicity:  T(x) finite and M(x+i0) = D, or equivalently (through any
 second parameter D' with det(D - D') != 0) the boundary value of M_{D'}
 equals (D' - D)^{-1} with the corresponding divergence integral finite.
-``max_mult_test`` also takes a 1-D array of real points: those off the
-support share one T(x) and one closed-form boundary-value call.  Every
-parameter must be n x n for the n of the measure it meets.
+In both forms T(x) chooses the path: off the support the boundary values
+and the divergence integral of M_{D'} are closed form, on it they are
+ε-limits.  ``max_mult_test`` also takes a 1-D array of real points: those
+off the support share one T(x) and one closed-form boundary-value call.
+Every parameter must be n x n for the n of the measure it meets.
 """
 
 from __future__ import annotations
@@ -161,12 +163,15 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
     """The same verdict computed through a second extension parameter D'.
 
     Checks that the divergence integral of the measure of M_{D'} is finite
-    and that M_{D'}(x+i0) = (D'-D)^{-1}.  All integrals of that measure are
-    taken through ε-limits of M_{D'}; the measure itself is never built.
-    The divergence integral is the limit of Im M_{D'}(x+iε)/ε, whose error
-    is O(ε²), so it is extrapolated at second order; M_{D'} is evaluated
-    once, over the whole ε-schedule, for both limits.  Undecided is
-    reported as Divergent(()).
+    and that M_{D'}(x+i0) = (D'-D)^{-1}.  T(x) chooses the path, as in
+    ``boundary_value``.  Where it is finite and D' - M(x) is invertible,
+    both are closed form: the boundary value is F = (D' - M(x))^{-1} and
+    the divergence integral is F T(x) F, since F' = F M' F and M' = T.
+    Elsewhere (on the support, or at a pole of M_{D'}) both are ε-limits
+    of M_{D'}, evaluated once over the whole schedule; the divergence
+    integral is the limit of Im M_{D'}(x+iε)/ε, whose error is O(ε²), so
+    it is extrapolated at second order.  Undecided is reported as
+    Divergent(()).
     """
     D, dp = as_parameter(d, m.dim).D, as_parameter(d_prime, m.dim)
     gap = dp.D - D
@@ -177,19 +182,29 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
     target = _inv_checked(gap, "D' - D")
 
     tols = m.omega.tols
-    v = extension_weyl(m, dp)(x + 1j * EPS)
-    im_over_eps = hermitian_part((v - v.conj().swapaxes(1, 2)) / 2j) / EPS[:, None, None]
+    t = t_matrix(m, x)
+    f = None
+    if not is_divergent(t):
+        try:
+            f = _inv_checked(dp.D - integrate_cauchy(m, x), "D' - M(x)")
+        except ConditioningError:
+            pass    # x is a pole of M_{D'}: the ε-limit reports it Divergent
+    if f is not None:
+        t_val, bval = hermitian_part(f @ t @ f), hermitian_part(f)
+    else:
+        v = extension_weyl(m, dp)(x + 1j * EPS)
+        im_over_eps = hermitian_part((v - v.conj().swapaxes(1, 2)) / 2j) / EPS[:, None, None]
 
-    t_val, _, ok = richardson_limit(im_over_eps, tols, order=2)
-    if t_val is None:
-        return MaxMultEvidence(x, Divergent(()), None, math.inf, False)
-    if ok:
-        t_val = hermitian_part(t_val)
+        t_val, _, ok = richardson_limit(im_over_eps, tols, order=2)
+        if t_val is None:
+            return MaxMultEvidence(x, Divergent(()), None, math.inf, False)
+        if ok:
+            t_val = hermitian_part(t_val)
 
-    bval, _, ok = richardson_limit(v, tols)
-    if not ok:
-        return MaxMultEvidence(x, t_val, None, math.inf, False)
-    bval = hermitian_part(bval)
+        bval, _, ok = richardson_limit(v, tols)
+        if not ok:
+            return MaxMultEvidence(x, t_val, None, math.inf, False)
+        bval = hermitian_part(bval)
     # relative match: the target norm grows like the inverse of the D-D' gap
     # and the eps-limit precision scales with it
     residual = float(np.linalg.norm(bval - target)) / max(1.0, float(np.linalg.norm(target)))

@@ -3,10 +3,11 @@
 Realizes the canonical representation M(z) = C + ∫ (1/(y-z) - y/(1+y²)) dΩ(y)
 together with its real boundary values, the divergence matrix T(x) and
 atomic mass recovery via -iε M(x+iε).  All ε-limits (boundary values,
-masses, and the divergence integrals of extension Weyl functions) run
-through one halving ε-schedule, ``richardson_limit``, with Richardson
-extrapolation and geometric blow-up detection.  At a real point T(x)
-chooses the path: where it is finite the boundary value is closed form.
+masses, and on the support the divergence integrals of extension Weyl
+functions) run through one halving ε-schedule, ``richardson_limit``,
+with Richardson extrapolation and geometric blow-up detection.  At a
+real point T(x) chooses the path: where it is finite the boundary value
+is closed form.
 The schedule is the constant ``EPS``, sampled in one array call:
 ``evaluate`` takes a 1-D array of z and returns the stack of M(z), so a
 limit costs one ``integrate``.  Every analysis reads the tolerances of the
@@ -185,14 +186,17 @@ def boundary_value(m: HerglotzMatrix, x: float) -> BoundaryReport:
     return BoundaryReport(x, hermitian_part(val) if ok else None, ok, t, trace)
 
 
-def atom_mass(f, x: float, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def atom_mass(f, x: float, tols: Optional[Tolerances] = None) -> np.ndarray:
     """Mass of the point x recovered as the limit of -iε f(x+iε).
 
     ``f`` is a HerglotzMatrix or any Herglotz callable that maps a 1-D
     array of z to the stack of its values (an extension Weyl function,
-    typically).  Returns the Hermitian PSD mass, the zero matrix when x
-    carries none.
+    typically).  The limit reads ``tols`` when given, else the measure's
+    own for a HerglotzMatrix and ``DEFAULT_TOLS`` for any other callable.
+    Returns the Hermitian PSD mass, the zero matrix when x carries none.
     """
+    if tols is None:
+        tols = f.omega.tols if isinstance(f, HerglotzMatrix) else DEFAULT_TOLS
     val, _, ok = richardson_limit(
         -1j * EPS[:, None, None] * np.asarray(f(x + 1j * EPS)), tols)
     if not ok:

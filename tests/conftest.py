@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import specstab.herglotz as hz
 from specstab import Atom, ACPiece, HerglotzMatrix, MatrixMeasure
 
 
@@ -24,6 +25,20 @@ def two_atom():
 def mixed_measure():
     """Atoms plus an absolutely continuous piece, n=1."""
     return MatrixMeasure(1, [Atom(2.0, [[1.0]])], [ACPiece(0.0, 1.0, [[1.0]])])
+
+
+@pytest.fixture
+def tol_bv_seen(monkeypatch):
+    """The tol_bv handed to each richardson_limit call, in call order."""
+    seen = []
+    real = hz.richardson_limit
+
+    def spy(samples, tols, order=1):
+        seen.append(tols.tol_bv)
+        return real(samples, tols, order)
+
+    monkeypatch.setattr(hz, "richardson_limit", spy)
+    return seen
 
 
 def write_json(path, doc):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
 
-from specstab import (DEFAULT_TOLS, Atom, ConditioningError, ExtensionParameter,
-                      HerglotzMatrix, MatrixMeasure, PreconditionError, Tolerances,
+import specstab.extensions as ext
+import specstab.herglotz as hz
+from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
+                      ExtensionParameter, HerglotzMatrix, MatrixMeasure,
+                      PreconditionError, Tolerances,
                       extension_for_point, is_divergent, mass_at_max_mult,
                       max_mult_test, max_mult_test_via,
                       resolvent_identity_residual)
 from specstab.extensions import _inv_checked, extension_weyl
-from specstab.herglotz import atom_mass, boundary_value
-from specstab.randgen import (random_gap_matrix, random_herglotz,
-                              random_hermitian, point_off_atoms)
+from specstab.herglotz import EPS, atom_mass, boundary_value, richardson_limit
+from specstab.measure import hermitian_part
+from specstab.randgen import (random_gap_matrix, random_herglotz, random_hermitian,
+                              random_psd, point_off_atoms)
 
 
 class TestExtensionParameter:
@@ -154,6 +158,98 @@ class TestMaxMultTestVia:
             for _ in range(5):
                 dp = d + random_gap_matrix(rng, n)
                 assert max_mult_test_via(m, d, dp, x).verdict
+
+
+    def test_off_the_support_no_eps_limit(self, two_atom, monkeypatch):
+        # T(x) finite: F = (D' - M(x))^{-1} and F T F are closed form
+        calls = []
+
+        def count(fn):
+            def wrapped(*args, **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            return wrapped
+
+        for mod in (ext, hz):
+            monkeypatch.setattr(mod, "evaluate", count(hz.evaluate))
+            monkeypatch.setattr(mod, "richardson_limit", count(hz.richardson_limit))
+        ev = max_mult_test_via(two_atom, np.zeros((2, 2)), np.eye(2), 0.0)
+        assert ev.verdict and calls == []
+        np.testing.assert_allclose(ev.t_value, 2 * np.eye(2), atol=1e-14)
+        # on the support both limits are taken over one evaluation
+        max_mult_test_via(two_atom, np.zeros((2, 2)), np.eye(2), 1.0)
+        assert calls == ["evaluate", "richardson_limit", "richardson_limit"]
+
+    def test_at_a_pole_of_the_dprime_weyl_function(self, single_atom):
+        # M(2) = -1/2 = D': D' - M(x) is singular, so the ε-limit decides
+        ev = max_mult_test_via(single_atom, [[0.0]], [[-0.5]], 2.0)
+        assert ev.t_value == Divergent((0,)) and not ev.verdict
+
+    def test_near_a_pole_of_the_dprime_weyl_function(self, single_atom):
+        # 1e-9 away from the pole T_{D'} = F T(x) F = F²/x² is finite
+        dp = -0.5 + 1e-9
+        ev = max_mult_test_via(single_atom, [[0.0]], [[dp]], 2.0)
+        f = 1.0 / (dp + 0.5)
+        assert ev.t_finite and not ev.verdict
+        assert ev.t_value[0, 0] == pytest.approx(f * f / 4.0, rel=1e-12)
+        assert ev.m_boundary[0, 0] == pytest.approx(f, rel=1e-12)
+
+
+def _eps_reference(m, dp, x):
+    """Both ε-limits of M_{D'} at x, taken as the schedule defines them:
+    T_{D'} (Divergent(()) when undecided) and the boundary value (None
+    unless T_{D'} is decided and the limit converges)."""
+    v = extension_weyl(m, dp)(x + 1j * EPS)
+    im_over_eps = hermitian_part((v - v.conj().swapaxes(1, 2)) / 2j) / EPS[:, None, None]
+    t, _, t_ok = richardson_limit(im_over_eps, m.omega.tols, order=2)
+    if t is None:
+        return Divergent(()), None
+    b, _, b_ok = richardson_limit(v, m.omega.tols)
+    return (hermitian_part(t) if t_ok else t), (hermitian_part(b) if b_ok else None)
+
+
+class TestViaAgreesWithEpsLimits:
+    """max_mult_test_via against the ε-limits of M_{D'} computed here."""
+
+    @staticmethod
+    def mixed(rng):
+        # random atoms plus one AC piece to the right of them
+        m = random_herglotz(rng)
+        lo, hi = m.omega.support_bounds()
+        piece = ACPiece(hi + 0.5, hi + 1.5, random_psd(rng, m.dim))
+        omega = MatrixMeasure(m.dim, m.omega.atoms, [piece])
+        return HerglotzMatrix(m.C, omega), lo, hi
+
+    def test_closed_form_off_the_support(self):
+        rng = np.random.default_rng(12)
+        for _ in range(6):
+            m, lo, hi = self.mixed(rng)
+            for _ in range(4):
+                x = point_off_atoms(rng, m.omega, lo - 0.5, hi + 0.4)
+                d = boundary_value(m, x).m_boundary
+                dp = d + random_gap_matrix(rng, m.dim)
+                ev = max_mult_test_via(m, d, dp, x)
+                t_ref, b_ref = _eps_reference(m, dp, x)
+                assert ev.verdict
+                assert np.linalg.norm(ev.t_value - t_ref) <= 1e-8 * np.linalg.norm(t_ref)
+                assert np.linalg.norm(ev.m_boundary - b_ref) <= 1e-8 * np.linalg.norm(b_ref)
+
+    def test_eps_limits_in_a_piece(self):
+        rng = np.random.default_rng(13)
+        for _ in range(6):
+            m, lo, hi = self.mixed(rng)
+            for _ in range(4):
+                x = float(rng.uniform(hi + 0.6, hi + 1.4))
+                d = random_hermitian(rng, m.dim)
+                dp = d + random_gap_matrix(rng, m.dim)
+                ev = max_mult_test_via(m, d, dp, x)
+                t_ref, b_ref = _eps_reference(m, dp, x)
+                if is_divergent(t_ref):
+                    assert ev.t_value == t_ref
+                else:
+                    assert np.array_equal(ev.t_value, t_ref)
+                assert (ev.m_boundary is None if b_ref is None
+                        else np.array_equal(ev.m_boundary, b_ref))
 
 
 class TestExtensionForPoint:

@@ -272,6 +272,16 @@ class TestAtomMass:
         fn = extension_weyl(two_atom, np.zeros((2, 2)))
         assert np.allclose(atom_mass(fn, 0.0), np.eye(2) / 2, atol=1e-8)
 
+    def test_reads_the_measures_tolerances(self, tol_bv_seen):
+        # a HerglotzMatrix brings its own tol_bv; another callable the default
+        omega = MatrixMeasure(1, [Atom(2.0, [[1.0]])], [ACPiece(0.0, 1.0, [[1.0]])],
+                              tols=DEFAULT_TOLS.with_overrides(tol_bv=1e-3))
+        m = HerglotzMatrix.from_measure(omega)
+        assert atom_mass(m, 2.0)[0, 0] == pytest.approx(1.0, abs=1e-3)
+        atom_mass(lambda z: evaluate(m, z), 2.0)
+        atom_mass(m, 2.0, DEFAULT_TOLS)
+        assert tol_bv_seen == [1e-3, DEFAULT_TOLS.tol_bv, DEFAULT_TOLS.tol_bv]
+
     def test_mass_consistency_random(self):
         rng = np.random.default_rng(31)
         for _ in range(10):

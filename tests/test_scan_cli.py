@@ -172,6 +172,15 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"]
 
+    def test_masses_of_an_extension_read_tol_bv(self, single_atom_file, tmp_path,
+                                                tol_bv_seen):
+        # M_D carries no tolerances of its own: --tol-bv reaches the limit
+        d = write_json(tmp_path / "d.json", [[[-0.5, 0]]])
+        for extra in ((), ("--d-matrix", d)):
+            assert self.run("masses", "--measure", single_atom_file, "--x", "0",
+                            "--tol-bv", "1e-3", *extra) == 0
+        assert tol_bv_seen == [1e-3, 1e-3]
+
     def test_scan_csv(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", {
             "n": 1,
