@@ -4,8 +4,8 @@ Commands: eval, boundary, tmatrix, masses, eigs, test, scan, verify, each
 declaring only the options it reads (``build_parser`` lists them).
 Inputs are the JSON measure/matrix files documented in ``specstab.io``;
 outputs go to stdout or --out as JSON, or as CSV for ``scan --format csv``.
-At a real x, T(x) chooses the boundary-value path: closed form where it
-is finite, the ε-limit where it diverges.
+At a real x the boundary value is closed form off the support, Plemelj
+in a piece interior, and an ε-limit at an atom or a piece end.
 Exit codes: 0 ok, 1 verification mismatch, 2 input error (NaN or ±inf
 in an argument or a matrix entry included), 3 numerical failure (a limit that
 did not converge, a numerically singular matrix).

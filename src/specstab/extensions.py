@@ -7,11 +7,12 @@ identity, and decides whether a real energy is an eigenvalue of maximum
 multiplicity:  T(x) finite and M(x+i0) = D, or equivalently (through any
 second parameter D' with det(D - D') != 0) the boundary value of M_{D'}
 equals (D' - D)^{-1} with the corresponding divergence integral finite.
-In both forms T(x) chooses the path: off the support the boundary values
-and the divergence integral of M_{D'} are closed form, on it they are
-ε-limits.  ``max_mult_test`` also takes a 1-D array of real points: those
-off the support share one T(x) and one closed-form boundary-value call.
-Every parameter must be n x n for the n of the measure it meets.
+In both forms the support lookup chooses the path: closed form off the
+support, Plemelj boundary values (T(x), T_{D'}(x) divergent) in a piece
+interior, ε-limits at an atom or a piece end.  ``max_mult_test`` also
+takes a 1-D array of real points: those off the support share one T(x)
+and one closed-form boundary-value call.  Every parameter must be n x n
+for the n of the measure it meets.
 """
 
 from __future__ import annotations
@@ -22,18 +23,15 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .herglotz import (EPS, ConditioningError, HerglotzMatrix, boundary_value,
-                       evaluate, integrate_cauchy, richardson_limit, t_matrix)
+from .herglotz import (EPS, ConditioningError, HerglotzMatrix, PreconditionError,
+                       as_point, boundary_value, evaluate, integrate_cauchy,
+                       richardson_limit, t_matrix)
 from .measure import (Divergent, hermitian_part, is_batch, is_divergent,
                       is_hermitian)
 
 
 # smallest singular value of D' - D accepted by the second-parameter test
 MIN_GAP_SV = 1e-8
-
-
-class PreconditionError(ValueError):
-    """An operation precondition was violated."""
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,7 @@ def max_mult_test(m: HerglotzMatrix, d, x):
     D = as_parameter(d, m.dim).D
     if not is_batch(x):
         return _test_at(m, D, x)
-    xs = np.asarray(x, dtype=float)
+    xs = as_point(x)
     on = m.omega.on_support(xs)
     off = xs[~on]
     t = t_matrix(m, off)
@@ -163,15 +161,16 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
     """The same verdict computed through a second extension parameter D'.
 
     Checks that the divergence integral of the measure of M_{D'} is finite
-    and that M_{D'}(x+i0) = (D'-D)^{-1}.  T(x) chooses the path, as in
-    ``boundary_value``.  Where it is finite and D' - M(x) is invertible,
-    both are closed form: the boundary value is F = (D' - M(x))^{-1} and
-    the divergence integral is F T(x) F, since F' = F M' F and M' = T.
-    Elsewhere (on the support, or at a pole of M_{D'}) both are ε-limits
-    of M_{D'}, evaluated once over the whole schedule; the divergence
-    integral is the limit of Im M_{D'}(x+iε)/ε, whose error is O(ε²), so
-    it is extrapolated at second order.  Undecided is reported as
-    Divergent(()).
+    and that M_{D'}(x+i0) = (D'-D)^{-1}, on the paths of ``boundary_value``.
+    Where M(x+i0) is closed form and D' - M(x+i0) invertible, the boundary
+    value is F = (D' - M(x+i0))^{-1}; off the support the divergence
+    integral is F T(x) F, since F' = F M' F and M' = T; in a piece interior
+    Im F = π F ρ F*, and it diverges where that diagonal exceeds
+    rank_tol·max(1, ‖F ρ F*‖).  Elsewhere (at an atom, a piece end, or a
+    pole of M_{D'}) both are ε-limits of M_{D'}, evaluated once over the
+    whole schedule; the divergence integral is the limit of
+    Im M_{D'}(x+iε)/ε, whose error is O(ε²), so it is extrapolated at
+    second order.  Undecided is reported as Divergent(()).
     """
     D, dp = as_parameter(d, m.dim).D, as_parameter(d_prime, m.dim)
     gap = dp.D - D
@@ -183,14 +182,22 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
 
     tols = m.omega.tols
     t = t_matrix(m, x)
+    mx = integrate_cauchy(m, x)     # C + PV∫ in a piece interior, lacking iπρ
     f = None
-    if not is_divergent(t):
+    if not is_divergent(mx):
+        rho = m.omega.density_at(x) if is_divergent(t) else 0.0
         try:
-            f = _inv_checked(dp.D - integrate_cauchy(m, x), "D' - M(x)")
+            f = _inv_checked(dp.D - mx - 1j * np.pi * rho, "D' - M(x+i0)")
         except ConditioningError:
             pass    # x is a pole of M_{D'}: the ε-limit reports it Divergent
     if f is not None:
-        t_val, bval = hermitian_part(f @ t @ f), hermitian_part(f)
+        bval = hermitian_part(f)
+        if is_divergent(t):
+            frf = f @ rho @ f.conj().T
+            big = np.diag(frf).real > tols.rank_tol * max(1.0, float(np.linalg.norm(frf)))
+            t_val = Divergent(tuple(np.flatnonzero(big).tolist()))
+        else:
+            t_val = hermitian_part(f @ t @ f)
     else:
         v = extension_weyl(m, dp)(x + 1j * EPS)
         im_over_eps = hermitian_part((v - v.conj().swapaxes(1, 2)) / 2j) / EPS[:, None, None]

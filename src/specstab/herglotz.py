@@ -6,8 +6,9 @@ atomic mass recovery via -iε M(x+iε).  All ε-limits (boundary values,
 masses, and on the support the divergence integrals of extension Weyl
 functions) run through one halving ε-schedule, ``richardson_limit``,
 with Richardson extrapolation and geometric blow-up detection.  At a
-real point T(x) chooses the path: where it is finite the boundary value
-is closed form.
+real point the support lookup chooses the path: off the support the
+boundary value is closed form, in a piece interior it is Sokhotski–Plemelj
+C + PV∫ + iπρ(x), and only at an atom or a piece end an ε-limit.
 The schedule is the constant ``EPS``, sampled in one array call:
 ``evaluate`` takes a 1-D array of z and returns the stack of M(z), so a
 limit costs one ``integrate``.  Every analysis reads the tolerances of the
@@ -19,6 +20,7 @@ closed-form M(x), or a Divergent when any of the points is on the support.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
@@ -36,6 +38,19 @@ class NotConvergedError(RuntimeError):
 
 class ConditioningError(np.linalg.LinAlgError):
     """A matrix that should be invertible is numerically singular."""
+
+
+class PreconditionError(ValueError):
+    """An operation precondition was violated."""
+
+
+def as_point(x):
+    """x as a float, or a 1-D array of them as a float array;
+    PreconditionError for NaN or ±inf."""
+    x = np.asarray(x, dtype=float) if is_batch(x) else float(x)
+    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
+        raise PreconditionError(f"real points must be finite, got {x}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -108,7 +123,7 @@ def t_matrix(m: HerglotzMatrix, x) -> Union[np.ndarray, Divergent]:
 
     For a 1-D array of real x the stack of T(x), or Divergent when any
     point is on the support (``integrate``'s all-or-nothing batch)."""
-    v = integrate(PoissonSquareKernel(x), m.omega)
+    v = integrate(PoissonSquareKernel(as_point(x)), m.omega)
     if is_divergent(v):
         return v
     return hermitian_part(v)
@@ -169,18 +184,19 @@ def richardson_limit(samples: np.ndarray, tols: Tolerances = DEFAULT_TOLS,
 
 
 def boundary_value(m: HerglotzMatrix, x: float) -> BoundaryReport:
-    """M(x+i0) at a real point, plus T(x), which chooses the path.
+    """M(x+i0) at a real point, plus T(x), from one support lookup.
 
-    T(x) and the real-x Cauchy integral share one support lookup, so T(x)
-    is finite exactly where the Cauchy kernel is nonsingular and the
-    boundary value is exact; where T(x) diverges the ε-schedule limit is
-    taken and the Hermitian part of the converged value reported.
+    Off the support and in a piece interior the real-x Cauchy integral is
+    exact: M(x), or the principal value C + PV∫, the Hermitian part of
+    M(x+i0) = C + PV∫ + iπρ(x).  At an atom or a piece end the ε-schedule
+    limit is taken and the Hermitian part of the converged value reported.
     """
-    x = float(x)
+    x = as_point(float(x))
     t = t_matrix(m, x)
-    if not is_divergent(t):
+    mx = integrate_cauchy(m, x)
+    if not is_divergent(mx):
         # Real kernel values against Hermitian weights: already Hermitian.
-        return BoundaryReport(x, hermitian_part(integrate_cauchy(m, x)), True, t, [])
+        return BoundaryReport(x, hermitian_part(mx), True, t, [])
 
     val, trace, ok = richardson_limit(evaluate(m, x + 1j * EPS), m.omega.tols)
     return BoundaryReport(x, hermitian_part(val) if ok else None, ok, t, trace)

@@ -312,6 +312,21 @@ class MatrixMeasure:
             return ()
         return tuple(int(i) for i in np.flatnonzero(self._directions[ids].any(axis=0)))
 
+    def in_piece_interior(self, x: float) -> bool:
+        """Whether x is on the support in piece interiors only: more than
+        tol_x inside every piece holding it, and off every atom."""
+        if not self.a.size:
+            return False
+        p = self._terms_at(x) - len(self.xs)    # piece ids; an atom's is < 0
+        tol = self.tols.tol_x
+        return bool(p.size and p.min() >= 0
+                    and ((self.a[p] + tol < x) & (x < self.b[p] - tol)).all())
+
+    def density_at(self, x: float) -> np.ndarray:
+        """ρ(x): the summed density of the pieces holding x inside them."""
+        inside = (self.a < x) & (x < self.b)
+        return self.rho[inside].sum(axis=0).reshape(self.dim, self.dim)
+
     def atom_at(self, x: float):
         """Atom carrying mass whose point is within tol_x of x, or None."""
         ids = self._terms_at(x)
@@ -348,13 +363,15 @@ class Kernel:
     a kernel holding a batch of parameters puts the batch on a leading
     axis of both.  ``pole`` is the real point where it is singular (a 1-D
     array of them for a batch of real points), or None; ``integrate``
-    reports divergence there instead of evaluating.
+    reports divergence there instead of evaluating (a ``principal_value``
+    kernel only where the pole is not in a piece interior).
     A ``compensated`` kernel's values and primitive omit the z-independent
     Cauchy compensator y/(1+y²), whose integral ``integrate`` takes from
     the measure's precomputed ``cauchy_offset``.
     """
 
     pole = None
+    principal_value = False
     compensated = False
 
 
@@ -409,7 +426,8 @@ class CauchyKernel(Kernel):
 
     Works for complex z off the real axis and, as the boundary-value fast
     path, for real z off the support, where it is evaluated in real
-    arithmetic.  A 1-D array of z is a batch: the integral comes out
+    arithmetic, and a single real z in a piece interior, where it is the
+    principal value.  A 1-D array of z is a batch: the integral comes out
     stacked along a leading axis.  A complex array is a batch off the real
     axis, every Im z != 0; a real array is a batch of real points.
     """
@@ -421,6 +439,7 @@ class CauchyKernel(Kernel):
             self.z = complex(z)
             if self.z.imag == 0.0:
                 self.pole = self._w = self.z.real
+                self.principal_value = True
             else:
                 self._w = self.z
         elif np.iscomplexobj(z):
@@ -439,7 +458,7 @@ class CauchyKernel(Kernel):
     def primitive(self, ys):
         # The ends of a piece lie in one open half-plane when Im z != 0, so
         # their principal logs differ by the log of the ratio; for real z
-        # off the piece they lie on one side of it.
+        # log|y - z| is a primitive off the piece and, as a PV, across it.
         if self.pole is None:
             return np.log(ys - self._w)
         return np.log(np.abs(ys - self._w))
@@ -478,14 +497,15 @@ def integrate(kernel: Kernel, omega: MatrixMeasure):
     kernel), or a :class:`Divergent` carrying the 0-based directions i
     whose diagonal scalar integral against mu_ii diverges.  Divergence is
     directional: a kernel pole sitting on an atom or inside a piece only
-    kills the directions with nonzero diagonal mass there.  A batch of real
+    kills the directions with nonzero diagonal mass there, unless the kernel
+    has a principal value there (in piece interiors only).  A batch of real
     points is all or nothing: one point on the support makes the whole
     result Divergent, in the directions diverging at any point, so callers
     split a batch with ``on_support`` first.
     """
     if kernel.pole is not None:
         bad = omega._divergent_directions(kernel.pole)
-        if bad:
+        if bad and not (kernel.principal_value and omega.in_piece_interior(kernel.pole)):
             return Divergent(bad)
     coef = kernel.values(omega.xs)
     p = omega.a.size
@@ -522,9 +542,8 @@ def density_matrix(omega: MatrixMeasure, t: float) -> DensityMatrixValue:
     if at is not None:
         w = np.asarray(at.W)
     else:
-        inside = np.flatnonzero((omega.a < t) & (t < omega.b))
-        if not inside.size:
+        w = omega.density_at(t)
+        if not np.trace(w).real > 0.0:
             raise DefinedNowhereError(f"no trace mass at t={t}")
-        w = omega.rho[inside[0]].reshape(omega.dim, omega.dim)
     psi = w / np.trace(w).real
     return DensityMatrixValue(t, psi, matrix_rank(psi, omega.tols.rank_tol))

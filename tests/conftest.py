@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import specstab.extensions as ext
 import specstab.herglotz as hz
 from specstab import Atom, ACPiece, HerglotzMatrix, MatrixMeasure
 
@@ -39,6 +40,30 @@ def tol_bv_seen(monkeypatch):
 
     monkeypatch.setattr(hz, "richardson_limit", spy)
     return seen
+
+
+@pytest.fixture
+def eps_calls(monkeypatch):
+    """The names of the ``evaluate`` and ``richardson_limit`` calls made by
+    the Herglotz and extension layers, in call order."""
+    calls = []
+
+    def count(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for mod in (ext, hz):
+        monkeypatch.setattr(mod, "evaluate", count(hz.evaluate))
+        monkeypatch.setattr(mod, "richardson_limit", count(hz.richardson_limit))
+    return calls
+
+
+@pytest.fixture
+def unit_piece():
+    """n=1, density 1 on [-1, 1]: M(x+i0) = log((1-x)/(1+x)) + iπ inside."""
+    return HerglotzMatrix.from_measure(MatrixMeasure(1, ac_pieces=[ACPiece(-1.0, 1.0, [[1.0]])]))
 
 
 def write_json(path, doc):

@@ -76,11 +76,14 @@ def test_support_t_and_cauchy_batches_match_scalar_calls(make, seed):
     assert t.shape == c.shape == (off.size, m.dim, m.dim)
     for i, x in enumerate(off.tolist()):
         assert close(t[i], t_matrix(m, x)) and close(c[i], integrate_cauchy(m, x))
-    # one point on the support makes the batch Divergent, as it makes the point
+    # one point on the support makes the batch Divergent, as it makes T(x)
+    # at the point; alone, the point has a Cauchy principal value exactly
+    # in a piece interior
     for x in xs[on].tolist():
         batch = np.append(off[:2], x)
         assert same(t_matrix(m, batch), t_matrix(m, x))
-        assert same(integrate_cauchy(m, batch), integrate_cauchy(m, x))
+        assert same(integrate_cauchy(m, batch), t_matrix(m, x))
+        assert is_divergent(integrate_cauchy(m, x)) != omega.in_piece_interior(x)
     # several: the directions diverging at any of them
     dirs = sorted({i for x in xs[on].tolist() for i in t_matrix(m, x).directions})
     assert t_matrix(m, xs).directions == tuple(dirs)

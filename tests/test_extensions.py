@@ -1,8 +1,8 @@
+import math
+
 import numpy as np
 import pytest
 
-import specstab.extensions as ext
-import specstab.herglotz as hz
 from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       ExtensionParameter, HerglotzMatrix, MatrixMeasure,
                       PreconditionError, Tolerances,
@@ -160,25 +160,39 @@ class TestMaxMultTestVia:
                 assert max_mult_test_via(m, d, dp, x).verdict
 
 
-    def test_off_the_support_no_eps_limit(self, two_atom, monkeypatch):
+    def test_off_the_support_no_eps_limit(self, two_atom, eps_calls):
         # T(x) finite: F = (D' - M(x))^{-1} and F T F are closed form
-        calls = []
-
-        def count(fn):
-            def wrapped(*args, **kwargs):
-                calls.append(fn.__name__)
-                return fn(*args, **kwargs)
-            return wrapped
-
-        for mod in (ext, hz):
-            monkeypatch.setattr(mod, "evaluate", count(hz.evaluate))
-            monkeypatch.setattr(mod, "richardson_limit", count(hz.richardson_limit))
         ev = max_mult_test_via(two_atom, np.zeros((2, 2)), np.eye(2), 0.0)
-        assert ev.verdict and calls == []
+        assert ev.verdict and eps_calls == []
         np.testing.assert_allclose(ev.t_value, 2 * np.eye(2), atol=1e-14)
         # on the support both limits are taken over one evaluation
         max_mult_test_via(two_atom, np.zeros((2, 2)), np.eye(2), 1.0)
-        assert calls == ["evaluate", "richardson_limit", "richardson_limit"]
+        assert eps_calls == ["evaluate", "richardson_limit", "richardson_limit"]
+
+    def test_in_a_piece_no_eps_limit(self, unit_piece, eps_calls):
+        # M(0.5+i0) = -log 3 + iπ, so F = 1/(D' + log 3 - iπ), with Im F ≠ 0
+        ev = max_mult_test_via(unit_piece, [[0.0]], [[1.0]], 0.5)
+        boundary_value(unit_piece, 0.5)
+        max_mult_test(unit_piece, [[0.0]], 0.5)
+        assert eps_calls == []
+        f = 1.0 / (1.0 + math.log(3.0) - 1j * math.pi)
+        assert ev.t_value == Divergent((0,)) and not ev.verdict
+        assert abs(ev.m_boundary[0, 0] - f.real) <= 1e-14
+
+    def test_piece_ends_and_atoms_in_a_piece_keep_the_eps_limit(self, eps_calls):
+        # an atom inside the piece, and points within tol_x of it or of an
+        # end, take both ε-limits; 2·tol_x inside an end is a piece interior
+        omega = MatrixMeasure(1, [Atom(0.25, [[1.0]])], [ACPiece(-1.0, 1.0, [[1.0]])])
+        m = HerglotzMatrix.from_measure(omega)
+        tol_x = omega.tols.tol_x
+        for x in (-1.0, -1.0 + tol_x / 2, 1.0 - tol_x / 2, 1.0 + tol_x / 2,
+                  0.25, 0.25 + tol_x / 2):
+            eps_calls.clear()
+            max_mult_test_via(m, [[0.0]], [[1.0]], x)
+            assert eps_calls[0] == "evaluate", x
+        eps_calls.clear()
+        ev = max_mult_test_via(m, [[0.0]], [[1.0]], 1.0 - 2 * tol_x)
+        assert eps_calls == [] and ev.t_value == Divergent((0,))
 
     def test_at_a_pole_of_the_dprime_weyl_function(self, single_atom):
         # M(2) = -1/2 = D': D' - M(x) is singular, so the ε-limit decides
@@ -244,12 +258,10 @@ class TestViaAgreesWithEpsLimits:
                 dp = d + random_gap_matrix(rng, m.dim)
                 ev = max_mult_test_via(m, d, dp, x)
                 t_ref, b_ref = _eps_reference(m, dp, x)
-                if is_divergent(t_ref):
-                    assert ev.t_value == t_ref
-                else:
-                    assert np.array_equal(ev.t_value, t_ref)
-                assert (ev.m_boundary is None if b_ref is None
-                        else np.array_equal(ev.m_boundary, b_ref))
+                # the Sokhotski–Plemelj closed form diverges in the same
+                # directions and sits within the off-support bound of the limit
+                assert is_divergent(t_ref) and ev.t_value == t_ref
+                assert np.linalg.norm(ev.m_boundary - b_ref) <= 1e-8 * np.linalg.norm(b_ref)
 
 
 class TestExtensionForPoint:

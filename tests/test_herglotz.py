@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       HerglotzMatrix, MatrixMeasure, NotConvergedError,
-                      atom_mass, boundary_value, evaluate, is_divergent,
-                      t_matrix)
+                      PreconditionError, atom_mass, boundary_value, evaluate,
+                      is_divergent, max_mult_test, max_mult_test_via, t_matrix)
 from specstab.herglotz import EPS, richardson_limit
 from specstab.randgen import random_herglotz
 
@@ -76,14 +78,43 @@ class TestBoundaryValue:
             assert ok
             assert np.linalg.norm(val - rep.m_boundary) < 1e-7
 
-    def test_inside_ac_piece_limit_exists(self):
-        # boundary limit inside an AC support exists (principal value + i*pi*rho)
-        # but T diverges there, so the value is advisory only
-        omega = MatrixMeasure(1, ac_pieces=[ACPiece(-1.0, 1.0, [[1.0]])])
+    def test_inside_ac_piece_limit_exists(self, unit_piece):
+        # inside an AC piece the boundary value is the principal value plus
+        # iπρ, in closed form: PV∫_{-1}^{1} dy/(y-x) = log((1-x)/(1+x)) and
+        # the compensator is odd; T diverges there, so it is advisory only
+        for x, want in [(0.5, -math.log(3.0)), (0.0, 0.0)]:
+            rep = boundary_value(unit_piece, x)
+            assert rep.converged and rep.eps_trace == []
+            assert rep.t_matrix == Divergent((0,))
+            assert abs(rep.m_boundary[0, 0] - want) <= 1e-14
+
+
+    def test_piece_ends_and_atoms_in_a_piece_keep_the_eps_limit(self):
+        omega = MatrixMeasure(1, [Atom(0.25, [[1.0]])], [ACPiece(-1.0, 1.0, [[1.0]])])
         m = HerglotzMatrix.from_measure(omega)
-        rep = boundary_value(m, 0.0)
-        assert rep.converged
-        assert not rep.t_finite
+        tol_x = omega.tols.tol_x
+        for x in (-1.0, -1.0 + tol_x / 2, 1.0 - tol_x / 2, 1.0 + tol_x / 2,
+                  0.25, 0.25 - tol_x / 2):
+            assert boundary_value(m, x).eps_trace, x
+        for x in (-1.0 + 2 * tol_x, 0.25 + 2 * tol_x, 0.5):
+            assert not boundary_value(m, x).eps_trace, x
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_non_finite_points_are_input_errors(two_atom, x):
+    # NaN used to give a NaN T that reported t_finite, ±inf a true verdict
+    # with T = 0, and the second-parameter test a bare LinAlgError
+    d, dp = np.zeros((2, 2)), np.eye(2)
+    calls = [lambda: max_mult_test(two_atom, d, x),
+             lambda: max_mult_test(two_atom, d, [0.0, x]),
+             lambda: max_mult_test_via(two_atom, d, dp, x),
+             lambda: boundary_value(two_atom, x),
+             lambda: t_matrix(two_atom, x),
+             lambda: t_matrix(two_atom, np.array([x, 0.5]))]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="finite") as info:
+            call()
+        assert not isinstance(info.value, np.linalg.LinAlgError)
 
 
 def diag_stack(*columns):

@@ -8,8 +8,9 @@ sit exactly on atoms and piece ends, within tol_x/2 of them and 2·tol_x
 away.  A batch of complex z near the point goes through the Cauchy kernel
 and ``evaluate`` in one call and must match the scalar calls z by z.  On
 the same measures: T(x), the real-x Cauchy integral and ``on_support``
-make one support decision; just off the support the closed-form boundary
-value is the ε-limit; and Im M(z) ⪰ 0 above the axis.
+make one support decision, in which a piece interior gives the Cauchy
+kernel its principal value; just off the support the closed-form
+boundary value is the ε-limit; and Im M(z) ⪰ 0 above the axis.
 """
 
 import math
@@ -80,11 +81,14 @@ def reference_kernel(kernel):
 
 
 def reference_integrate(kernel, omega: MatrixMeasure):
-    """(matrix or Divergent, size): size bounds the sum's rounding."""
+    """(matrix or Divergent, size): size bounds the sum's rounding.  A
+    real-x Cauchy kernel whose pole lies only in piece interiors, more than
+    tol_x inside their ends, is the principal value."""
     value, segment, pole = reference_kernel(kernel)
     terms = [(at.W, at.x, None) for at in omega.atoms]
     terms += [(pc.rho, pc.a, pc.b) for pc in omega.ac_pieces]
     bad = set()
+    edge = False      # the pole within tol_x of an atom or a piece end
     total = np.zeros((omega.dim, omega.dim), dtype=complex)
     size = 0.0
     for w, a, b in terms:
@@ -93,11 +97,14 @@ def reference_integrate(kernel, omega: MatrixMeasure):
         if pole is not None and (abs(a - pole) <= TOL_X if b is None
                                  else a - TOL_X <= pole <= b + TOL_X):
             bad.update(int(i) for i in np.flatnonzero(np.real(np.diag(w)) > 0))
-            continue
+            edge = edge or b is None or not a + TOL_X < pole < b - TOL_X
+            if edge:
+                continue
         parts = value(a) if b is None else segment(a, b)
         total += sum(parts) * w
         size += sum(abs(p) for p in parts) * float(np.linalg.norm(w))
-    if bad:
+    # only the real-x Cauchy kernel has a principal value, in piece interiors
+    if bad and (edge or not isinstance(kernel, CauchyKernel)):
         return Divergent(tuple(sorted(bad))), 0.0
     return total, size
 
@@ -220,11 +227,14 @@ def test_t_matrix_cauchy_and_support_agree(data):
     m = HerglotzMatrix.from_measure(omega)
     t = t_matrix(m, x)
     cauchy = integrate_cauchy(m, x)
-    assert is_divergent(t) == is_divergent(cauchy) == omega.on_support(x)
-    if is_divergent(t):
+    interior = omega.in_piece_interior(x)
+    assert is_divergent(t) == omega.on_support(x)
+    assert is_divergent(cauchy) == (omega.on_support(x) and not interior)
+    if is_divergent(cauchy):
         assert t.directions == cauchy.directions
-    # T(x) alone chooses the boundary-value path: closed form iff finite
-    assert (not boundary_value(m, x).eps_trace) == (not is_divergent(t))
+    # the support lookup chooses the boundary-value path: no ε-limit iff
+    # T(x) is finite or x lies in a piece interior
+    assert (not boundary_value(m, x).eps_trace) == (not is_divergent(t) or interior)
 
 
 @settings(max_examples=100, deadline=None)
