@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import math
 import sys
 
 import numpy as np
@@ -26,7 +25,7 @@ from .extensions import extension_weyl, max_mult_test, max_mult_test_via
 from .herglotz import (ConditioningError, NotConvergedError, atom_mass,
                        boundary_value, evaluate, t_matrix)
 from .io import dump_json, load_herglotz, load_hermitian, matrix_out
-from .measure import is_divergent
+from .measure import as_point, is_divergent
 from .oracle import classify
 from .scan import ScanConfig, csv_header, record_to_dict, record_to_row, scan_forbidden
 from .verify import run_verify
@@ -46,10 +45,7 @@ EXIT_CODES = ((NotConvergedError, EXIT_NUMERIC), (ConditioningError, EXIT_NUMERI
 # argument types: a bad value makes the parser exit with EXIT_INPUT
 def finite_float(spec) -> float:
     """float(spec), rejecting NaN and ±inf with ValueError."""
-    v = float(spec)
-    if not math.isfinite(v):
-        raise ValueError(f"not a finite real number: {spec!r}")
-    return v
+    return as_point(float(spec))
 
 
 def _parse_grid(spec: str):
@@ -157,8 +153,7 @@ def cmd_scan(args, m):
     records = scan_forbidden(m.omega, config)
     n = m.dim
     if args.format == "csv":
-        doc = [csv_header(n, config.m_schedule),
-               *(record_to_row(rec, n, config.m_schedule) for rec in records)]
+        doc = [csv_header(n), *(record_to_row(rec, n) for rec in records)]
     else:
         doc = {"grid": [a, b, steps], "records": [record_to_dict(r) for r in records]}
     _emit(doc, args, args.format)

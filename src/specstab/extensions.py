@@ -23,11 +23,10 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .herglotz import (EPS, ConditioningError, HerglotzMatrix, PreconditionError,
-                       as_point, boundary_value, evaluate, integrate_cauchy,
-                       richardson_limit, t_matrix)
-from .measure import (Divergent, hermitian_part, is_batch, is_divergent,
-                      is_hermitian)
+from .herglotz import (EPS, ConditioningError, HerglotzMatrix, boundary_value,
+                       evaluate, integrate_cauchy, richardson_limit, t_matrix)
+from .measure import (Divergent, PreconditionError, as_point, hermitian_part,
+                      is_batch, is_divergent, is_hermitian)
 
 
 # smallest singular value of D' - D accepted by the second-parameter test
@@ -36,7 +35,7 @@ MIN_GAP_SV = 1e-8
 
 @dataclass(frozen=True)
 class ExtensionParameter:
-    """Hermitian n x n matrix naming one self-adjoint extension."""
+    """Hermitian n x n matrix naming one self-adjoint extension; takes ownership of D."""
 
     D: np.ndarray
 
@@ -74,9 +73,9 @@ class MaxMultEvidence:
 
 
 def as_parameter(d, n: int) -> ExtensionParameter:
-    """d itself if it is an ExtensionParameter, else d validated as one;
+    """d itself if an ExtensionParameter, else a copy of d validated as one;
     PreconditionError unless it is n x n, n the dimension of the measure."""
-    p = d if isinstance(d, ExtensionParameter) else ExtensionParameter(np.asarray(d))
+    p = d if isinstance(d, ExtensionParameter) else ExtensionParameter(np.array(d, dtype=complex))
     if p.dim != n:
         raise PreconditionError(f"the parameter is {p.dim}x{p.dim} but the measure "
                                 f"has n={n}")
@@ -175,10 +174,10 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
     D, dp = as_parameter(d, m.dim).D, as_parameter(d_prime, m.dim)
     gap = dp.D - D
     s = np.linalg.svd(gap, compute_uv=False)
-    if s[-1] <= MIN_GAP_SV:
+    if s[-1] <= max(MIN_GAP_SV, 1e-13 * s[0]):     # absolutely or relatively singular
         raise PreconditionError(
             f"det(D - D') vanishes within tolerance (smallest sv {s[-1]:.3e})")
-    target = _inv_checked(gap, "D' - D")
+    target = np.linalg.inv(gap)
 
     tols = m.omega.tols
     t = t_matrix(m, x)

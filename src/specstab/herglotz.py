@@ -12,23 +12,23 @@ C + PV∫ + iπρ(x), and only at an atom or a piece end an ε-limit.
 The schedule is the constant ``EPS``, sampled in one array call:
 ``evaluate`` takes a 1-D array of z and returns the stack of M(z), so a
 limit costs one ``integrate``.  Every analysis reads the tolerances of the
-measure it runs on, ``m.omega.tols``.
-Real points come in arrays too: ``t_matrix`` and ``integrate_cauchy``
+measure it runs on, ``m.omega.tols``.  Points are checked where they enter
+a kernel (``measure.as_point``), and by ``atom_mass``, whose callable may be
+any.  Real points come in arrays too: ``t_matrix`` and ``integrate_cauchy``
 take a 1-D array of real x and return the stack of T(x) and of the
 closed-form M(x), or a Divergent when any of the points is on the support.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .measure import (CauchyKernel, Divergent, MatrixMeasure,
-                      PoissonSquareKernel, hermitian_part, integrate,
+from .measure import (CauchyKernel, Divergent, MatrixMeasure, PoissonSquareKernel,
+                      PreconditionError, as_point, hermitian_part, integrate,
                       is_batch, is_divergent, is_hermitian)
 
 
@@ -40,22 +40,9 @@ class ConditioningError(np.linalg.LinAlgError):
     """A matrix that should be invertible is numerically singular."""
 
 
-class PreconditionError(ValueError):
-    """An operation precondition was violated."""
-
-
-def as_point(x):
-    """x as a float, or a 1-D array of them as a float array;
-    PreconditionError for NaN or ±inf."""
-    x = np.asarray(x, dtype=float) if is_batch(x) else float(x)
-    if not (math.isfinite(x) if isinstance(x, float) else np.isfinite(x).all()):
-        raise PreconditionError(f"real points must be finite, got {x}")
-    return x
-
-
 @dataclass(frozen=True)
 class HerglotzMatrix:
-    """Hermitian offset C plus a matrix-valued measure."""
+    """Hermitian offset C plus a matrix-valued measure; takes ownership of C."""
 
     C: np.ndarray
     omega: MatrixMeasure
@@ -72,9 +59,10 @@ class HerglotzMatrix:
 
     @classmethod
     def from_measure(cls, omega: MatrixMeasure, C=None) -> "HerglotzMatrix":
+        """C (zero if None) and omega; stores a copy of C."""
         if C is None:
             C = np.zeros((omega.dim, omega.dim))
-        return cls(np.asarray(C, dtype=complex), omega)
+        return cls(np.array(C, dtype=complex), omega)
 
     @property
     def dim(self) -> int:
@@ -123,7 +111,7 @@ def t_matrix(m: HerglotzMatrix, x) -> Union[np.ndarray, Divergent]:
 
     For a 1-D array of real x the stack of T(x), or Divergent when any
     point is on the support (``integrate``'s all-or-nothing batch)."""
-    v = integrate(PoissonSquareKernel(as_point(x)), m.omega)
+    v = integrate(PoissonSquareKernel(x), m.omega)
     if is_divergent(v):
         return v
     return hermitian_part(v)
@@ -191,7 +179,7 @@ def boundary_value(m: HerglotzMatrix, x: float) -> BoundaryReport:
     M(x+i0) = C + PV∫ + iπρ(x).  At an atom or a piece end the ε-schedule
     limit is taken and the Hermitian part of the converged value reported.
     """
-    x = as_point(float(x))
+    x = float(x)
     t = t_matrix(m, x)
     mx = integrate_cauchy(m, x)
     if not is_divergent(mx):
@@ -211,6 +199,7 @@ def atom_mass(f, x: float, tols: Optional[Tolerances] = None) -> np.ndarray:
     own for a HerglotzMatrix and ``DEFAULT_TOLS`` for any other callable.
     Returns the Hermitian PSD mass, the zero matrix when x carries none.
     """
+    x = as_point(x)
     if tols is None:
         tols = f.omega.tols if isinstance(f, HerglotzMatrix) else DEFAULT_TOLS
     val, _, ok = richardson_limit(

@@ -86,13 +86,16 @@ def measure_from_dict(doc: dict, tols: Tolerances = DEFAULT_TOLS,
     return omega, c
 
 
-def load_measure(path: str, tols: Tolerances = DEFAULT_TOLS) -> Tuple[MatrixMeasure, Optional[np.ndarray]]:
+def _read_json(path: str):
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return measure_from_dict(doc, tols, where=path)
+
+
+def load_measure(path: str, tols: Tolerances = DEFAULT_TOLS) -> Tuple[MatrixMeasure, Optional[np.ndarray]]:
+    return measure_from_dict(_read_json(path), tols, where=path)
 
 
 def load_herglotz(path: str, tols: Tolerances = DEFAULT_TOLS) -> HerglotzMatrix:
@@ -103,11 +106,7 @@ def load_herglotz(path: str, tols: Tolerances = DEFAULT_TOLS) -> HerglotzMatrix:
 
 def load_hermitian(path: str) -> np.ndarray:
     """Hermitian matrix file: either bare rows or {"D": rows}."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    doc = _read_json(path)
     rows = doc.get("D", doc) if isinstance(doc, dict) else doc
     if not isinstance(rows, list) or not rows:
         raise InputError(f"{path}: expected a matrix")

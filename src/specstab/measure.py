@@ -9,11 +9,13 @@ meeting the support), never by numeric overflow.
 
 A measure is stored as arrays, built once when it is validated, so every
 integral is one weighted sum: kernel values at the atoms times their
-weights plus exact segment integrals times the piece densities.
+weights plus exact segment integrals times the piece densities.  A kernel
+checks its point, real or complex, with ``as_point`` (PreconditionError).
 """
 
 from __future__ import annotations
 
+import cmath
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
@@ -29,6 +31,10 @@ class MeasureError(ValueError):
 
 class DefinedNowhereError(ValueError):
     """Requested a density value at a point carrying no mass."""
+
+
+class PreconditionError(ValueError):
+    """An operation precondition was violated."""
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
@@ -47,6 +53,25 @@ def is_batch(x) -> bool:
     a complex number is answered without np.ndim, which costs about 2 µs
     on a Python number, a sixth of a whole scalar T(x) call at K+P = 12."""
     return not isinstance(x, (float, complex)) and np.ndim(x) > 0
+
+
+def as_point(x):
+    """x as a number, or a 1-D array of them as an array: complex where x
+    is complex, float otherwise.  PreconditionError for a NaN or infinite
+    part, ValueError for a batch that is not 1-D."""
+    if isinstance(x, float):    # the common case, before the slower type tests
+        x, finite = float(x), cmath.isfinite(x)
+    elif not is_batch(x):
+        x = complex(x) if isinstance(x, (complex, np.complexfloating)) else float(x)
+        finite = cmath.isfinite(x)
+    else:
+        x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+        if x.ndim != 1:
+            raise ValueError("a batch of points must be a 1-D array")
+        finite = np.isfinite(x).all()
+    if not finite:
+        raise PreconditionError(f"points must be finite, got {x}")
+    return x
 
 
 def is_psd(a: np.ndarray, rank_tol: float):
@@ -79,6 +104,11 @@ def _stack(mats: list, n: int, what: str) -> np.ndarray:
         raise MeasureError(f"{what.format(k)}: expected {n}x{n} matrix, "
                            f"got shape {np.shape(mats[k])}")
     return out
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _reject_first(bad: np.ndarray, message) -> None:
@@ -119,14 +149,8 @@ class IntervalUnion:
 
     @classmethod
     def of(cls, *specs) -> "IntervalUnion":
-        """Build from (a, b) or (a, b, incl_a, incl_b) tuples or Intervals."""
-        out = []
-        for s in specs:
-            if isinstance(s, Interval):
-                out.append(s)
-            else:
-                out.append(Interval(*s))
-        return cls(out)
+        """Build from (a, b) or (a, b, incl_a, incl_b) tuples."""
+        return cls([Interval(*s) for s in specs])
 
     @classmethod
     def empty(cls) -> "IntervalUnion":
@@ -156,29 +180,25 @@ class IntervalUnion:
 
 @dataclass(frozen=True)
 class Atom:
-    """Point mass: Hermitian PSD weight W sitting at x."""
+    """Point mass: Hermitian PSD weight W sitting at x; it takes ownership of W."""
 
     x: float
     W: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.W, dtype=complex)
-        w.setflags(write=False)
-        object.__setattr__(self, "W", w)
+        object.__setattr__(self, "W", _frozen(np.asarray(self.W, dtype=complex)))
 
 
 @dataclass(frozen=True)
 class ACPiece:
-    """Constant Hermitian PSD density rho on [a, b] w.r.t. Lebesgue measure."""
+    """Constant PSD density rho (w.r.t. Lebesgue) on [a, b]; takes ownership of rho."""
 
     a: float
     b: float
     rho: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rho, dtype=complex)
-        r.setflags(write=False)
-        object.__setattr__(self, "rho", r)
+        object.__setattr__(self, "rho", _frozen(np.asarray(self.rho, dtype=complex)))
 
 
 @dataclass(frozen=True)
@@ -206,11 +226,6 @@ class Divergent:
 
 def is_divergent(v) -> bool:
     return isinstance(v, Divergent)
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
-    return a
 
 
 class MatrixMeasure:
@@ -286,9 +301,7 @@ class MatrixMeasure:
         self._lo_sorted = _frozen(lo[self._order])
         self._reach_sorted = _frozen(np.maximum.accumulate(self._hi))
         self._lo, self._reach = self._lo_sorted.tolist(), self._reach_sorted.tolist()
-        diag = np.concatenate([np.diagonal(W[atom_kept], axis1=1, axis2=2),
-                               np.diagonal(rho[piece_kept], axis1=1, axis2=2)]).real
-        self._directions = diag > 0.0
+        self._directions = self._weights[:, ::n + 1].real > 0.0     # the diagonals
 
     # -- support queries -------------------------------------------------
 
@@ -375,13 +388,6 @@ class Kernel:
     compensated = False
 
 
-def _real_batch(x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("a batch of real points must be a 1-D array")
-    return x
-
-
 class PoissonSquareKernel(Kernel):
     """y -> 1/(x - y)^2; the integrand of the divergence matrix.
 
@@ -390,11 +396,8 @@ class PoissonSquareKernel(Kernel):
     """
 
     def __init__(self, x):
-        if is_batch(x):
-            self.x = self.pole = _real_batch(x)
-            self._x = self.x[:, None]
-        else:
-            self.x = self.pole = self._x = float(x)
+        self.x = self.pole = as_point(x)
+        self._x = self.x[:, None] if is_batch(self.x) else self.x
 
     def values(self, ys):
         return 1.0 / (self._x - ys) ** 2
@@ -407,7 +410,7 @@ class RegularizedKernel(Kernel):
     """y -> 1/((x - y)^2 + 1/m^2); everywhere finite."""
 
     def __init__(self, x: float, m: float):
-        self.x = float(x)
+        self.x = as_point(float(x))
         self.m = float(m)
         if self.m <= 0:
             raise ValueError("regularization level m must be positive")
@@ -435,6 +438,7 @@ class CauchyKernel(Kernel):
     compensated = True
 
     def __init__(self, z):
+        z = as_point(z)
         if not is_batch(z):
             self.z = complex(z)
             if self.z.imag == 0.0:
@@ -442,15 +446,12 @@ class CauchyKernel(Kernel):
                 self.principal_value = True
             else:
                 self._w = self.z
-        elif np.iscomplexobj(z):
-            self.z = np.asarray(z, dtype=complex)
-            if self.z.ndim != 1 or not self.z.imag.all():
-                raise ValueError("a complex batch of z must be a 1-D array off the "
-                                 "real axis (Im z != 0)")
-            self._w = self.z[:, None]
-        else:
-            self.z = self.pole = _real_batch(z)
-            self._w = self.z[:, None]
+            return
+        if z.dtype.kind != "c":
+            self.pole = z
+        elif not z.imag.all():
+            raise ValueError("a complex batch of z must be off the real axis (Im z != 0)")
+        self.z, self._w = z, z[:, None]
 
     def values(self, ys):
         return 1.0 / (ys - self._w)

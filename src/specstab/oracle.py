@@ -81,17 +81,16 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tupl
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise OracleError(f"empty or inverted interval [{a}, {b}]")
+    if np.isinf([a, b]).any():
+        raise OracleError(f"the window [{a}, {b}] must be finite")
     xs, n, tols = omega.xs, omega.dim, omega.tols
     if np.any(np.abs(np.subtract.outer([a, b], xs)) <= tols.tol_x):
         raise OracleError("interval endpoints must not be atoms")
 
     pts = np.unique(np.concatenate([[a, b], xs]))
-    widest_first = np.argsort(-np.diff(pts), kind="stable")
-    for s in 0.5 * (pts[:-1] + pts[1:])[widest_first]:
-        val = integrate_cauchy(m, s)
-        if is_divergent(val):
-            continue
-        hs = hermitian_part(D - val)
+    shifts = 0.5 * (pts[:-1] + pts[1:])[np.argsort(-np.diff(pts), kind="stable")]
+    for s in shifts[~omega.on_support(shifts)]:
+        hs = _h(m, D, np.array([s]))[0]
         sv = np.linalg.svd(hs, compute_uv=False)
         if sv[-1] > KERNEL_TOL * max(1.0, sv[0]):
             break

@@ -5,14 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 from .herglotz import HerglotzMatrix
-from .measure import Atom, MatrixMeasure
+from .measure import Atom, MatrixMeasure, hermitian_part
 
 MAX_DRAWS = 10000   # cap on every rejection-sampling loop
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return 0.5 * (a + a.conj().T)
+    return hermitian_part(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
 
 
 def random_psd(rng: np.random.Generator, n: int, rank: int = None,
@@ -84,4 +83,4 @@ def point_off_atoms(rng: np.random.Generator, omega: MatrixMeasure, lo: float, h
         x = float(rng.uniform(lo, hi))
         if pts.size == 0 or np.abs(pts - x).min() >= 0.05:
             return x
-    raise RuntimeError("could not place a point away from the atoms")
+    raise ValueError("could not place a point away from the atoms")

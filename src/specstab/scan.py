@@ -33,6 +33,8 @@ class ScanConfig:
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"grid requires a < b, got [{self.a}, {self.b}]")
+        if np.isinf([self.a, self.b]).any():
+            raise ValueError(f"grid ends must be finite, got [{self.a}, {self.b}]")
         if self.steps < 2:
             raise ValueError("grid needs at least 2 steps")
 
@@ -68,7 +70,7 @@ def scan_forbidden(omega: MatrixMeasure, config: ScanConfig) -> List[GridRecord]
     return records
 
 
-def record_to_row(rec: GridRecord, n: int, m_schedule) -> list:
+def record_to_row(rec: GridRecord, n: int) -> list:
     """Flatten a record into the fixed CSV row layout."""
     row = [rec.x, int(rec.in_support), int(rec.t_finite)]
     row.append(";".join(str(i) for i in rec.divergence_directions))
@@ -77,15 +79,15 @@ def record_to_row(rec: GridRecord, n: int, m_schedule) -> list:
         row.extend(float(v) for v in np.real(np.diag(t)))
     else:
         row.extend("" for _ in range(n))
-    for m in m_schedule:
-        row.extend(rec.regularized_diagonals[int(m)])
+    for m in DEFAULT_M_SCHEDULE:
+        row.extend(rec.regularized_diagonals[m])
     return row
 
 
-def csv_header(n: int, m_schedule) -> list:
+def csv_header(n: int) -> list:
     head = ["x", "in_support", "t_finite", "divergent_directions"]
     head += [f"t_diag_{i}" for i in range(n)]
-    for m in m_schedule:
+    for m in DEFAULT_M_SCHEDULE:
         head += [f"reg_m{m}_diag_{i}" for i in range(n)]
     return head
 

@@ -23,7 +23,8 @@ import numpy as np
 
 from .extensions import (ExtensionParameter, extension_weyl, max_mult_test,
                          max_mult_test_via)
-from .herglotz import HerglotzMatrix, atom_mass, boundary_value, integrate_cauchy
+from .herglotz import (ConditioningError, HerglotzMatrix, atom_mass, boundary_value,
+                       integrate_cauchy)
 from .io import matrix_out
 from .measure import MatrixMeasure
 from .oracle import classify
@@ -46,7 +47,7 @@ def _scan_window(rng, omega: MatrixMeasure, x0: float, m: HerglotzMatrix, d):
         h = d.D - integrate_cauchy(m, [a, b])
         if (np.linalg.svd(h, compute_uv=False)[:, -1] > 1e-6).all():
             return a, b
-    raise RuntimeError("could not pick nonsingular window endpoints")
+    raise ConditioningError("could not pick nonsingular window endpoints")
 
 
 def run_trial(rng: np.random.Generator, m: HerglotzMatrix) -> dict:

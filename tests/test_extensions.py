@@ -318,3 +318,19 @@ class TestMassAtMaxMult:
     def test_precondition(self, single_atom):
         with pytest.raises(PreconditionError):
             mass_at_max_mult(single_atom, [[3.0]], 2.0)
+
+
+class TestGapDecomposedOnce:
+    def test_gap_singular_relative_to_its_norm(self, two_atom):
+        # used to pass the absolute check and fail the inverse: ConditioningError
+        with pytest.raises(PreconditionError,
+                           match=r"det\(D - D'\) vanishes within tolerance \(smallest sv 1\.000e-05\)"):
+            max_mult_test_via(two_atom, np.zeros((2, 2)), np.diag([1e9, 1e-5]), 0.5)
+
+    def test_off_the_support_two_svds(self, two_atom, monkeypatch):
+        # one of D' - D and one of D' - M(x); the gap used to be decomposed twice
+        shapes, svd = [], np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+        ev = max_mult_test_via(two_atom, np.zeros((2, 2)), np.eye(2), 0.0)
+        assert ev.verdict and shapes == [(2, 2), (2, 2)]

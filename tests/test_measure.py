@@ -7,6 +7,7 @@ from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
                       PoissonSquareKernel, RegularizedKernel, boundary_value,
                       density_matrix, integrate, is_divergent, measure_of_set,
                       trace_measure)
+from specstab.herglotz import as_point
 from specstab.measure import DefinedNowhereError
 from specstab.randgen import random_atomic_measure
 
@@ -235,3 +236,14 @@ class TestDensityMatrix:
         omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
         with pytest.raises(DefinedNowhereError):
             density_matrix(omega, 5.0)
+
+
+class TestAsPoint:
+    def test_numbers_and_batches(self):
+        assert as_point(1) == 1.0 and isinstance(as_point(1), float)
+        assert as_point(1 + 2j) == 1 + 2j
+        assert as_point([1, 2]).dtype == float and as_point([1j]).dtype == complex
+
+    def test_a_batch_must_be_one_dimensional(self):
+        with pytest.raises(ValueError, match="1-D"):
+            as_point(np.zeros((2, 2)))

@@ -1,7 +1,10 @@
 import ast
+import builtins
 import dataclasses
+import functools
 import importlib
 import inspect
+import math
 import pkgutil
 import time
 from pathlib import Path
@@ -10,7 +13,12 @@ import numpy as np
 import pytest
 
 import specstab
-from specstab.randgen import random_atomic_measure
+from specstab import (Atom, ConditioningError, ExtensionParameter, HerglotzMatrix,
+                      MatrixMeasure, OracleError, PoissonSquareKernel, PreconditionError,
+                      RegularizedKernel, ScanConfig, atom_mass, classify, cli, evaluate,
+                      extension_weyl, integrate, max_mult_test, max_mult_test_via,
+                      real_poles, residue_mass, resolvent_identity_residual, verify)
+from specstab.randgen import point_off_atoms, random_atomic_measure
 from specstab.verify import run_verify
 
 SRC = Path(specstab.__file__).parent
@@ -56,3 +64,84 @@ def test_atom_sampler_gives_up_on_impossible_layout():
     with pytest.raises(ValueError, match="K=40"):
         random_atomic_measure(np.random.default_rng(0), 2, n_atoms=40)
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_every_raised_exception_maps_to_an_exit_code():
+    # an exception outside cli.EXIT_CODES escapes cli.main as a traceback with
+    # exit 1, the code of a verification mismatch; argparse turns its own type
+    # error into exit 2, and Divergent.__bool__ raises TypeError on misuse
+    mapped = tuple(kind for kind, _ in cli.EXIT_CODES)
+    unmapped = set()
+    for path in sorted(SRC.glob("*.py")):
+        raised = [node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                  for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Raise) and node.exc is not None]
+        if not raised:
+            continue
+        mod = importlib.import_module(f"specstab.{path.stem}")
+        for exc in raised:
+            head, *rest = ast.unparse(exc).split(".")
+            kind = functools.reduce(getattr, rest, getattr(mod, head, None)
+                                    or getattr(builtins, head))
+            if not issubclass(kind, mapped):
+                unmapped.add(f"{path.stem}: {ast.unparse(exc)}")
+    assert unmapped == {"cli: argparse.ArgumentTypeError", "measure: TypeError"}
+
+
+def test_internal_failures_are_typed(monkeypatch):
+    # both used to raise a bare RuntimeError, a traceback and exit 1 in the CLI
+    omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
+    with pytest.raises(ValueError, match="away from the atoms"):
+        point_off_atoms(np.random.default_rng(0), omega, 0.0, 0.0)
+    monkeypatch.setattr(verify, "integrate_cauchy", lambda m, xs: np.zeros((len(xs), 1, 1)))
+    with pytest.raises(ConditioningError, match="window"):
+        verify._scan_window(np.random.default_rng(0), omega, 0.5,
+                            HerglotzMatrix.from_measure(omega), ExtensionParameter([[0.0]]))
+
+
+NON_FINITE_POINT_CALLS = {
+    "evaluate at nan+1j": lambda m: evaluate(m, complex(math.nan, 1.0)),
+    "evaluate at 1+inf*1j": lambda m: evaluate(m, complex(1.0, math.inf)),
+    "evaluate on a batch": lambda m: evaluate(m, np.array([1j, complex(math.nan, 1.0)])),
+    "atom_mass of M": lambda m: atom_mass(m, math.nan),
+    "atom_mass of a callable": lambda m: atom_mass(lambda z: np.zeros((len(z), 2, 2)), math.nan),
+    "extension_weyl": lambda m: extension_weyl(m, np.eye(2))(complex(math.nan, 1.0)),
+    "resolvent_identity_residual": lambda m: resolvent_identity_residual(
+        m, np.zeros((2, 2)), np.eye(2), complex(math.nan, 1.0)),
+    "PoissonSquareKernel": lambda m: integrate(PoissonSquareKernel(math.nan), m.omega),
+    "RegularizedKernel": lambda m: integrate(RegularizedKernel(math.inf, 1.0), m.omega),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_POINT_CALLS.values(), ids=NON_FINITE_POINT_CALLS)
+def test_non_finite_points_are_precondition_errors(two_atom, call):
+    # these returned NaN matrices or raised ConditioningError or a bare LinAlgError
+    with pytest.raises(PreconditionError, match="finite"):
+        call(two_atom)
+
+
+def test_non_finite_grid_and_window_ends_are_rejected(two_atom):
+    # the grid was accepted and failed inside t_matrix; the window failed the pole count
+    with pytest.raises(ValueError, match="finite, got \\[-inf, 1"):
+        ScanConfig(-math.inf, 1.0, 3)
+    with pytest.raises(OracleError, match="finite") as info:
+        real_poles(two_atom, np.zeros((2, 2)), (-math.inf, 1.0))
+    assert "-inf" in str(info.value)
+
+
+def test_functions_validate_a_copy_of_the_callers_parameter(two_atom):
+    # as_parameter used to wrap a complex D without a copy and freeze it
+    d, dp, c = np.zeros((2, 2), complex), np.eye(2, dtype=complex), np.eye(2, dtype=complex)
+    max_mult_test(two_atom, d, 0.5)
+    max_mult_test(two_atom, d, [0.5, 2.0])
+    max_mult_test_via(two_atom, d, dp, 0.5)
+    extension_weyl(two_atom, d)(1j)
+    resolvent_identity_residual(two_atom, d, dp, 1j)
+    classify(two_atom, d, (-3.0, 3.0))
+    residue_mass(two_atom, d, 0.0)
+    HerglotzMatrix.from_measure(two_atom.omega, c)
+    assert d.flags.writeable and dp.flags.writeable and c.flags.writeable
+    # the constructors take ownership
+    ExtensionParameter(d)
+    HerglotzMatrix(c, two_atom.omega)
+    assert not d.flags.writeable and not c.flags.writeable

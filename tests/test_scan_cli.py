@@ -9,7 +9,7 @@ import pytest
 from specstab import (ACPiece, Atom, ConditioningError, MatrixMeasure,
                       NotConvergedError, ScanConfig, cli, scan_forbidden)
 from specstab.cli import main
-from specstab.io import InputError, load_herglotz, load_hermitian
+from specstab.io import InputError, load_herglotz, load_hermitian, load_measure
 
 
 def write_json(path, doc):
@@ -87,6 +87,17 @@ class TestIO:
             "n": 1, "atoms": [{"x": 0.0, "W": [["nope"]]}]})
         with pytest.raises(InputError, match="re, im"):
             load_herglotz(path)
+
+    def test_unreadable_files_fail_alike_in_both_loaders(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        for path in (str(tmp_path / "missing.json"), str(bad)):
+            messages = set()
+            for load in (load_measure, load_hermitian):
+                with pytest.raises(InputError) as exc:
+                    load(path)
+                messages.add(str(exc.value))
+            assert len(messages) == 1 and messages.pop().startswith(f"{path}: ")
 
     def test_load_hermitian_rejects_nonhermitian(self, tmp_path):
         path = write_json(tmp_path / "d.json", [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
