@@ -59,10 +59,9 @@ def as_point(x):
     """x as a number, or a 1-D array of them as an array: complex where x
     is complex, float otherwise.  PreconditionError for a NaN or infinite
     part, ValueError for a batch that is not 1-D."""
-    if isinstance(x, float):    # the common case, before the slower type tests
-        x, finite = float(x), cmath.isfinite(x)
-    elif not is_batch(x):
-        x = complex(x) if isinstance(x, (complex, np.complexfloating)) else float(x)
+    if not is_batch(x):     # np.iscomplexobj costs ~2 µs on a Python number
+        x = complex(x) if isinstance(x, complex) or (
+            not isinstance(x, float) and np.iscomplexobj(x)) else float(x)
         finite = cmath.isfinite(x)
     else:
         x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
@@ -397,7 +396,10 @@ class PoissonSquareKernel(Kernel):
 
     def __init__(self, x):
         self.x = self.pole = as_point(x)
-        self._x = self.x[:, None] if is_batch(self.x) else self.x
+        batch = is_batch(self.x)
+        if self.x.dtype.kind == "c" if batch else isinstance(self.x, complex):
+            raise PreconditionError(f"the divergence kernel takes real points, got {self.x}")
+        self._x = self.x[:, None] if batch else self.x
 
     def values(self, ys):
         return 1.0 / (self._x - ys) ** 2
@@ -440,12 +442,10 @@ class CauchyKernel(Kernel):
     def __init__(self, z):
         z = as_point(z)
         if not is_batch(z):
-            self.z = complex(z)
+            self.z = self._w = complex(z)
             if self.z.imag == 0.0:
                 self.pole = self._w = self.z.real
                 self.principal_value = True
-            else:
-                self._w = self.z
             return
         if z.dtype.kind != "c":
             self.pole = z

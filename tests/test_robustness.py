@@ -17,7 +17,7 @@ from specstab import (Atom, ConditioningError, ExtensionParameter, HerglotzMatri
                       MatrixMeasure, OracleError, PoissonSquareKernel, PreconditionError,
                       RegularizedKernel, ScanConfig, atom_mass, classify, cli, evaluate,
                       extension_weyl, integrate, max_mult_test, max_mult_test_via,
-                      real_poles, residue_mass, resolvent_identity_residual, verify)
+                      real_poles, residue_mass, resolvent_identity_residual, t_matrix, verify)
 from specstab.randgen import point_off_atoms, random_atomic_measure
 from specstab.verify import run_verify
 
@@ -118,6 +118,21 @@ def test_non_finite_points_are_precondition_errors(two_atom, call):
     # these returned NaN matrices or raised ConditioningError or a bare LinAlgError
     with pytest.raises(PreconditionError, match="finite"):
         call(two_atom)
+
+
+def test_complex_points_keep_their_imaginary_part(two_atom):
+    # a 0-d complex array or a numpy complex64 point must not lose Im z
+    want = evaluate(two_atom, 1 + 1j)
+    for z in (np.array(1 + 1j), np.complex64(1 + 1j)):
+        assert np.allclose(evaluate(two_atom, z), want)
+
+
+@pytest.mark.parametrize("x", [1j, np.complex64(2 + 1j), np.array([1j, 2.0])],
+                         ids=["complex", "complex64", "complex batch"])
+def test_divergence_kernel_rejects_complex_points(two_atom, x):
+    # T(x) is defined for real x only; a complex x used to fail inside integrate
+    with pytest.raises(PreconditionError, match="real points"):
+        t_matrix(two_atom, x)
 
 
 def test_non_finite_grid_and_window_ends_are_rejected(two_atom):
