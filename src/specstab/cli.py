@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import re
 import sys
 
 import numpy as np
@@ -214,8 +215,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    words = []
+    for word in sys.argv[1:] if argv is None else argv:
+        # argparse reads "--x -1e-3" as two options; it reads "--x=-1e-3" as one
+        if words and words[-1] in OPTIONS and re.match(r"-[\d.]", word):
+            words[-1] += "=" + word
+        else:
+            words.append(word)
+    args = build_parser().parse_args(words)
     try:
         tols = DEFAULT_TOLS.with_overrides(
             rank_tol=args.tol_rank, tol_bv=args.tol_bv,

@@ -409,21 +409,28 @@ class PoissonSquareKernel(Kernel):
 
 
 class RegularizedKernel(Kernel):
-    """y -> 1/((x - y)^2 + 1/m^2); everywhere finite."""
+    """y -> 1/((x - y)^2 + 1/m^2) at one real point x; everywhere finite."""
 
     def __init__(self, x: float, m: float):
-        self.x = as_point(float(x))
+        self.x = as_point(x)
+        if not isinstance(self.x, float):
+            raise PreconditionError(f"the regularized kernel takes one real point, got {self.x}")
         self.m = float(m)
         if self.m <= 0:
             raise ValueError("regularization level m must be positive")
         self._width = 1.0 / self.m
 
     def values(self, ys):
-        return 1.0 / ((self.x - ys) ** 2 + self._width ** 2)
+        d = ys - self.x     # one temporary, every step in place
+        d *= d
+        d += self._width ** 2
+        return np.reciprocal(d, out=d)
 
     def primitive(self, ys):
         # m·atan(m(y - x)), with the product inside atan folded into atan2
-        return self.m * np.arctan2(ys - self.x, self._width)
+        d = np.arctan2(ys - self.x, self._width)
+        d *= self.m
+        return d
 
 
 class CauchyKernel(Kernel):

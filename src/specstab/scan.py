@@ -1,16 +1,17 @@
 """Grid scanner for the forbidden-energy structure of a measure.
 
-For each grid point it reports support membership (decided analytically),
-finiteness of the divergence matrix T(x), and the diagonal of the
-regularized integrals ∫ dΩ(y)/((x-y)² + 1/m²) along a schedule of
-regularization levels m.  Those diagonals are the open-set layers whose
-growth past a threshold exposes the countable-intersection structure of
-the divergence set; the scanner emits the raw values so any threshold can
-be audited downstream.
+For each grid point it reports support membership (decided analytically,
+in one lookup for the whole grid), finiteness of the divergence matrix
+T(x), and the diagonal of the regularized integrals ∫ dΩ(y)/((x-y)² + 1/m²)
+along a schedule of regularization levels m.  Those diagonals are the
+open-set layers whose growth past a threshold exposes the
+countable-intersection structure of the divergence set; the scanner emits
+the raw values so any threshold can be audited downstream.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Tuple, Union
 
@@ -35,8 +36,8 @@ class ScanConfig:
             raise ValueError(f"grid requires a < b, got [{self.a}, {self.b}]")
         if np.isinf([self.a, self.b]).any():
             raise ValueError(f"grid ends must be finite, got [{self.a}, {self.b}]")
-        if self.steps < 2:
-            raise ValueError("grid needs at least 2 steps")
+        if not hasattr(self.steps, "__index__") or operator.index(self.steps) < 2:
+            raise ValueError(f"grid needs at least 2 integer steps, got {self.steps!r}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(self.a, self.b, self.steps)
@@ -58,15 +59,14 @@ class GridRecord:
 def scan_forbidden(omega: MatrixMeasure, config: ScanConfig) -> List[GridRecord]:
     """Evaluate support membership, T-finiteness and regularized layers."""
     h = HerglotzMatrix.from_measure(omega)
+    grid = config.grid()
+    levels = [(int(m), float(m)) for m in config.m_schedule]
     records = []
-    for x in config.grid():
-        x = float(x)
+    for x, in_support in zip(grid.tolist(), omega.on_support(grid).tolist()):
         t = t_matrix(h, x)
-        reg = {}
-        for m in config.m_schedule:
-            v = integrate(RegularizedKernel(x, float(m)), omega)
-            reg[int(m)] = [float(d) for d in np.real(np.diag(v))]
-        records.append(GridRecord(x, omega.on_support(x), not is_divergent(t), t, reg))
+        reg = {k: integrate(RegularizedKernel(x, m), omega).real.diagonal().tolist()
+               for k, m in levels}
+        records.append(GridRecord(x, in_support, not is_divergent(t), t, reg))
     return records
 
 
@@ -74,11 +74,7 @@ def record_to_row(rec: GridRecord, n: int) -> list:
     """Flatten a record into the fixed CSV row layout."""
     row = [rec.x, int(rec.in_support), int(rec.t_finite)]
     row.append(";".join(str(i) for i in rec.divergence_directions))
-    if rec.t_finite:
-        t = np.asarray(rec.t_value)
-        row.extend(float(v) for v in np.real(np.diag(t)))
-    else:
-        row.extend("" for _ in range(n))
+    row.extend(np.asarray(rec.t_value).real.diagonal().tolist() if rec.t_finite else [""] * n)
     for m in DEFAULT_M_SCHEDULE:
         row.extend(rec.regularized_diagonals[m])
     return row
@@ -100,7 +96,7 @@ def record_to_dict(rec: GridRecord) -> dict:
         "regularized_diagonals": {str(m): v for m, v in rec.regularized_diagonals.items()},
     }
     if rec.t_finite:
-        out["t_diagonal"] = [float(v) for v in np.real(np.diag(np.asarray(rec.t_value)))]
+        out["t_diagonal"] = np.asarray(rec.t_value).real.diagonal().tolist()
     else:
         out["divergent_directions"] = list(rec.divergence_directions)
     return out

@@ -135,6 +135,14 @@ def test_divergence_kernel_rejects_complex_points(two_atom, x):
         t_matrix(two_atom, x)
 
 
+@pytest.mark.parametrize("x", [2j, np.complex128(2 + 1j), np.array(2 + 1j)],
+                         ids=["complex", "complex128", "0-d complex array"])
+def test_regularized_kernel_rejects_complex_points(x):
+    # a numpy complex point lost Im x with a ComplexWarning; a Python complex raised TypeError
+    with pytest.raises(PreconditionError, match="one real point"):
+        RegularizedKernel(x, 1.0)
+
+
 def test_non_finite_grid_and_window_ends_are_rejected(two_atom):
     # the grid was accepted and failed inside t_matrix; the window failed the pole count
     with pytest.raises(ValueError, match="finite, got \\[-inf, 1"):

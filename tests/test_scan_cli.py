@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from specstab import (ACPiece, Atom, ConditioningError, MatrixMeasure,
-                      NotConvergedError, ScanConfig, cli, scan_forbidden)
+from specstab import (ACPiece, Atom, ConditioningError, HerglotzMatrix, MatrixMeasure,
+                      NotConvergedError, RegularizedKernel, ScanConfig, cli, integrate,
+                      is_divergent, scan_forbidden, t_matrix)
 from specstab.cli import main
 from specstab.io import InputError, load_herglotz, load_hermitian, load_measure
 
@@ -61,11 +62,50 @@ class TestScanForbidden:
             records = scan_forbidden(omega, grid)
             assert all(not r.t_finite for r in records)
 
+    def test_records_equal_the_per_point_library_calls(self):
+        # a grid point on an atom (-1), within tol_x of an atom (0.5), on
+        # piece ends (1, 1.75), within tol_x of a piece end (2.5) and inside
+        # a piece (1.25, 1.5): every value is the one the library gives at
+        # that point, bit for bit
+        omega = MatrixMeasure(2, [Atom(-1.0, np.diag([1.0, 0.0])),
+                                  Atom(0.5 + 4e-13, [[1.0, 0.5j], [-0.5j, 1.0]])],
+                              [ACPiece(1.0, 1.75, np.diag([1.0, 0.5])),
+                               ACPiece(2.5 - 6e-13, 2.75, np.diag([0.0, 1.0]))])
+        config = ScanConfig(-2.0, 3.0, 21)
+        xs = config.grid().tolist()
+        assert {-1.0, 0.5, 1.0, 1.25, 1.5, 1.75, 2.5} <= set(xs)
+        h = HerglotzMatrix.from_measure(omega)
+        records = scan_forbidden(omega, config)
+        assert [r.x for r in records] == xs
+        for r in records:
+            assert r.in_support is omega.on_support(r.x)
+            t = t_matrix(h, r.x)
+            if is_divergent(t):
+                assert r.t_value == t and not r.t_finite
+            else:
+                assert r.t_finite and np.array_equal(r.t_value, t)
+            assert list(r.regularized_diagonals) == list(ScanConfig.m_schedule)
+            for m, diag in r.regularized_diagonals.items():
+                v = integrate(RegularizedKernel(r.x, m), omega)
+                assert diag == v.real.diagonal().tolist()
+        on = {r.x: r.in_support for r in records}
+        assert all(on[x] for x in (-1.0, 0.5, 1.0, 1.25, 1.5, 1.75, 2.5))
+        assert [r.divergence_directions for r in records if r.x in (-1.0, 2.5)] == [(0,), (1,)]
+
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
             ScanConfig(1.0, 0.0, steps=10)
         with pytest.raises(ValueError):
             ScanConfig(0.0, 1.0, steps=1)
+
+    @pytest.mark.parametrize("steps", [2.5, 3.0, "3"])
+    def test_non_integral_steps_rejected(self, steps):
+        # 2.5 was accepted and then failed in np.linspace with a bare TypeError
+        with pytest.raises(ValueError, match="integer"):
+            ScanConfig(0.0, 1.0, steps)
+
+    def test_numpy_integer_steps_accepted(self):
+        assert ScanConfig(0.0, 1.0, np.int64(3)).grid().tolist() == [0.0, 0.5, 1.0]
 
 
 class TestIO:
@@ -191,6 +231,21 @@ class TestCLI:
             assert self.run("masses", "--measure", single_atom_file, "--x", "0",
                             "--tol-bv", "1e-3", *extra) == 0
         assert tol_bv_seen == [1e-3, 1e-3]
+
+    @pytest.mark.parametrize("args", [
+        ("tmatrix", "--x", "-1e-3"), ("boundary", "--x", "-0.56"), ("eval", "--z", "-0.56,0.1"),
+        ("scan", "--grid", "-5:5:8"), ("eigs", "--grid", "-1:5:2", "--d-matrix", "D")])
+    def test_value_after_a_space_parses_like_the_equals_form(self, single_atom_file,
+                                                             tmp_path, capsys, args):
+        # "--x -1e-3" and the like used to exit 2 with "expected one argument"
+        d = write_json(tmp_path / "d.json", [[[-0.5, 0]]])
+        args = [d if a == "D" else a for a in args]
+        spaced = [args[0], "--measure", single_atom_file, *args[1:]]
+        joined = [args[0], "--measure", single_atom_file, f"{args[1]}={args[2]}", *args[3:]]
+        assert self.run(*spaced) == 0
+        out = capsys.readouterr().out
+        assert self.run(*joined) == 0
+        assert capsys.readouterr().out == out
 
     def test_scan_csv(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", {
