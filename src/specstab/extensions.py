@@ -25,7 +25,7 @@ import numpy as np
 
 from .herglotz import (EPS, ConditioningError, HerglotzMatrix, boundary_value,
                        evaluate, integrate_cauchy, richardson_limit, t_matrix)
-from .measure import (Divergent, PreconditionError, as_point, hermitian_part,
+from .measure import (Divergent, PreconditionError, as_real_point, hermitian_part,
                       is_batch, is_divergent, is_hermitian)
 
 
@@ -134,7 +134,7 @@ def max_mult_test(m: HerglotzMatrix, d, x):
     D = as_parameter(d, m.dim).D
     if not is_batch(x):
         return _test_at(m, D, x)
-    xs = as_point(x)
+    xs = as_real_point(x, "max_mult_test")
     on = m.omega.on_support(xs)
     off = xs[~on]
     t = t_matrix(m, off)

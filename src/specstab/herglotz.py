@@ -13,10 +13,11 @@ The schedule is the constant ``EPS``, sampled in one array call:
 ``evaluate`` takes a 1-D array of z and returns the stack of M(z), so a
 limit costs one ``integrate``.  Every analysis reads the tolerances of the
 measure it runs on, ``m.omega.tols``.  Points are checked where they enter
-a kernel (``measure.as_point``), and by ``atom_mass``, whose callable may be
-any.  Real points come in arrays too: ``t_matrix`` and ``integrate_cauchy``
-take a 1-D array of real x and return the stack of T(x) and of the
-closed-form M(x), or a Divergent when any of the points is on the support.
+a kernel (``measure.as_point``), by ``boundary_value``, which takes one real
+point, and by ``atom_mass``, whose callable may be any.  Real points come
+in arrays too: ``t_matrix`` and ``integrate_cauchy`` take a 1-D array
+of real x and return the stack of T(x) and of the closed-form M(x), or a
+Divergent when any of the points is on the support.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .measure import (CauchyKernel, Divergent, MatrixMeasure, PoissonSquareKernel,
-                      PreconditionError, as_point, hermitian_part, integrate,
-                      is_batch, is_divergent, is_hermitian)
+                      as_point, as_real_point, hermitian_part, integrate, is_batch,
+                      is_divergent, is_hermitian)
 
 
 class NotConvergedError(RuntimeError):
@@ -179,7 +180,7 @@ def boundary_value(m: HerglotzMatrix, x: float) -> BoundaryReport:
     M(x+i0) = C + PV∫ + iπρ(x).  At an atom or a piece end the ε-schedule
     limit is taken and the Hermitian part of the converged value reported.
     """
-    x = float(x)
+    x = as_real_point(x, "boundary_value", batch=False)
     t = t_matrix(m, x)
     mx = integrate_cauchy(m, x)
     if not is_divergent(mx):

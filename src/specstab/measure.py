@@ -10,7 +10,8 @@ meeting the support), never by numeric overflow.
 A measure is stored as arrays, built once when it is validated, so every
 integral is one weighted sum: kernel values at the atoms times their
 weights plus exact segment integrals times the piece densities.  A kernel
-checks its point, real or complex, with ``as_point`` (PreconditionError).
+checks its point with ``as_point``, a real-x kernel with ``as_real_point``
+(PreconditionError).
 """
 
 from __future__ import annotations
@@ -42,10 +43,17 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 
 def is_hermitian(a: np.ndarray):
-    """Whether a matrix (or each of a stack) is Hermitian to 1e-12·max(1, ‖a‖)."""
+    """Whether a matrix (or each of a stack) is finite and Hermitian to
+    1e-12·max(1, ‖a‖), Frobenius, compared squared: by two vdots for one."""
     a = np.asarray(a)
-    scale = np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1)))
-    return np.linalg.norm(a - a.conj().swapaxes(-1, -2), axis=(-2, -1)) <= 1e-12 * scale
+    if a.ndim == 2:     # a − a* only once ‖a‖² is finite: no inf − inf
+        aa = np.vdot(a, a).real
+        return aa < np.inf and np.vdot(d := a - a.conj().T, d).real <= 1e-24 * max(1.0, aa)
+    with np.errstate(invalid="ignore", over="ignore"):     # inf or nan: False
+        aa = np.einsum("...ij,...ij->...", a.conj(), a).real
+        d = a - a.conj().swapaxes(-1, -2)
+        dd = np.einsum("...ij,...ij->...", d.conj(), d).real
+    return (aa < np.inf) & (dd <= 1e-24 * np.maximum(1.0, aa))
 
 
 def is_batch(x) -> bool:
@@ -70,6 +78,16 @@ def as_point(x):
         finite = np.isfinite(x).all()
     if not finite:
         raise PreconditionError(f"points must be finite, got {x}")
+    return x
+
+
+def as_real_point(x, what: str, batch: bool = True):
+    """as_point(x) for a real x; PreconditionError, naming ``what``, for a
+    complex point or batch, and for any batch unless ``batch``."""
+    x = as_point(x)
+    if not (isinstance(x, float) or batch and is_batch(x) and x.dtype.kind == "f"):
+        kind = "real points" if batch else "one real point"
+        raise PreconditionError(f"{what} takes {kind}, got {x}")
     return x
 
 
@@ -291,27 +309,29 @@ class MatrixMeasure:
 
         # Support of every term widened by tol_x, atoms first, then pieces:
         # [lo, hi] sorted by lo, with the running maximum of hi, so that the
-        # terms holding a point are found by two bisections.
+        # terms holding a point are found by two bisections: in lists for
+        # one point, each term's directions with diagonal mass a tuple.
         lo = np.concatenate([self.xs - tol_x, self.a - tol_x])
         hi = np.concatenate([self.xs + tol_x, self.b + tol_x])
-        self._order = np.argsort(lo, kind="stable")
-        self._hi = hi[self._order]
-        # lists for the bisections of one point, arrays for a batch
-        self._lo_sorted = _frozen(lo[self._order])
-        self._reach_sorted = _frozen(np.maximum.accumulate(self._hi))
-        self._lo, self._reach = self._lo_sorted.tolist(), self._reach_sorted.tolist()
-        self._directions = self._weights[:, ::n + 1].real > 0.0     # the diagonals
+        order = np.argsort(lo, kind="stable")
+        lo, hi = lo[order], hi[order]
+        self._lo_sorted, self._reach_sorted = _frozen(lo), _frozen(np.maximum.accumulate(hi))
+        self._lo, self._reach = lo.tolist(), self._reach_sorted.tolist()
+        self._hi, self._ids = hi.tolist(), order.tolist()
+        self._a, self._b = self.a.tolist(), self.b.tolist()
+        signs = np.ascontiguousarray(self._weights[:, ::n + 1].real > 0.0)
+        rows = signs.view(f"V{n}").ravel().tolist()     # one bytes object per term
+        dirs = {r: tuple(i for i, on in enumerate(r) if on) for r in set(rows)}
+        self._dirs = list(map(dirs.__getitem__, rows))
 
     # -- support queries -------------------------------------------------
 
-    def _terms_at(self, x: float) -> np.ndarray:
+    def _terms_at(self, x: float) -> list:
         """Ids of the terms carrying mass (atoms, then pieces) whose
         support, widened by tol_x, contains x."""
-        i = bisect_left(self._reach, x)
-        j = bisect_right(self._lo, x)
-        if i >= j:
-            return self._order[:0]
-        return self._order[i:j][self._hi[i:j] >= x]
+        hi, ids = self._hi, self._ids
+        return [ids[k] for k in range(bisect_left(self._reach, x), bisect_right(self._lo, x))
+                if hi[k] >= x]
 
     def _divergent_directions(self, x) -> tuple:
         """Directions i with diagonal mass mu_ii within tol_x of x, or of
@@ -320,37 +340,37 @@ class MatrixMeasure:
             return tuple(sorted({i for p in x[self.on_support(x)].tolist()
                                  for i in self._divergent_directions(p)}))
         ids = self._terms_at(x)
-        if not ids.size:
-            return ()
-        return tuple(int(i) for i in np.flatnonzero(self._directions[ids].any(axis=0)))
+        if len(ids) > 1:
+            return tuple(sorted({i for t in ids for i in self._dirs[t]}))
+        return self._dirs[ids[0]] if ids else ()
 
     def in_piece_interior(self, x: float) -> bool:
         """Whether x is on the support in piece interiors only: more than
         tol_x inside every piece holding it, and off every atom."""
-        if not self.a.size:
-            return False
-        p = self._terms_at(x) - len(self.xs)    # piece ids; an atom's is < 0
-        tol = self.tols.tol_x
-        return bool(p.size and p.min() >= 0
-                    and ((self.a[p] + tol < x) & (x < self.b[p] - tol)).all())
+        k, tol = len(self.xs), self.tols.tol_x
+        ids = self._terms_at(x)
+        return bool(ids) and all(t >= k and self._a[t - k] + tol < x < self._b[t - k] - tol
+                                 for t in ids)
 
     def density_at(self, x: float) -> np.ndarray:
         """ρ(x): the summed density of the pieces holding x inside them."""
-        inside = (self.a < x) & (x < self.b)
+        k = len(self.xs)
+        inside = sorted(t - k for t in self._terms_at(x)     # summed in piece order
+                        if t >= k and self._a[t - k] < x < self._b[t - k])
         return self.rho[inside].sum(axis=0).reshape(self.dim, self.dim)
 
     def atom_at(self, x: float):
         """Atom carrying mass whose point is within tol_x of x, or None."""
-        ids = self._terms_at(x)
-        ids = ids[ids < len(self.xs)]
-        return self.atoms[self._atom_ids[ids.min()]] if ids.size else None
+        ids = [t for t in self._terms_at(x) if t < len(self.xs)]
+        return self.atoms[self._atom_ids[min(ids)]] if ids else None
 
     def on_support(self, x):
         """Whether x is within tol_x of a term carrying mass: a bool, or a
         bool array for a 1-D array of points."""
-        if not is_batch(x):
-            return bool(self._terms_at(x).size)
         # some term starting at or below x must reach it
+        if not is_batch(x):
+            j = bisect_right(self._lo, x)
+            return j > 0 and bool(self._reach[j - 1] >= x)
         j = np.searchsorted(self._lo_sorted, x, side="right")
         return (j > 0) & (self._reach_sorted[j - 1] >= x)
 
@@ -395,11 +415,8 @@ class PoissonSquareKernel(Kernel):
     """
 
     def __init__(self, x):
-        self.x = self.pole = as_point(x)
-        batch = is_batch(self.x)
-        if self.x.dtype.kind == "c" if batch else isinstance(self.x, complex):
-            raise PreconditionError(f"the divergence kernel takes real points, got {self.x}")
-        self._x = self.x[:, None] if batch else self.x
+        self.x = self.pole = as_real_point(x, "the divergence kernel")
+        self._x = self.x if isinstance(self.x, float) else self.x[:, None]
 
     def values(self, ys):
         return 1.0 / (self._x - ys) ** 2
@@ -412,9 +429,7 @@ class RegularizedKernel(Kernel):
     """y -> 1/((x - y)^2 + 1/m^2) at one real point x; everywhere finite."""
 
     def __init__(self, x: float, m: float):
-        self.x = as_point(x)
-        if not isinstance(self.x, float):
-            raise PreconditionError(f"the regularized kernel takes one real point, got {self.x}")
+        self.x = as_real_point(x, "the regularized kernel", batch=False)
         self.m = float(m)
         if self.m <= 0:
             raise ValueError("regularization level m must be positive")

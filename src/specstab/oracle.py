@@ -26,7 +26,7 @@ import numpy as np
 
 from .extensions import as_parameter
 from .herglotz import HerglotzMatrix, integrate_cauchy, t_matrix
-from .measure import hermitian_part, is_batch, is_divergent, matrix_rank
+from .measure import as_real_point, hermitian_part, is_batch, is_divergent, matrix_rank
 
 # an eigenvalue of H within KERNEL_TOL·max(1, ‖H‖) of 0 counts as a kernel
 # direction; a shift with one is numerically singular
@@ -137,7 +137,7 @@ def residue_mass(m: HerglotzMatrix, d, p, kernel_dim=None) -> np.ndarray:
     ill-conditioned projected derivative.
     """
     D = as_parameter(d, m.dim).D
-    ps = np.array(p, dtype=float, ndmin=1)
+    ps = np.array(as_real_point(p, "residue_mass"), ndmin=1)
     w, vecs = np.linalg.eigh(_h(m, D, ps))
     if kernel_dim is None:
         scale = np.maximum(1.0, np.abs(w).max(axis=1, initial=0.0))

@@ -1,14 +1,19 @@
+import json
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
-                      HerglotzMatrix, IndicatorKernel, IntervalUnion,
-                      InvOnePlusY2Kernel, MatrixMeasure, MeasureError,
-                      PoissonSquareKernel, RegularizedKernel, boundary_value,
-                      density_matrix, integrate, is_divergent, measure_of_set,
-                      trace_measure)
+                      ExtensionParameter, HerglotzMatrix, IndicatorKernel,
+                      IntervalUnion, InvOnePlusY2Kernel, MatrixMeasure,
+                      MeasureError, PoissonSquareKernel, RegularizedKernel,
+                      Tolerances, boundary_value, density_matrix, integrate,
+                      is_divergent, measure_of_set, trace_measure)
 from specstab.herglotz import as_point
-from specstab.measure import DefinedNowhereError
+from specstab.io import InputError, load_hermitian
+from specstab.measure import DefinedNowhereError, is_hermitian
 from specstab.randgen import random_atomic_measure
 
 
@@ -247,3 +252,171 @@ class TestAsPoint:
     def test_a_batch_must_be_one_dimensional(self):
         with pytest.raises(ValueError, match="1-D"):
             as_point(np.zeros((2, 2)))
+
+
+def _weight(rng, n, rank):
+    """PSD weight of the given rank, rank 0 the zero matrix; about 40 % of
+    its canonical directions are cut off, so some diagonal entries are
+    exactly 0 (and the whole weight may be 0: a massless term)."""
+    b = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    b[rng.random(n) < 0.4] = 0.0
+    return b @ b.conj().T
+
+
+@st.composite
+def lookup_measures(draw):
+    """Atoms and pieces with every case the support lookup must tell apart:
+    touching pieces, atoms on or within tol_x of a piece end, atoms inside
+    pieces, and massless atoms and pieces (dropped from the arrays)."""
+    n = draw(st.integers(1, 3))
+    tol_x = draw(st.sampled_from([1e-12, 1e-6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    ranks = st.integers(0, n)
+    pieces, cur = [], -4.0
+    for rank, touching in draw(st.lists(st.tuples(ranks, st.booleans()), max_size=4)):
+        a = cur if touching else cur + float(rng.uniform(0.1, 1.0))
+        cur = a + float(rng.uniform(0.05, 1.0))
+        pieces.append(ACPiece(a, cur, _weight(rng, n, rank)))
+    # free atoms on slots 0.1 apart; an atom at a piece end is kept only
+    # 1e-3 or more from the others, so no two atoms coincide
+    slots = draw(st.lists(st.integers(-50, 50), unique=True, max_size=8))
+    xs = [0.1 * k + float(rng.uniform(-0.02, 0.02)) for k in slots]
+    ends = sorted({e for pc in pieces for e in (pc.a, pc.b)})
+    for e in draw(st.lists(st.sampled_from(ends), unique=True, max_size=3)) if ends else []:
+        x = e + draw(st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0])) * tol_x
+        if all(abs(x - y) > 1e-3 for y in xs):
+            xs.append(x)
+    atoms = [Atom(x, _weight(rng, n, draw(ranks))) for x in xs]
+    atoms.append(Atom(9.0, np.eye(n)))      # the measure must carry mass
+    return MatrixMeasure(n, atoms, pieces, Tolerances(tol_x=tol_x))
+
+
+def lookup_points(omega, rng):
+    """On, within, at and just beyond tol_x of every atom and piece end,
+    massless ones included, inside every piece, and anywhere."""
+    tol = omega.tols.tol_x
+    ends = [e for pc in omega.ac_pieces for e in (pc.a, pc.b)]
+    near = [y + f * tol for y in [at.x for at in omega.atoms] + ends
+            for f in (0.0, 0.5, -0.5, 1.0, -1.0, 1.01, -1.01, 2.0, -2.0)]
+    inside = [t for pc in omega.ac_pieces
+              for t in (0.5 * (pc.a + pc.b), pc.a + 2 * tol, pc.b - 2 * tol)]
+    return near + inside + rng.uniform(-6.0, 10.0, size=8).tolist()
+
+
+def check_lookups(omega, xs):
+    """Every scalar support lookup against its definition from xs, a, b,
+    tol_x and the weight diagonals of the terms carrying mass."""
+    n, tol = omega.dim, omega.tols.tol_x
+
+    def diag(w):        # a flattened weight's directions with diagonal mass
+        return np.flatnonzero(w[::n + 1].real > 0.0).tolist()
+
+    for x in xs:
+        atoms = [k for k, y in enumerate(omega.xs.tolist()) if y - tol <= x <= y + tol]
+        pieces = [p for p, (a, b) in enumerate(zip(omega.a.tolist(), omega.b.tolist()))
+                  if a - tol <= x <= b + tol]
+        assert omega.on_support(x) is bool(atoms or pieces), x
+        assert omega.on_support(np.array([x])).tolist() == [omega.on_support(x)], x
+        dirs = {i for k in atoms for i in diag(omega.W[k])}
+        dirs |= {i for p in pieces for i in diag(omega.rho[p])}
+        assert omega._divergent_directions(x) == tuple(sorted(dirs)), x
+        interior = bool(pieces) and not atoms and all(
+            omega.a[p] + tol < x < omega.b[p] - tol for p in pieces)
+        assert omega.in_piece_interior(x) is interior, x
+        atom = next((at for at in omega.atoms if np.trace(at.W).real > 0.0
+                     and at.x - tol <= x <= at.x + tol), None)
+        assert omega.atom_at(x) is atom, x
+        inside = (omega.a < x) & (x < omega.b)
+        assert np.array_equal(omega.density_at(x),
+                              omega.rho[inside].sum(axis=0).reshape(n, n)), x
+    batch = np.array(xs)
+    assert omega.on_support(batch).tolist() == [omega.on_support(x) for x in xs]
+    assert omega._divergent_directions(batch) == tuple(sorted(
+        {i for x in xs for i in omega._divergent_directions(x)}))
+
+
+class TestSupportLookup:
+    def test_touching_pieces_an_atom_at_an_end_and_massless_terms(self):
+        tol = DEFAULT_TOLS.tol_x
+        omega = MatrixMeasure(3, [Atom(1.0 + 0.5 * tol, np.diag([1.0, 0.0, 0.0])),
+                                  Atom(0.5, np.diag([0.0, 0.0, 2.0])),
+                                  Atom(3.0, np.zeros((3, 3)))],
+                              [ACPiece(0.0, 1.0, np.diag([0.0, 1.0, 0.0])),
+                               ACPiece(1.0, 2.0, np.diag([0.0, 0.0, 3.0])),
+                               ACPiece(2.5, 2.75, np.zeros((3, 3)))])
+        assert omega.xs.tolist() == [0.5, 1.0 + 0.5 * tol] and omega.b.tolist() == [1.0, 2.0]
+        assert omega._divergent_directions(1.0) == (0, 1, 2)
+        assert omega._divergent_directions(0.5) == (1, 2)
+        assert omega._divergent_directions(3.0) == () and not omega.on_support(2.6)
+        assert omega.in_piece_interior(1.5) and not omega.in_piece_interior(0.5)
+        assert omega.atom_at(1.0) is omega.atoms[1] and omega.atom_at(3.0) is None
+        check_lookups(omega, lookup_points(omega, np.random.default_rng(0)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(omega=lookup_measures(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_scalar_lookups_match_their_definitions(self, omega, seed):
+        check_lookups(omega, lookup_points(omega, np.random.default_rng(seed)))
+
+
+def frobenius_hermitian(a):
+    """The definition: ‖a − a*‖ <= 1e-12·max(1, ‖a‖), Frobenius norms."""
+    a = np.asarray(a)
+    d = a - a.conj().swapaxes(-1, -2)
+    return (np.linalg.norm(d, axis=(-2, -1))
+            <= 1e-12 * np.maximum(1.0, np.linalg.norm(a, axis=(-2, -1))))
+
+
+def perturbed(rng, n, scale, factor):
+    """A Hermitian matrix of norm ``scale`` plus an anti-Hermitian part
+    making ‖a − a*‖ ``factor`` times the threshold 1e-12·max(1, ‖a‖)."""
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h, k = g + g.conj().T, g - g.conj().T
+    h *= scale / np.linalg.norm(h)
+    # ‖h + s k̂‖² = ‖h‖² + s² (h ⟂ k), and ‖a − a*‖ = 2s
+    s = 0.5 * factor * 1e-12 * max(1.0, scale)
+    return h + s * k / np.linalg.norm(k)
+
+
+class TestIsHermitian:
+    @pytest.mark.parametrize("n", [1, 3])
+    @pytest.mark.parametrize("scale", [0.1, 1.0, 1e3])
+    @pytest.mark.parametrize("factor", [0.0, 0.5, 2.0])
+    def test_one_matrix_matches_the_frobenius_definition(self, n, scale, factor):
+        rng = np.random.default_rng(int(10 * scale) + n)
+        for _ in range(20):
+            a = perturbed(rng, n, scale, factor)
+            want = bool(frobenius_hermitian(a))
+            assert want == (factor < 1.0 or n == 1 and factor == 0.0)
+            assert bool(is_hermitian(a)) is want
+
+    def test_a_stack_matches_the_frobenius_definition(self):
+        rng = np.random.default_rng(4)
+        stack = np.array([perturbed(rng, 3, scale, factor)
+                          for scale in (0.1, 1.0, 1e3) for factor in (0.0, 0.5, 2.0)])
+        got = is_hermitian(stack)
+        assert got.tolist() == frobenius_hermitian(stack).tolist()
+        assert got.tolist() == [True, True, False] * 3
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(math.inf, 0.0),
+                                     complex(0.0, math.nan)],
+                             ids=["nan", "inf", "-inf", "inf+0j", "nan*1j"])
+    @pytest.mark.parametrize("at", [(0, 0), (0, 2)], ids=["diagonal", "off-diagonal"])
+    def test_non_finite_entries_are_not_hermitian(self, bad, at):
+        a = np.eye(3, dtype=complex)
+        a[at] = bad
+        assert not is_hermitian(a)
+        assert is_hermitian(np.array([np.eye(3), a, np.eye(3)])).tolist() == [True, False, True]
+        assert not is_hermitian(np.array([[bad]]))
+
+    def test_the_must_be_hermitian_errors_are_unchanged(self, tmp_path):
+        skew = [[0.0, 1.0], [0.0, 0.0]]
+        with pytest.raises(ValueError, match="^D must be Hermitian$"):
+            ExtensionParameter(skew)
+        with pytest.raises(ValueError, match="^D must be Hermitian$"):
+            ExtensionParameter([[0.0, math.inf], [0.0, 0.0]])   # was accepted
+        with pytest.raises(ValueError, match="^C must be Hermitian$"):
+            HerglotzMatrix.from_measure(two_atoms_eye2(), skew)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(skew))
+        with pytest.raises(InputError, match=f"^{path}: matrix is not Hermitian$"):
+            load_hermitian(str(path))

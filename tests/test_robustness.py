@@ -6,6 +6,7 @@ import importlib
 import inspect
 import math
 import pkgutil
+import re
 import time
 from pathlib import Path
 
@@ -15,9 +16,10 @@ import pytest
 import specstab
 from specstab import (Atom, ConditioningError, ExtensionParameter, HerglotzMatrix,
                       MatrixMeasure, OracleError, PoissonSquareKernel, PreconditionError,
-                      RegularizedKernel, ScanConfig, atom_mass, classify, cli, evaluate,
-                      extension_weyl, integrate, max_mult_test, max_mult_test_via,
-                      real_poles, residue_mass, resolvent_identity_residual, t_matrix, verify)
+                      RegularizedKernel, ScanConfig, atom_mass, boundary_value, classify, cli,
+                      evaluate, extension_for_point, extension_weyl, integrate,
+                      mass_at_max_mult, max_mult_test, max_mult_test_via, real_poles,
+                      residue_mass, resolvent_identity_residual, t_matrix, verify)
 from specstab.randgen import point_off_atoms, random_atomic_measure
 from specstab.verify import run_verify
 
@@ -141,6 +143,32 @@ def test_regularized_kernel_rejects_complex_points(x):
     # a numpy complex point lost Im x with a ComplexWarning; a Python complex raised TypeError
     with pytest.raises(PreconditionError, match="one real point"):
         RegularizedKernel(x, 1.0)
+
+
+REAL_X_CALLS = {
+    "boundary_value": boundary_value,
+    "max_mult_test": lambda m, x: max_mult_test(m, np.zeros((2, 2)), x),
+    "extension_for_point": extension_for_point,
+    "mass_at_max_mult": lambda m, x: mass_at_max_mult(m, np.zeros((2, 2)), x),
+    "residue_mass": lambda m, x: residue_mass(m, np.zeros((2, 2)), x),
+}
+
+
+@pytest.mark.parametrize("x", [1 + 1j, np.array(2 + 1j), np.complex128(2 + 1j)],
+                         ids=["complex", "0-d complex array", "complex128"])
+@pytest.mark.parametrize("call", REAL_X_CALLS.values(), ids=REAL_X_CALLS)
+def test_real_x_entry_points_reject_complex_points(two_atom, call, x):
+    # float(x) raised a bare TypeError, which cli.EXIT_CODES does not map, or
+    # for a numpy complex warned and went on at Re x
+    with pytest.raises(PreconditionError, match="real point"):
+        call(two_atom, x)
+
+
+def test_a_complex_batch_is_named_whole(two_atom):
+    # the message named only the points off the support, here [0.5]
+    xs = np.array([0.5, 1.0, 2.0 + 1j])
+    with pytest.raises(PreconditionError, match=re.escape(str(xs))):
+        max_mult_test(two_atom, np.zeros((2, 2)), xs)
 
 
 def test_non_finite_grid_and_window_ends_are_rejected(two_atom):
