@@ -21,8 +21,7 @@ from .extensions import (ConditioningError, ExtensionParameter,
                          extension_for_point, extension_weyl,
                          mass_at_max_mult, max_mult_test, max_mult_test_via,
                          resolvent_identity_residual)
-from .oracle import (OracleError, PoleRecord, SpectralReport, classify,
-                     real_poles, residue_mass)
+from .oracle import OracleError, PoleRecord, classify, real_poles, residue_mass
 from .scan import ScanConfig, GridRecord, scan_forbidden
 from .verify import run_verify
 

@@ -130,10 +130,9 @@ def cmd_masses(args, m):
 def cmd_eigs(args, m):
     d = load_hermitian(args.d_matrix)
     a, b, _ = args.grid
-    report = classify(m, d, (a, b))
     doc = {"interval": [a, b], "dim": m.dim, "measure": args.measure,
            "poles": [{"p": pr.p, "rank": pr.rank, "is_max_mult": pr.is_max_mult,
-                      "mass": matrix_out(pr.mass)} for pr in report.poles]}
+                      "mass": matrix_out(pr.mass)} for pr in classify(m, d, (a, b))]}
     _emit(doc, args)
     return EXIT_OK
 

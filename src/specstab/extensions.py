@@ -25,8 +25,8 @@ import numpy as np
 
 from .herglotz import (EPS, ConditioningError, HerglotzMatrix, boundary_value,
                        evaluate, integrate_cauchy, richardson_limit, t_matrix)
-from .measure import (Divergent, PreconditionError, as_real_point, hermitian_part,
-                      is_batch, is_divergent, is_hermitian)
+from .measure import (Divergent, PreconditionError, _frozen, as_point, as_real_point,
+                      hermitian_part, is_batch, is_divergent, is_hermitian)
 
 
 # smallest singular value of D' - D accepted by the second-parameter test
@@ -45,8 +45,7 @@ class ExtensionParameter:
             raise ValueError(f"D must be square, got shape {d.shape}")
         if not is_hermitian(d):
             raise ValueError("D must be Hermitian")
-        d.setflags(write=False)
-        object.__setattr__(self, "D", d)
+        object.__setattr__(self, "D", _frozen(d))
 
     @property
     def dim(self) -> int:
@@ -112,6 +111,8 @@ def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> fl
     """Relative Frobenius defect of both composed forms of M_D via M_{D'}."""
     n = m.dim
     D, Dp = as_parameter(d, n).D, as_parameter(d_prime, n).D
+    if is_batch(z := as_point(z)):
+        raise PreconditionError(f"resolvent_identity_residual takes one point z, got {z}")
     eye = np.eye(n)
     md = extension_weyl(m, D)(z)
     mdp = extension_weyl(m, Dp)(z)
@@ -171,6 +172,7 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
     Im M_{D'}(x+iε)/ε, whose error is O(ε²), so it is extrapolated at
     second order.  Undecided is reported as Divergent(()).
     """
+    x = as_real_point(x, "max_mult_test_via", batch=False)
     D, dp = as_parameter(d, m.dim).D, as_parameter(d_prime, m.dim)
     gap = dp.D - D
     s = np.linalg.svd(gap, compute_uv=False)
@@ -226,7 +228,7 @@ def extension_for_point(m: HerglotzMatrix, x: float) -> Optional[ExtensionParame
 
 def mass_at_max_mult(m: HerglotzMatrix, d, x: float) -> np.ndarray:
     """Eigenvalue mass T(x)^{-1} at a verified maximum-multiplicity point."""
-    ev = max_mult_test(m, d, x)
+    ev = max_mult_test(m, d, as_real_point(x, "mass_at_max_mult", batch=False))
     if not ev.verdict:
         raise PreconditionError(f"x={x} is not a maximum-multiplicity point for this D")
     return ev.mass()

@@ -13,8 +13,8 @@ The schedule is the constant ``EPS``, sampled in one array call:
 ``evaluate`` takes a 1-D array of z and returns the stack of M(z), so a
 limit costs one ``integrate``.  Every analysis reads the tolerances of the
 measure it runs on, ``m.omega.tols``.  Points are checked where they enter
-a kernel (``measure.as_point``), by ``boundary_value``, which takes one real
-point, and by ``atom_mass``, whose callable may be any.  Real points come
+a kernel (``measure.as_point``), and by ``boundary_value`` and ``atom_mass``
+(whose callable may be any), which take one real point.  Real points come
 in arrays too: ``t_matrix`` and ``integrate_cauchy`` take a 1-D array
 of real x and return the stack of T(x) and of the closed-form M(x), or a
 Divergent when any of the points is on the support.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .measure import (CauchyKernel, Divergent, MatrixMeasure, PoissonSquareKernel,
-                      as_point, as_real_point, hermitian_part, integrate, is_batch,
+                      _frozen, as_real_point, hermitian_part, integrate, is_batch,
                       is_divergent, is_hermitian)
 
 
@@ -55,8 +55,7 @@ class HerglotzMatrix:
             raise ValueError(f"C must be {n}x{n}, got {c.shape}")
         if not is_hermitian(c):
             raise ValueError("C must be Hermitian")
-        c.setflags(write=False)
-        object.__setattr__(self, "C", c)
+        object.__setattr__(self, "C", _frozen(c))
 
     @classmethod
     def from_measure(cls, omega: MatrixMeasure, C=None) -> "HerglotzMatrix":
@@ -200,7 +199,7 @@ def atom_mass(f, x: float, tols: Optional[Tolerances] = None) -> np.ndarray:
     own for a HerglotzMatrix and ``DEFAULT_TOLS`` for any other callable.
     Returns the Hermitian PSD mass, the zero matrix when x carries none.
     """
-    x = as_point(x)
+    x = as_real_point(x, "atom_mass", batch=False)
     if tols is None:
         tols = f.omega.tols if isinstance(f, HerglotzMatrix) else DEFAULT_TOLS
     val, _, ok = richardson_limit(

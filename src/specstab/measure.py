@@ -166,12 +166,8 @@ class IntervalUnion:
 
     @classmethod
     def of(cls, *specs) -> "IntervalUnion":
-        """Build from (a, b) or (a, b, incl_a, incl_b) tuples."""
+        """Build from (a, b) or (a, b, incl_a, incl_b) tuples; none is the empty set."""
         return cls([Interval(*s) for s in specs])
-
-    @classmethod
-    def empty(cls) -> "IntervalUnion":
-        return cls(())
 
     def contains(self, x):
         """Membership of x, a number or an array of numbers."""
@@ -222,7 +218,6 @@ class ACPiece:
 class DensityMatrixValue:
     """Trace-normalized mass direction at a point, with its rank."""
 
-    t: float
     psi: np.ndarray
     multiplicity: int
 
@@ -487,14 +482,12 @@ class CauchyKernel(Kernel):
         return np.log(np.abs(ys - self._w))
 
 
-class InvOnePlusY2Kernel(Kernel):
-    """y -> 1/(1 + y^2); the integrability weight of the representation."""
+class InvOnePlusY2Kernel(RegularizedKernel):
+    """y -> 1/(1 + y^2), the integrability weight of the representation:
+    the regularized kernel at x = 0, m = 1."""
 
-    def values(self, ys):
-        return 1.0 / (1.0 + ys * ys)
-
-    def primitive(self, ys):
-        return np.arctan(ys)
+    def __init__(self):
+        super().__init__(0.0, 1.0)
 
 
 class IndicatorKernel(Kernel):
@@ -561,6 +554,7 @@ def density_matrix(omega: MatrixMeasure, t: float) -> DensityMatrixValue:
     inside a piece the constant density appears. Points with no trace mass
     have no density value.
     """
+    t = as_real_point(t, "density_matrix", batch=False)
     at = omega.atom_at(t)
     if at is not None:
         w = np.asarray(at.W)
@@ -569,4 +563,4 @@ def density_matrix(omega: MatrixMeasure, t: float) -> DensityMatrixValue:
         if not np.trace(w).real > 0.0:
             raise DefinedNowhereError(f"no trace mass at t={t}")
     psi = w / np.trace(w).real
-    return DensityMatrixValue(t, psi, matrix_rank(psi, omega.tols.rank_tol))
+    return DensityMatrixValue(psi, matrix_rank(psi, omega.tols.rank_tol))

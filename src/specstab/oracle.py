@@ -46,16 +46,6 @@ class PoleRecord:
     is_max_mult: bool
 
 
-@dataclass
-class SpectralReport:
-    """All real poles of M_D in the window, with masses and verdicts."""
-
-    poles: List[PoleRecord]
-
-    def max_mult_points(self) -> List[float]:
-        return [pr.p for pr in self.poles if pr.is_max_mult]
-
-
 def _h(m: HerglotzMatrix, D: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """The stack of H(x) at a 1-D array of x; OracleError naming the
     first x on the support."""
@@ -166,8 +156,8 @@ def residue_mass(m: HerglotzMatrix, d, p, kernel_dim=None) -> np.ndarray:
     return out if is_batch(p) else out[0]
 
 
-def classify(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> SpectralReport:
-    """Locate every pole in the window and classify its multiplicity.
+def classify(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[PoleRecord]:
+    """The record of every pole in the window, in increasing order.
 
     ``rank`` is the rank of the residue mass and ``kernel_dim`` the
     dimension of the kernel at the pole; they should agree, and a
@@ -180,5 +170,5 @@ def classify(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> SpectralRep
     kdims = np.array([kdim for _, kdim in poles], dtype=int)
     masses = residue_mass(m, d, ps, kdims)
     ranks = matrix_rank(masses, m.omega.tols.rank_tol).tolist()
-    return SpectralReport([PoleRecord(p, mass, rank, kdim, rank == n)
-                           for (p, kdim), mass, rank in zip(poles, masses, ranks)])
+    return [PoleRecord(p, mass, rank, kdim, rank == n)
+            for (p, kdim), mass, rank in zip(poles, masses, ranks)]

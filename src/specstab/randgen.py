@@ -7,7 +7,7 @@ import numpy as np
 from .herglotz import HerglotzMatrix
 from .measure import Atom, MatrixMeasure, hermitian_part
 
-MAX_DRAWS = 10000   # cap on every rejection-sampling loop
+MAX_DRAWS = 10000   # cap on the rejection-sampling loop of point_off_atoms
 
 
 def random_hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -37,7 +37,8 @@ def random_gap_matrix(rng: np.random.Generator, n: int, min_abs_eig: float = 1e-
 
 def random_atomic_measure(rng: np.random.Generator, n: int,
                           n_atoms: int = None) -> MatrixMeasure:
-    """Atoms at well-separated random points with random PSD weights.
+    """One atom per cell of [-3, 3], at least 0.1 inside each cell edge (so
+    atoms are at least 0.2 apart), with random PSD weights.
 
     The weights are arranged to sum to a positive-definite matrix so that
     T(x) is positive definite off the atoms (strictly decreasing branches
@@ -45,13 +46,10 @@ def random_atomic_measure(rng: np.random.Generator, n: int,
     """
     if n_atoms is None:
         n_atoms = int(rng.integers(3, 9))
-    for _ in range(MAX_DRAWS):
-        pts = np.sort(rng.uniform(-3.0, 3.0, size=n_atoms))
-        if np.diff(pts).min(initial=1.0) >= 0.2:
-            break
-    else:
-        raise ValueError(f"could not place K={n_atoms} atoms 0.2 apart in [-3, 3] "
-                         f"within {MAX_DRAWS} draws")
+    if not 0 < n_atoms <= 30:       # 30 cells of width 0.2 fill [-3, 3]
+        raise ValueError(f"could not place K={n_atoms} atoms 0.2 apart in [-3, 3]")
+    width = 6.0 / n_atoms
+    pts = -3.0 + width * np.arange(n_atoms) + rng.uniform(0.1, width - 0.1, size=n_atoms)
     atoms = []
     for k, x in enumerate(pts):
         if n > 1 and k > 0 and rng.random() < 0.3:

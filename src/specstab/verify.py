@@ -59,17 +59,17 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix) -> dict:
     # validated once here; every criterion and oracle call takes it as is
     d = ExtensionParameter(boundary_value(m, x0).m_boundary)
     window = _scan_window(rng, omega, x0, m, d)
-    report = classify(m, d, window)
+    poles = classify(m, d, window)
 
     mismatches = []
-    oracle_max = report.max_mult_points()
+    oracle_max = [pr.p for pr in poles if pr.is_max_mult]
     if not any(abs(p - x0) <= X_AGREE_TOL for p in oracle_max):
         mismatches.append({"kind": "missed_constructed_point", "x0": x0,
                            "oracle_max_mult": oracle_max})
 
     pole_rows = []
-    evidence = max_mult_test(m, d, [pr.p for pr in report.poles])
-    for pr, ev in zip(report.poles, evidence):
+    evidence = max_mult_test(m, d, [pr.p for pr in poles])
+    for pr, ev in zip(poles, evidence):
         row = {"p": pr.p, "rank": pr.rank, "oracle_max_mult": pr.is_max_mult,
                "criterion": bool(ev.verdict), "residual": ev.residual}
         if ev.verdict != pr.is_max_mult:

@@ -113,13 +113,13 @@ def test_criterion_4_theorem_equivalence(equivalence_campaign):
     t0 = time.time()
     worst_x, worst_mass = np.inf, 0.0
     for m, d, x0, rep, _ in instances:
-        oracle_max = rep.max_mult_points()
+        oracle_max = [pr.p for pr in rep if pr.is_max_mult]
         # constructed point appears among the oracle's max-mult poles
         gap = min((abs(p - x0) for p in oracle_max), default=np.inf)
         assert gap <= 1e-9, f"constructed point {x0} missed by the oracle"
         worst_x = min(worst_x, gap) if gap < worst_x else worst_x
         # criterion verdict matches the oracle at every pole, both ways
-        for pr in rep.poles:
+        for pr in rep:
             ev = max_mult_test(m, d, pr.p)
             assert ev.verdict == pr.is_max_mult, (
                 f"disagreement at p={pr.p}: oracle {pr.is_max_mult}, "
@@ -142,7 +142,7 @@ def test_criterion_5_second_parameter(equivalence_campaign):
     for m, d, x0, rep, seed in instances:
         rng = np.random.default_rng(seed)
         n = m.dim
-        for pr in rep.poles:
+        for pr in rep:
             if not pr.is_max_mult:
                 continue
             for _ in range(5):
@@ -185,13 +185,13 @@ def test_criterion_7_closed_form_fixtures(single_atom, two_atom):
         assert np.linalg.norm(evaluate(two_atom, z)
                               - (-2 * z / (z * z - 1)) * np.eye(2)) <= 1e-10
     rep1 = classify(single_atom, [[-0.5]], (-1.0, 5.0))
-    assert len(rep1.poles) == 1
-    assert abs(rep1.poles[0].p - 2.0) <= 1e-10
-    assert abs(rep1.poles[0].mass[0, 0] - 4.0) <= 1e-10
+    assert len(rep1) == 1
+    assert abs(rep1[0].p - 2.0) <= 1e-10
+    assert abs(rep1[0].mass[0, 0] - 4.0) <= 1e-10
     rep2 = classify(two_atom, np.zeros((2, 2)), (-5.0, 5.0))
-    assert len(rep2.poles) == 1
-    assert abs(rep2.poles[0].p) <= 1e-10
-    assert np.linalg.norm(rep2.poles[0].mass - np.eye(2) / 2) <= 1e-10
+    assert len(rep2) == 1
+    assert abs(rep2[0].p) <= 1e-10
+    assert np.linalg.norm(rep2[0].mass - np.eye(2) / 2) <= 1e-10
     assert np.linalg.norm(np.asarray(t_matrix(two_atom, 0.0)) - 2 * np.eye(2)) <= 1e-10
     report("7 closed-form fixtures")
 

@@ -154,7 +154,7 @@ def test_residue_mass_batch_matches_scalar_calls(seed):
         assert close(masses[i], residue_mass(m, d, p, k))
         assert ranks[i] == matrix_rank(masses[i], DEFAULT_TOLS.rank_tol)
     report = classify(m, d, (lo - 1.3, hi + 1.7))
-    assert [(pr.p, pr.kernel_dim, pr.rank) for pr in report.poles] == [
+    assert [(pr.p, pr.kernel_dim, pr.rank) for pr in report] == [
         (p, k, r) for (p, k), r in zip(poles, ranks.tolist())]
 
     # a non-pole anywhere in the batch is named

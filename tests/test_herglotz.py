@@ -27,6 +27,10 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="Im z"):
             evaluate(single_atom, 2.0)
 
+    def test_offset_of_the_wrong_shape_rejected(self, two_atom):
+        with pytest.raises(ValueError, match=r"C must be 2x2, got \(3, 3\)"):
+            HerglotzMatrix(np.eye(3), two_atom.omega)
+
     def test_conjugate_symmetry(self, two_atom):
         v = evaluate(two_atom, -1j)
         assert np.allclose(v, evaluate(two_atom, 1j).conj().T)
@@ -296,6 +300,11 @@ class TestAtomMass:
 
     def test_zero_off_atom(self, single_atom):
         assert abs(atom_mass(single_atom, 5.0)[0, 0]) < 1e-9
+
+    def test_a_limit_that_blows_up_does_not_converge(self):
+        # -iε f(1 + iε) = i/ε·I for f(z) = I/(z - 1)²: no finite mass
+        with pytest.raises(NotConvergedError, match="x=1.0"):
+            atom_mass(lambda z: np.eye(2) / ((z - 1.0) ** 2)[:, None, None], 1.0)
 
     def test_extension_weyl_mass(self, two_atom):
         # M_D with D=0 is (z^2-1)/(2z) I; residue at 0 gives I/2

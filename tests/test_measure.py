@@ -7,13 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
                       ExtensionParameter, HerglotzMatrix, IndicatorKernel,
-                      IntervalUnion, InvOnePlusY2Kernel, MatrixMeasure,
+                      Interval, IntervalUnion, InvOnePlusY2Kernel, MatrixMeasure,
                       MeasureError, PoissonSquareKernel, RegularizedKernel,
                       Tolerances, boundary_value, density_matrix, integrate,
                       is_divergent, measure_of_set, trace_measure)
-from specstab.herglotz import as_point
 from specstab.io import InputError, load_hermitian
-from specstab.measure import DefinedNowhereError, is_hermitian
+from specstab.measure import DefinedNowhereError, as_point, is_hermitian
 from specstab.randgen import random_atomic_measure
 
 
@@ -61,6 +60,25 @@ class TestValidation:
         with pytest.raises(MeasureError, match=f"{where}.* not finite"):
             MatrixMeasure(1, atoms, pieces)
 
+    def test_weight_of_the_wrong_shape_is_named(self):
+        # the ragged list of weights fails np.array; the entry at fault is named
+        with pytest.raises(MeasureError, match=r"atoms\[1\].W: expected 2x2 matrix, got shape \(3,\)"):
+            MatrixMeasure(2, [Atom(0.0, np.eye(2)), Atom(1.0, [1.0, 0.0, 0.0])])
+
+    def test_dimension_must_be_positive(self):
+        with pytest.raises(MeasureError, match="positive"):
+            MatrixMeasure(0)
+
+    @pytest.mark.parametrize("a, b, match", [(0.0, math.inf, "finite"), (math.nan, 1.0, "finite"),
+                                             (2.0, 1.0, "a > b")])
+    def test_bad_interval_rejected(self, a, b, match):
+        with pytest.raises(MeasureError, match=match):
+            Interval(a, b)
+
+    def test_divergent_has_no_truth_value(self):
+        with pytest.raises(TypeError, match="used as a value"):
+            bool(Divergent((0,)))
+
 
 class TestMasslessTerms:
     """A zero weight adds nothing, not even at a kernel pole."""
@@ -83,7 +101,7 @@ class TestMasslessTerms:
 class TestMeasureOfSet:
     def test_empty_set(self):
         omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
-        assert np.allclose(measure_of_set(omega, IntervalUnion.empty()), 0.0)
+        assert np.allclose(measure_of_set(omega, IntervalUnion.of()), 0.0)
 
     def test_atom_in_interval(self):
         omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
@@ -122,7 +140,7 @@ class TestTraceMeasure:
         assert trace_measure(two_atoms_eye2(), IntervalUnion.of((-2.0, 2.0))) == pytest.approx(4.0)
 
     def test_empty(self):
-        assert trace_measure(two_atoms_eye2(), IntervalUnion.empty()) == 0.0
+        assert trace_measure(two_atoms_eye2(), IntervalUnion.of()) == 0.0
 
     def test_ac_slice(self):
         omega = MatrixMeasure(2, ac_pieces=[ACPiece(0.0, 2.0, np.diag([1.0, 2.0]))])
@@ -140,6 +158,10 @@ class TestIntegrate:
     def test_inv_onepy2_two_atoms(self):
         v = integrate(InvOnePlusY2Kernel(), two_atoms_eye2())
         assert np.allclose(v, np.eye(2))
+
+    def test_regularization_level_must_be_positive(self):
+        with pytest.raises(ValueError, match="positive"):
+            RegularizedKernel(0.0, 0)
 
     def test_poisson_square_two_atoms(self):
         v = integrate(PoissonSquareKernel(0.0), two_atoms_eye2())

@@ -32,6 +32,10 @@ class TestRealPoles:
         with pytest.raises(OracleError, match="atomic"):
             real_poles(m, [[0.0]], (3.0, 4.0))
 
+    def test_inverted_window_rejected(self, single_atom):
+        with pytest.raises(OracleError, match=r"inverted interval \[3.0, 1.0\]"):
+            real_poles(single_atom, [[-0.5]], (3.0, 1.0))
+
     def test_endpoint_on_atom_rejected(self, single_atom):
         with pytest.raises(OracleError, match="endpoints"):
             real_poles(single_atom, [[-0.5]], (0.0, 3.0))
@@ -124,21 +128,21 @@ class TestResidueMass:
 class TestClassify:
     def test_scalar_report(self, single_atom):
         rep = classify(single_atom, [[-0.5]], (-1.0, 5.0))
-        assert len(rep.poles) == 1
-        pr = rep.poles[0]
+        assert len(rep) == 1
+        pr = rep[0]
         assert pr.p == pytest.approx(2.0, abs=1e-10)
         assert pr.rank == 1 and pr.is_max_mult
         assert pr.mass[0, 0] == pytest.approx(4.0)
 
     def test_two_atom_single_full_pole(self, two_atom):
         rep = classify(two_atom, np.zeros((2, 2)), (-5.0, 5.0))
-        assert len(rep.poles) == 1
-        pr = rep.poles[0]
+        assert len(rep) == 1
+        pr = rep[0]
         assert abs(pr.p) < 1e-10 and pr.rank == 2 and pr.is_max_mult
 
     def test_far_window_empty(self, two_atom):
         rep = classify(two_atom, np.zeros((2, 2)), (10.0, 11.0))
-        assert rep.poles == []
+        assert rep == []
         # min singular value floor along the window
         for x in np.linspace(10, 11, 50):
             h = -integrate_cauchy(two_atom, x)
@@ -152,15 +156,15 @@ class TestClassify:
         x0 = point_off_atoms(rng, omega, lo, hi)
         d = boundary_value(m, x0).m_boundary
         rep = classify(m, d, (lo - 1.0, hi + 1.0))
-        ps = [pr.p for pr in rep.poles]
+        ps = [pr.p for pr in rep]
         assert ps == sorted(ps)
-        assert all(1 <= pr.rank <= 3 for pr in rep.poles)
-        assert all(pr.is_max_mult == (pr.rank == 3) for pr in rep.poles)
+        assert all(1 <= pr.rank <= 3 for pr in rep)
+        assert all(pr.is_max_mult == (pr.rank == 3) for pr in rep)
 
     def test_rank_disagreement_is_reported(self, single_atom, single_atom_file, monkeypatch):
         monkeypatch.setattr(oracle, "matrix_rank",
                             lambda a, rank_tol: np.zeros(len(a), dtype=int))
-        pr, = classify(single_atom, [[-0.5]], (-1.0, 5.0)).poles
+        pr, = classify(single_atom, [[-0.5]], (-1.0, 5.0))
         assert (pr.rank, pr.kernel_dim, pr.is_max_mult) == (0, 1, False)
         trial, = run_verify(single_atom, 1, 7)["results"]
         assert not trial["ok"]

@@ -72,8 +72,8 @@ def test_linearized_poles_property(case):
     expected = _negative_count(m, d, b) - _negative_count(m, d, a) + sum(ranks)
     assert sum(kdim for _, kdim in poles) == expected
     report = classify(m, d, (a, b))
-    assert [(pr.p, pr.kernel_dim) for pr in report.poles] == poles
-    for pr in report.poles:
+    assert [(pr.p, pr.kernel_dim) for pr in report] == poles
+    for pr in report:
         w = np.linalg.eigvalsh(pr.mass)
         top = float(np.abs(w).max())
         assert w.min() >= -1e-9 * top

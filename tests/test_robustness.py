@@ -17,7 +17,7 @@ import specstab
 from specstab import (Atom, ConditioningError, ExtensionParameter, HerglotzMatrix,
                       MatrixMeasure, OracleError, PoissonSquareKernel, PreconditionError,
                       RegularizedKernel, ScanConfig, atom_mass, boundary_value, classify, cli,
-                      evaluate, extension_for_point, extension_weyl, integrate,
+                      density_matrix, evaluate, extension_for_point, extension_weyl, integrate,
                       mass_at_max_mult, max_mult_test, max_mult_test_via, real_poles,
                       residue_mass, resolvent_identity_residual, t_matrix, verify)
 from specstab.randgen import point_off_atoms, random_atomic_measure
@@ -55,9 +55,32 @@ def test_settings_census():
                           "herglotz.atom_mass"}
 
 
+def test_public_api_census():
+    # adding or removing a public name of the package is done here, on purpose
+    public = {name for name, obj in vars(specstab).items()
+              if not name.startswith("_") and not inspect.ismodule(obj)}
+    assert public == {
+        "ACPiece", "Atom", "BoundaryReport", "CauchyKernel", "ConditioningError",
+        "DEFAULT_TOLS", "DensityMatrixValue", "Divergent", "ExtensionParameter", "GridRecord",
+        "HerglotzMatrix", "IndicatorKernel", "Interval", "IntervalUnion", "InvOnePlusY2Kernel",
+        "MatrixMeasure", "MaxMultEvidence", "MeasureError", "NotConvergedError", "OracleError",
+        "PoissonSquareKernel", "PoleRecord", "PreconditionError", "RegularizedKernel",
+        "ScanConfig", "Tolerances", "atom_mass", "boundary_value", "classify",
+        "density_matrix", "evaluate", "extension_for_point", "extension_weyl",
+        "hermitian_part", "integrate", "is_divergent", "mass_at_max_mult", "matrix_rank",
+        "max_mult_test", "max_mult_test_via", "measure_of_set", "real_poles", "residue_mass",
+        "resolvent_identity_residual", "run_verify", "scan_forbidden", "t_matrix",
+        "trace_measure"}
+
+
 def test_run_verify_rejects_zero_trials(two_atom):
     with pytest.raises(ValueError, match="at least one trial"):
         run_verify(two_atom, trials=0, seed=1)
+
+
+def test_run_verify_requires_an_atomic_measure(unit_piece):
+    with pytest.raises(ValueError, match="purely atomic"):
+        run_verify(unit_piece, trials=1, seed=1)
 
 
 def test_atom_sampler_gives_up_on_impossible_layout():
@@ -66,6 +89,12 @@ def test_atom_sampler_gives_up_on_impossible_layout():
     with pytest.raises(ValueError, match="K=40"):
         random_atomic_measure(np.random.default_rng(0), 2, n_atoms=40)
     assert time.perf_counter() - t0 < 10.0
+
+
+def test_atom_sampler_needs_an_atom():
+    # K = 0 failed in eigvalsh with a LinAlgError about a 0-d array
+    with pytest.raises(ValueError, match="K=0"):
+        random_atomic_measure(np.random.default_rng(0), 2, n_atoms=0)
 
 
 def test_every_raised_exception_maps_to_an_exit_code():
@@ -112,12 +141,14 @@ NON_FINITE_POINT_CALLS = {
         m, np.zeros((2, 2)), np.eye(2), complex(math.nan, 1.0)),
     "PoissonSquareKernel": lambda m: integrate(PoissonSquareKernel(math.nan), m.omega),
     "RegularizedKernel": lambda m: integrate(RegularizedKernel(math.inf, 1.0), m.omega),
+    "density_matrix": lambda m: density_matrix(m.omega, math.nan),
 }
 
 
 @pytest.mark.parametrize("call", NON_FINITE_POINT_CALLS.values(), ids=NON_FINITE_POINT_CALLS)
 def test_non_finite_points_are_precondition_errors(two_atom, call):
-    # these returned NaN matrices or raised ConditioningError or a bare LinAlgError
+    # these returned NaN matrices or raised ConditioningError, a bare LinAlgError
+    # or, for density_matrix, DefinedNowhereError
     with pytest.raises(PreconditionError, match="finite"):
         call(two_atom)
 
@@ -145,11 +176,17 @@ def test_regularized_kernel_rejects_complex_points(x):
         RegularizedKernel(x, 1.0)
 
 
-REAL_X_CALLS = {
+ONE_POINT_CALLS = {
     "boundary_value": boundary_value,
-    "max_mult_test": lambda m, x: max_mult_test(m, np.zeros((2, 2)), x),
     "extension_for_point": extension_for_point,
     "mass_at_max_mult": lambda m, x: mass_at_max_mult(m, np.zeros((2, 2)), x),
+    "max_mult_test_via": lambda m, x: max_mult_test_via(m, np.zeros((2, 2)), np.eye(2), x),
+    "atom_mass": atom_mass,
+    "density_matrix": lambda m, x: density_matrix(m.omega, x),
+}
+REAL_X_CALLS = {
+    **ONE_POINT_CALLS,
+    "max_mult_test": lambda m, x: max_mult_test(m, np.zeros((2, 2)), x),
     "residue_mass": lambda m, x: residue_mass(m, np.zeros((2, 2)), x),
 }
 
@@ -159,8 +196,25 @@ REAL_X_CALLS = {
 @pytest.mark.parametrize("call", REAL_X_CALLS.values(), ids=REAL_X_CALLS)
 def test_real_x_entry_points_reject_complex_points(two_atom, call, x):
     # float(x) raised a bare TypeError, which cli.EXIT_CODES does not map, or
-    # for a numpy complex warned and went on at Re x
+    # for a numpy complex warned and went on at Re x; atom_mass returned a matrix
     with pytest.raises(PreconditionError, match="real point"):
+        call(two_atom, x)
+
+
+def test_resolvent_identity_residual_takes_one_point(two_atom):
+    # a batch of z gave one residual over all the points
+    with pytest.raises(PreconditionError, match="one point z"):
+        resolvent_identity_residual(two_atom, np.zeros((2, 2)), np.eye(2), np.array([1j, 2j]))
+
+
+@pytest.mark.parametrize("x", [np.array([0.5, 2.0]), np.array([0.5, 1.0])],
+                         ids=["batch", "batch holding an atom"])
+@pytest.mark.parametrize("call", ONE_POINT_CALLS.values(), ids=ONE_POINT_CALLS)
+def test_one_point_entry_points_reject_a_batch(two_atom, call, x):
+    # max_mult_test_via gave one evidence over all the points, atom_mass a bare
+    # broadcast ValueError, mass_at_max_mult an AttributeError and
+    # density_matrix an ambiguous truth value
+    with pytest.raises(PreconditionError, match="one real point"):
         call(two_atom, x)
 
 

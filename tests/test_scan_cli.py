@@ -139,6 +139,26 @@ class TestIO:
                 messages.add(str(exc.value))
             assert len(messages) == 1 and messages.pop().startswith(f"{path}: ")
 
+    @pytest.mark.parametrize("doc, match", [
+        ({"atoms": []}, "field 'n'"),
+        ({"n": "two"}, "field 'n'"),
+        ({"n": 1, "atoms": [{"W": [[[1, 0]]]}]}, r"atoms\[0\].x missing or not a real number"),
+        ({"n": 1, "atoms": [{"x": "left", "W": [[[1, 0]]]}]}, r"atoms\[0\].x missing"),
+        ({"n": 1, "ac": [{"a": 0.0, "rho": [[[1, 0]]]}]}, r"ac\[0\] needs real fields a, b"),
+        ({"n": 1, "ac": [{"a": [0.0], "b": 1.0, "rho": [[[1, 0]]]}]}, r"ac\[0\] needs"),
+        ({"n": 1, "atoms": [{"x": 0.0, "W": [[[1, 0]], [[1, 0]]]}]},
+         r"atoms\[0\].W: expected 1 rows"),
+        ({"n": 2, "atoms": [{"x": 0.0, "W": [[[1, 0]], [[0, 0], [1, 0]]]}]},
+         r"atoms\[0\].W: row 0 must have 2 entries"),
+    ])
+    def test_malformed_measure_file_names_the_field(self, tmp_path, doc, match):
+        with pytest.raises(InputError, match=match):
+            load_measure(write_json(tmp_path / "m.json", doc))
+
+    def test_load_hermitian_rejects_an_empty_matrix(self, tmp_path):
+        with pytest.raises(InputError, match="expected a matrix"):
+            load_hermitian(write_json(tmp_path / "d.json", []))
+
     def test_load_hermitian_rejects_nonhermitian(self, tmp_path):
         path = write_json(tmp_path / "d.json", [[[0, 0], [1, 0]], [[0, 0], [0, 0]]])
         with pytest.raises(InputError, match="Hermitian"):
@@ -171,6 +191,13 @@ class TestCLI:
         assert self.run("eval", "--measure", single_atom_file, "--z", "0,1") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"][0][0] == [0.0, 1.0]
+
+    def test_eval_of_an_extension(self, single_atom_file, tmp_path, capsys):
+        # M_D(z) = (D - M(z))^{-1} = z for D = 0 and M(z) = -1/z
+        d = write_json(tmp_path / "d.json", [[[0, 0]]])
+        assert self.run("eval", "--measure", single_atom_file, "--d-matrix", d, "--z", "0,2") == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["value"][0][0] == pytest.approx([0.0, 2.0])
 
     def test_boundary(self, single_atom_file, capsys):
         assert self.run("boundary", "--measure", single_atom_file, "--x", "2") == 0
@@ -246,6 +273,12 @@ class TestCLI:
         out = capsys.readouterr().out
         assert self.run(*joined) == 0
         assert capsys.readouterr().out == out
+
+    def test_scan_json_names_the_divergent_directions(self, two_atom_file, capsys):
+        assert self.run("scan", "--measure", two_atom_file, "--grid=-1:1:3") == 0
+        records = json.loads(capsys.readouterr().out)["records"]
+        assert [r.get("divergent_directions") for r in records] == [[0, 1], None, [0, 1]]
+        assert [("t_diagonal" in r) for r in records] == [False, True, False]
 
     def test_scan_csv(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", {
