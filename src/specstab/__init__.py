@@ -9,11 +9,10 @@ forbidden-energy grid scanner.
 
 from .config import DEFAULT_TOLS, Tolerances
 from .measure import (ACPiece, Atom, CauchyKernel, DensityMatrixValue,
-                      Divergent, IndicatorKernel, Interval, IntervalUnion,
-                      InvOnePlusY2Kernel, MatrixMeasure, MeasureError,
-                      PoissonSquareKernel, RegularizedKernel, density_matrix,
-                      hermitian_part, integrate, is_divergent, matrix_rank,
-                      measure_of_set, trace_measure)
+                      Divergent, Interval, IntervalUnion, MatrixMeasure,
+                      MeasureError, PoissonSquareKernel, RegularizedKernel,
+                      density_matrix, hermitian_part, integrate, is_divergent,
+                      matrix_rank, measure_of_set)
 from .herglotz import (BoundaryReport, HerglotzMatrix, NotConvergedError,
                        atom_mass, boundary_value, evaluate, t_matrix)
 from .extensions import (ConditioningError, ExtensionParameter,

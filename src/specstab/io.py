@@ -94,13 +94,9 @@ def _read_json(path: str):
         raise InputError(f"{path}: {exc}") from exc
 
 
-def load_measure(path: str, tols: Tolerances = DEFAULT_TOLS) -> Tuple[MatrixMeasure, Optional[np.ndarray]]:
-    return measure_from_dict(_read_json(path), tols, where=path)
-
-
 def load_herglotz(path: str, tols: Tolerances = DEFAULT_TOLS) -> HerglotzMatrix:
     """Measure file plus optional C offset, as a Herglotz function (C=0 default)."""
-    omega, c = load_measure(path, tols)
+    omega, c = measure_from_dict(_read_json(path), tols, where=path)
     return HerglotzMatrix.from_measure(omega, c)
 
 

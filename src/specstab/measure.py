@@ -11,7 +11,8 @@ A measure is stored as arrays, built once when it is validated, so every
 integral is one weighted sum: kernel values at the atoms times their
 weights plus exact segment integrals times the piece densities.  A kernel
 checks its point with ``as_point``, a real-x kernel with ``as_real_point``
-(PreconditionError).
+(PreconditionError).  A set, an ``IntervalUnion``, is the kernel of its own
+indicator, so its measure is ``integrate(region, omega)``.
 """
 
 from __future__ import annotations
@@ -156,39 +157,6 @@ class Interval:
         return (((self.a < x) & (x < self.b))
                 | ((x == self.a) & self.include_a)
                 | ((x == self.b) & self.include_b))
-
-
-class IntervalUnion:
-    """Finite union of bounded intervals; the only Borel sets supported."""
-
-    def __init__(self, intervals: Sequence[Interval]):
-        self.intervals = tuple(intervals)
-
-    @classmethod
-    def of(cls, *specs) -> "IntervalUnion":
-        """Build from (a, b) or (a, b, incl_a, incl_b) tuples; none is the empty set."""
-        return cls([Interval(*s) for s in specs])
-
-    def contains(self, x):
-        """Membership of x, a number or an array of numbers."""
-        out = np.zeros(np.shape(x), dtype=bool)
-        for iv in self.intervals:
-            out |= iv.contains(x)
-        return out
-
-    def length_below(self, ys):
-        """Lebesgue measure of (union) ∩ (-inf, y] for each y in ys."""
-        segs = sorted((iv.a, iv.b) for iv in self.intervals if iv.b > iv.a)
-        merged = []
-        for s, e in segs:
-            if merged and s <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        total = np.zeros(np.shape(ys))
-        for s, e in merged:
-            total += np.clip(ys, s, e) - s
-        return total
 
 
 @dataclass(frozen=True)
@@ -482,25 +450,36 @@ class CauchyKernel(Kernel):
         return np.log(np.abs(ys - self._w))
 
 
-class InvOnePlusY2Kernel(RegularizedKernel):
-    """y -> 1/(1 + y^2), the integrability weight of the representation:
-    the regularized kernel at x = 0, m = 1."""
+class IntervalUnion(Kernel):
+    """Finite union of bounded intervals, the only Borel sets supported,
+    from (a, b) or (a, b, incl_a, incl_b) tuples; none is the empty set.
 
-    def __init__(self):
-        super().__init__(0.0, 1.0)
+    As a kernel it is its own indicator, so ``integrate(region, omega)``
+    is Ω(region).
+    """
 
-
-class IndicatorKernel(Kernel):
-    """Indicator of a finite interval union; reduces to measure_of_set."""
-
-    def __init__(self, region: IntervalUnion):
-        self.region = region
+    def __init__(self, *specs):
+        self.intervals = tuple(Interval(*s) for s in specs)
 
     def values(self, ys):
-        return self.region.contains(ys).astype(float)
+        out = np.zeros(np.shape(ys), dtype=bool)
+        for iv in self.intervals:
+            out |= iv.contains(ys)
+        return out.astype(float)
 
     def primitive(self, ys):
-        return self.region.length_below(ys)
+        """Lebesgue measure of (union) ∩ (-inf, y] for each y in ys."""
+        segs = sorted((iv.a, iv.b) for iv in self.intervals if iv.b > iv.a)
+        merged = []
+        for s, e in segs:
+            if merged and s <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], e)
+            else:
+                merged.append([s, e])
+        total = np.zeros(np.shape(ys))
+        for s, e in merged:
+            total += np.clip(ys, s, e) - s
+        return total
 
 
 # -- operations ----------------------------------------------------------
@@ -539,12 +518,7 @@ def integrate(kernel: Kernel, omega: MatrixMeasure):
 
 def measure_of_set(omega: MatrixMeasure, region: IntervalUnion) -> np.ndarray:
     """Measure of a finite union of bounded intervals (Hermitian PSD)."""
-    return integrate(IndicatorKernel(region), omega)
-
-
-def trace_measure(omega: MatrixMeasure, region: IntervalUnion) -> float:
-    """Trace measure of the region: sum of the diagonal scalar measures."""
-    return float(np.trace(measure_of_set(omega, region)).real)
+    return integrate(region, omega)
 
 
 def density_matrix(omega: MatrixMeasure, t: float) -> DensityMatrixValue:

@@ -10,8 +10,11 @@ s off the atoms where H(s) is invertible and μ = 1/(x - s),
 
 so the poles are s + 1/μ over the nonzero eigenvalues μ of the Hermitian
 X' + B'* H(s)^{-1} B' (a pole at infinity is μ = 0), with the eigenvalue
-multiplicity as kernel dimension.  Masses come from residue calculus on
-the kernel of H at each pole, for all the poles in one stacked pass (one
+multiplicity as kernel dimension.  The roots of a multiple pole carry the
+rounding of 1/μ magnified by (p - s)², so each root with a neighbour
+within 1e-6 takes one Newton step on the eigenvalue of H nearest 0 before
+the roots are clustered.  Masses come from residue calculus on the kernel
+of H at each pole, for all the poles in one stacked pass (one
 eigendecomposition of the stack of H(p), one batched T(p), one inverse
 per kernel dimension); maximum multiplicity means that the rank of the
 mass equals the ambient dimension.
@@ -104,6 +107,17 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tupl
     if roots.size != expected:
         raise OracleError(f"found {roots.size} poles in [{a}, {b}] where the "
                           f"inertia of D - M at the ends gives {expected}")
+
+    # the Newton step on λ, the eigenvalue of H(p) nearest 0: λ' = -v*T(p)v
+    close = np.concatenate(([False], np.diff(roots) <= 1e-6, [False]))
+    near = close[:-1] | close[1:]
+    if near.any():
+        w, v = np.linalg.eigh(_h(m, D, roots[near]))
+        r, j = np.arange(w.shape[0]), np.argmin(np.abs(w), axis=1)
+        vj = v[r, :, j]
+        slope = (vj.conj()[:, None, :] @ t_matrix(m, roots[near]) @ vj[:, :, None]).real.ravel()
+        roots[near] += np.divide(w[r, j], slope, out=np.zeros_like(slope), where=slope != 0.0)
+        roots.sort()
 
     cluster_tol = max(1e3 * tols.tol_x, 1e-10)
     out: List[Tuple[float, int]] = []

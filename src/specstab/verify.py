@@ -21,10 +21,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extensions import (ExtensionParameter, extension_weyl, max_mult_test,
+from .extensions import (extension_for_point, extension_weyl, max_mult_test,
                          max_mult_test_via)
-from .herglotz import (ConditioningError, HerglotzMatrix, atom_mass, boundary_value,
-                       integrate_cauchy)
+from .herglotz import ConditioningError, HerglotzMatrix, atom_mass, integrate_cauchy
 from .io import matrix_out
 from .measure import MatrixMeasure
 from .oracle import classify
@@ -56,8 +55,8 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix) -> dict:
     n = m.dim
     lo, hi = omega.support_bounds()
     x0 = point_off_atoms(rng, omega, lo - 1.0, hi + 1.0)
-    # validated once here; every criterion and oracle call takes it as is
-    d = ExtensionParameter(boundary_value(m, x0).m_boundary)
+    # T(x0) is finite off the atoms; every criterion and oracle call takes d as is
+    d = extension_for_point(m, x0)
     window = _scan_window(rng, omega, x0, m, d)
     poles = classify(m, d, window)
 

@@ -1,16 +1,21 @@
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from specstab import (DEFAULT_TOLS, Atom, HerglotzMatrix, MatrixMeasure,
                       OracleError, Tolerances, classify, oracle, real_poles,
-                      residue_mass, run_verify)
+                      residue_mass, run_verify, verify)
 from specstab.cli import main
 from specstab.extensions import extension_weyl
 from specstab.herglotz import atom_mass, boundary_value, integrate_cauchy, t_matrix
+from specstab.io import load_herglotz
 from specstab.measure import hermitian_part, ACPiece
 from specstab.randgen import random_atomic_measure, point_off_atoms
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestRealPoles:
@@ -46,6 +51,19 @@ class TestRealPoles:
             MatrixMeasure(1, single_atom.omega.atoms, tols=Tolerances(tol_x=1e-3)))
         with pytest.raises(OracleError, match="endpoints"):
             real_poles(wide, [[-0.5]], (1e-4, 3.0))
+
+    def test_pole_count_disagreeing_with_inertia_raises(self):
+        # rank_tol = 1e-2 drops the 1e-3 direction of the atom at 0 from the
+        # linearization, but not from H: its pole near 9.7e-4 is seen by the
+        # inertia at the window ends and missed by the roots
+        w0 = np.diag([1.0, 1e-3])
+        d, window = np.diag([0.0, -1.0]), (5e-4, 2e-3)
+        exact = MatrixMeasure(2, [Atom(0.0, w0), Atom(3.0, np.eye(2))])
+        assert real_poles(HerglotzMatrix.from_measure(exact), d, window) == [
+            (pytest.approx(9.676e-4, rel=1e-3), 1)]
+        coarse = MatrixMeasure(2, exact.atoms, tols=Tolerances(rank_tol=1e-2))
+        with pytest.raises(OracleError, match="found 0 poles .* gives 1"):
+            real_poles(HerglotzMatrix.from_measure(coarse), d, window)
 
     def test_monotone_branches_along_brackets(self):
         # sorted eigenvalue branches of D - M(x) strictly decrease between atoms
@@ -125,6 +143,15 @@ class TestResidueMass:
             assert np.linalg.norm(mass - eps_mass) < 1e-6
 
 
+def _saying_no(test):
+    """The criterion test with every verdict False."""
+    def wrapped(*args):
+        ev = test(*args)
+        return ([replace(e, verdict=False) for e in ev] if isinstance(ev, list)
+                else replace(ev, verdict=False))
+    return wrapped
+
+
 class TestClassify:
     def test_scalar_report(self, single_atom):
         rep = classify(single_atom, [[-0.5]], (-1.0, 5.0))
@@ -171,9 +198,13 @@ class TestClassify:
         assert "rank_disagrees" in [mm["kind"] for mm in trial["mismatches"]]
         assert main(["verify", "--measure", single_atom_file, "--trials", "1"]) == 1
 
-    def test_criterion_disagreement_is_reported(self, two_atom, two_atom_file, capsys):
-        # no residual meets tol_match = 1e-30: the criterion says "no" at
-        # the oracle's max-mult pole, and the trial reports it
+    def test_criterion_disagreement_is_reported(self, two_atom, two_atom_file, capsys,
+                                                 monkeypatch):
+        # both criteria say "no" at the oracle's max-mult pole, and the trial
+        # reports it; the verdicts are flipped, since the refined pole meets
+        # even tol_match = 1e-30 with a residual of exactly 0
+        for name in ("max_mult_test", "max_mult_test_via"):
+            monkeypatch.setattr(verify, name, _saying_no(getattr(verify, name)))
         omega = MatrixMeasure(2, two_atom.omega.atoms,
                               tols=DEFAULT_TOLS.with_overrides(tol_match=1e-30))
         trial, = run_verify(HerglotzMatrix.from_measure(omega), 1, 0)["results"]
@@ -203,3 +234,41 @@ class TestLinearization:
             warnings.simplefilter("error")
             with pytest.raises(OracleError, match="ill-conditioned"):
                 residue_mass(two_atom, np.zeros((2, 2)), 0.0, 2)
+
+    def test_zero_newton_slope_leaves_the_roots_without_warning(self, two_atom, monkeypatch):
+        # the double pole at 0 has two roots, so both take the Newton step;
+        # with T = 0 the step has slope 0 and the roots stay where they are
+        monkeypatch.setattr(oracle, "t_matrix", lambda m, xs: np.zeros((len(xs), 2, 2)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (p, kdim), = real_poles(two_atom, np.zeros((2, 2)), (-0.5, 0.5))
+        assert abs(p) < 1e-10 and kdim == 2
+
+
+class TestMultiplePolePlacement:
+    """K = 24, n = 3 atomic measures on which the linearization alone put
+    the constructed triple pole x0 up to 3e-9 off: as three roots too far
+    apart to cluster (seed 705), or clustered 1.6e-10 off x0, where the
+    second-parameter criterion failed (seed 724).  Each file is the
+    measure of one verify trial; the trial seed derives from (seed, op)."""
+
+    @pytest.mark.parametrize("seed, op", [(705, 3161), (724, 432)])
+    def test_triple_pole_is_placed_on_x0(self, seed, op):
+        m = load_herglotz(str(DATA / f"atomic_k24_seed{seed}_op{op}.json"))
+        trial_seed = int(np.random.SeedSequence([seed, op + 1]).generate_state(1)[0])
+        report = run_verify(m, 1, trial_seed)
+        trial, = report["results"]
+        assert trial["mismatches"] == [] and report["ok"]
+        at_x0 = [row for row in trial["poles"] if abs(row["p"] - trial["x0"]) <= 1e-13]
+        assert [row["rank"] for row in at_x0] == [3]
+
+
+def test_mass_disagreement_is_reported(two_atom, monkeypatch):
+    # the eps-limit mass is pushed 1e-3 off the residue mass
+    real = verify.atom_mass
+    monkeypatch.setattr(verify, "atom_mass", lambda *args: real(*args) + 1e-3)
+    trial, = run_verify(two_atom, 1, 0)["results"]
+    assert not trial["ok"]
+    mm, = trial["mismatches"]
+    assert mm["kind"] == "mass_disagrees"
+    assert mm["mass_residue_vs_eps"] > 1e-3 > mm["mass_residue_vs_tinv"]

@@ -50,7 +50,7 @@ def test_settings_census():
             takes_tols |= {f"{info.name}.{f.__qualname__.removesuffix('.__init__')}"
                            for f in fns if inspect.isfunction(f)
                            and "tols" in inspect.signature(f).parameters}
-    assert takes_tols == {"measure.MatrixMeasure", "io.measure_from_dict", "io.load_measure",
+    assert takes_tols == {"measure.MatrixMeasure", "io.measure_from_dict",
                           "io.load_herglotz", "herglotz.richardson_limit",
                           "herglotz.atom_mass"}
 
@@ -62,15 +62,14 @@ def test_public_api_census():
     assert public == {
         "ACPiece", "Atom", "BoundaryReport", "CauchyKernel", "ConditioningError",
         "DEFAULT_TOLS", "DensityMatrixValue", "Divergent", "ExtensionParameter", "GridRecord",
-        "HerglotzMatrix", "IndicatorKernel", "Interval", "IntervalUnion", "InvOnePlusY2Kernel",
+        "HerglotzMatrix", "Interval", "IntervalUnion",
         "MatrixMeasure", "MaxMultEvidence", "MeasureError", "NotConvergedError", "OracleError",
         "PoissonSquareKernel", "PoleRecord", "PreconditionError", "RegularizedKernel",
         "ScanConfig", "Tolerances", "atom_mass", "boundary_value", "classify",
         "density_matrix", "evaluate", "extension_for_point", "extension_weyl",
         "hermitian_part", "integrate", "is_divergent", "mass_at_max_mult", "matrix_rank",
         "max_mult_test", "max_mult_test_via", "measure_of_set", "real_poles", "residue_mass",
-        "resolvent_identity_residual", "run_verify", "scan_forbidden", "t_matrix",
-        "trace_measure"}
+        "resolvent_identity_residual", "run_verify", "scan_forbidden", "t_matrix"}
 
 
 def test_run_verify_rejects_zero_trials(two_atom):

@@ -10,7 +10,7 @@ from specstab import (ACPiece, Atom, ConditioningError, HerglotzMatrix, MatrixMe
                       NotConvergedError, RegularizedKernel, ScanConfig, cli, integrate,
                       is_divergent, scan_forbidden, t_matrix)
 from specstab.cli import main
-from specstab.io import InputError, load_herglotz, load_hermitian, load_measure
+from specstab.io import InputError, load_herglotz, load_hermitian
 
 
 def write_json(path, doc):
@@ -133,7 +133,7 @@ class TestIO:
         bad.write_text("{not json")
         for path in (str(tmp_path / "missing.json"), str(bad)):
             messages = set()
-            for load in (load_measure, load_hermitian):
+            for load in (load_herglotz, load_hermitian):
                 with pytest.raises(InputError) as exc:
                     load(path)
                 messages.add(str(exc.value))
@@ -153,7 +153,7 @@ class TestIO:
     ])
     def test_malformed_measure_file_names_the_field(self, tmp_path, doc, match):
         with pytest.raises(InputError, match=match):
-            load_measure(write_json(tmp_path / "m.json", doc))
+            load_herglotz(write_json(tmp_path / "m.json", doc))
 
     def test_load_hermitian_rejects_an_empty_matrix(self, tmp_path):
         with pytest.raises(InputError, match="expected a matrix"):
