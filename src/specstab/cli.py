@@ -2,13 +2,15 @@
 
 Commands: eval, boundary, tmatrix, masses, eigs, test, scan, verify, each
 declaring only the options it reads (``build_parser`` lists them).
-Inputs are the JSON measure/matrix files documented in ``specstab.io``;
-outputs go to stdout or --out as JSON, or as CSV for ``scan --format csv``.
+Inputs are the JSON measure/matrix files documented in ``specstab.io``.
+Each command returns its document, which ``main`` alone writes to stdout or
+--out: as JSON, or as CSV rows for ``scan --format csv``.
 At a real x the boundary value is closed form off the support, Plemelj
 in a piece interior, and an ε-limit at an atom or a piece end.
-Exit codes: 0 ok, 1 verification mismatch, 2 input error (NaN or ±inf
-in an argument or a matrix entry included), 3 numerical failure (a limit that
-did not converge, a numerically singular matrix).
+Exit codes: 0 ok, 1 a ``verify`` report whose "ok" is false, 2 input error
+(NaN or ±inf in an argument or a matrix entry, a malformed file or an
+unwritable --out included), 3 numerical failure (a limit that did not
+converge, a numerically singular matrix).
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .extensions import extension_weyl, max_mult_test, max_mult_test_via
 from .herglotz import (ConditioningError, NotConvergedError, atom_mass,
-                       boundary_value, evaluate, t_matrix)
+                       boundary_value, t_matrix)
 from .io import dump_json, load_herglotz, load_hermitian, matrix_out
 from .measure import as_point, is_divergent
 from .oracle import classify
@@ -38,9 +40,10 @@ EXIT_NUMERIC = 3
 
 # error type -> exit code, first match wins: ConditioningError is a
 # ValueError (through LinAlgError), and every other ValueError, the input,
-# precondition and oracle errors included, is an input error
+# precondition and oracle errors included, is an input error; so is an
+# OSError, which only writing the document can raise (reads raise InputError)
 EXIT_CODES = ((NotConvergedError, EXIT_NUMERIC), (ConditioningError, EXIT_NUMERIC),
-              (ValueError, EXIT_INPUT))
+              (ValueError, EXIT_INPUT), (OSError, EXIT_INPUT))
 
 
 # argument types: a bad value makes the parser exit with EXIT_INPUT
@@ -70,9 +73,9 @@ def _parse_complex(spec: str) -> complex:
             f"expected a finite complex number as RE,IM or python literal, got {spec!r}")
 
 
-def _emit(doc, args, fmt="json"):
-    """doc to --out or stdout: as JSON, or for fmt "csv" as a list of rows."""
-    with open(args.out, "w", newline="") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+def _emit(doc, out, fmt):
+    """doc to the file out or stdout: as JSON, or for fmt "csv" as a list of rows."""
+    with open(out, "w", newline="") if out else contextlib.nullcontext(sys.stdout) as fh:
         if fmt == "csv":
             csv.writer(fh).writerows(doc)
         else:
@@ -83,7 +86,47 @@ def _maybe_matrix(v):
     return matrix_out(v) if not is_divergent(v) else {"divergent_directions": list(v.directions)}
 
 
-def _evidence_doc(ev) -> dict:
+def _weyl(args, m):
+    """M, or M_D = (D - M)^{-1} when --d-matrix names D: a function of z."""
+    return extension_weyl(m, load_hermitian(args.d_matrix)) if args.d_matrix else m
+
+
+def cmd_eval(args, m):
+    return {"z": [args.z.real, args.z.imag], "value": matrix_out(_weyl(args, m)(args.z))}
+
+
+def cmd_boundary(args, m):
+    rep = boundary_value(m, args.x)
+    doc = {"x": rep.x, "converged": rep.converged, "t_finite": rep.t_finite,
+           "t": _maybe_matrix(rep.t_matrix)}
+    if rep.converged:
+        doc["m_boundary"] = matrix_out(rep.m_boundary)
+    return doc
+
+
+def cmd_tmatrix(args, m):
+    t = t_matrix(m, args.x)
+    return {"x": args.x, "t_finite": not is_divergent(t), "t": _maybe_matrix(t)}
+
+
+def cmd_masses(args, m):
+    return {"x": args.x, "mass": matrix_out(atom_mass(_weyl(args, m), args.x, m.omega.tols))}
+
+
+def cmd_eigs(args, m):
+    d = load_hermitian(args.d_matrix)
+    a, b, _ = args.grid
+    return {"interval": [a, b], "dim": m.dim, "measure": args.measure,
+            "poles": [{"p": pr.p, "rank": pr.rank, "is_max_mult": pr.is_max_mult,
+                       "mass": matrix_out(pr.mass)} for pr in classify(m, d, (a, b))]}
+
+
+def cmd_test(args, m):
+    d = load_hermitian(args.d_matrix)
+    if args.d_prime:
+        ev = max_mult_test_via(m, d, load_hermitian(args.d_prime), args.x)
+    else:
+        ev = max_mult_test(m, d, args.x)
     doc = {"x": ev.x, "verdict": bool(ev.verdict), "residual": ev.residual,
            "t_finite": ev.t_finite}
     if ev.t_finite:
@@ -95,75 +138,16 @@ def _evidence_doc(ev) -> dict:
     return doc
 
 
-def cmd_eval(args, m):
-    if args.d_matrix:
-        val = extension_weyl(m, load_hermitian(args.d_matrix))(args.z)
-    else:
-        val = evaluate(m, args.z)
-    _emit({"z": [args.z.real, args.z.imag], "value": matrix_out(val)}, args)
-    return EXIT_OK
-
-
-def cmd_boundary(args, m):
-    rep = boundary_value(m, args.x)
-    doc = {"x": rep.x, "converged": rep.converged, "t_finite": rep.t_finite,
-           "t": _maybe_matrix(rep.t_matrix)}
-    if rep.converged:
-        doc["m_boundary"] = matrix_out(rep.m_boundary)
-    _emit(doc, args)
-    return EXIT_OK
-
-
-def cmd_tmatrix(args, m):
-    t = t_matrix(m, args.x)
-    _emit({"x": args.x, "t_finite": not is_divergent(t), "t": _maybe_matrix(t)}, args)
-    return EXIT_OK
-
-
-def cmd_masses(args, m):
-    fn = extension_weyl(m, load_hermitian(args.d_matrix)) if args.d_matrix else m
-    w = atom_mass(fn, args.x, m.omega.tols)
-    _emit({"x": args.x, "mass": matrix_out(w)}, args)
-    return EXIT_OK
-
-
-def cmd_eigs(args, m):
-    d = load_hermitian(args.d_matrix)
-    a, b, _ = args.grid
-    doc = {"interval": [a, b], "dim": m.dim, "measure": args.measure,
-           "poles": [{"p": pr.p, "rank": pr.rank, "is_max_mult": pr.is_max_mult,
-                      "mass": matrix_out(pr.mass)} for pr in classify(m, d, (a, b))]}
-    _emit(doc, args)
-    return EXIT_OK
-
-
-def cmd_test(args, m):
-    d = load_hermitian(args.d_matrix)
-    if args.d_prime:
-        ev = max_mult_test_via(m, d, load_hermitian(args.d_prime), args.x)
-    else:
-        ev = max_mult_test(m, d, args.x)
-    _emit(_evidence_doc(ev), args)
-    return EXIT_OK
-
-
 def cmd_scan(args, m):
     a, b, steps = args.grid
-    config = ScanConfig(a, b, steps)
-    records = scan_forbidden(m.omega, config)
-    n = m.dim
+    records = scan_forbidden(m.omega, ScanConfig(a, b, steps))
     if args.format == "csv":
-        doc = [csv_header(n), *(record_to_row(rec, n) for rec in records)]
-    else:
-        doc = {"grid": [a, b, steps], "records": [record_to_dict(r) for r in records]}
-    _emit(doc, args, args.format)
-    return EXIT_OK
+        return [csv_header(m.dim), *(record_to_row(rec, m.dim) for rec in records)]
+    return {"grid": [a, b, steps], "records": [record_to_dict(r) for r in records]}
 
 
 def cmd_verify(args, m):
-    report = run_verify(m, args.trials, args.seed)
-    _emit(report, args)
-    return EXIT_OK if report["ok"] else EXIT_MISMATCH
+    return run_verify(m, args.trials, args.seed)
 
 
 # every option a command may declare; argparse derives each dest from the flag
@@ -188,11 +172,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral-stability toolkit: Herglotz matrix functions, "
                     "extension parameters, multiplicity criteria and scans.")
     # a tolerance that a command does not take keeps its default
-    parser.set_defaults(tol_bv=None, tol_match=None)
+    parser.set_defaults(tol_bv=None, tol_match=None, format="json")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, fn, help, *options):
-        """Subcommand running fn(args, m); an option written "--opt!" is required."""
+        """Subcommand whose document is fn(args, m); an option written "--opt!" is required."""
         p = sub.add_parser(name, help=help)
         for opt in ("--measure!", *options, "--out", "--tol-rank", "--tol-x"):
             flag = opt.rstrip("!")
@@ -226,10 +210,12 @@ def main(argv=None) -> int:
         tols = DEFAULT_TOLS.with_overrides(
             rank_tol=args.tol_rank, tol_bv=args.tol_bv,
             tol_match=args.tol_match, tol_x=args.tol_x)
-        return args.fn(args, load_herglotz(args.measure, tols))
+        doc = args.fn(args, load_herglotz(args.measure, tols))
+        _emit(doc, args.out, args.format)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
+    return EXIT_MISMATCH if args.command == "verify" and not doc["ok"] else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -60,10 +60,12 @@ def matrix_out(a: np.ndarray) -> list:
 
 def measure_from_dict(doc: dict, tols: Tolerances = DEFAULT_TOLS,
                       where: str = "measure") -> Tuple[MatrixMeasure, Optional[np.ndarray]]:
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError):
+    n = doc.get("n") if isinstance(doc, dict) else None
+    if type(n) is not int:      # not 1.7, "1" or true
         raise InputError(f"{where}: missing or invalid field 'n'")
+    for key in ("atoms", "ac"):
+        if not isinstance(doc.get(key, []), list):
+            raise InputError(f"{where}: field '{key}' must be a list")
     atoms = []
     for k, a in enumerate(doc.get("atoms", [])):
         try:

@@ -61,6 +61,18 @@ def eps_calls(monkeypatch):
 
 
 @pytest.fixture
+def undecided_t_limit(monkeypatch):
+    """The second-order ε-limit of max_mult_test_via (its T_{D'}) finds no
+    limit at all, as richardson_limit reports it: (None, [], False)."""
+    real = ext.richardson_limit
+
+    def undecided(samples, tols, order=1):
+        return (None, [], False) if order == 2 else real(samples, tols, order)
+
+    monkeypatch.setattr(ext, "richardson_limit", undecided)
+
+
+@pytest.fixture
 def unit_piece():
     """n=1, density 1 on [-1, 1]: M(x+i0) = log((1-x)/(1+x)) + iπ inside."""
     return HerglotzMatrix.from_measure(MatrixMeasure(1, ac_pieces=[ACPiece(-1.0, 1.0, [[1.0]])]))

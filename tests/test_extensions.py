@@ -199,6 +199,13 @@ class TestMaxMultTestVia:
         ev = max_mult_test_via(single_atom, [[0.0]], [[-0.5]], 2.0)
         assert ev.t_value == Divergent((0,)) and not ev.verdict
 
+    def test_undecided_t_limit_is_an_empty_divergent(self, single_atom, undecided_t_limit):
+        # at an atom T_{D'} is an ε-limit; with none found the verdict is
+        # undecided: Divergent(()), no boundary value, an infinite residual
+        ev = max_mult_test_via(single_atom, [[-0.5]], [[0.0]], 0.0)
+        assert ev.t_value == Divergent(()) and ev.m_boundary is None
+        assert ev.residual == math.inf and ev.verdict is False
+
     def test_near_a_pole_of_the_dprime_weyl_function(self, single_atom):
         # 1e-9 away from the pole T_{D'} = F T(x) F = F²/x² is finite
         dp = -0.5 + 1e-9

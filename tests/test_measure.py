@@ -184,11 +184,20 @@ class TestIntegrate:
         assert v.directions == (1,)
 
     def test_indicator_consistent_with_measure_of_set(self):
-        rng = np.random.default_rng(11)
-        omega = random_atomic_measure(rng, 2)
-        region = IntervalUnion((0.0, 1.0))
-        assert np.allclose(integrate(region, omega),
-                           measure_of_set(omega, region), atol=1e-14)
+        # reference: the weights of the atoms in [0, 1) ∪ [2, 3], plus ρ times
+        # the piece's overlap length with each interval; the atoms at 0 and 3
+        # sit on closed ends, the one at 1 on an open end
+        rho = np.array([[2.0, 0.5], [0.5, 1.0]])
+        atoms = [Atom(0.0, np.diag([1.0, 0.0])), Atom(1.0, np.eye(2)),
+                 Atom(3.0, np.diag([0.0, 4.0]))]
+        omega = MatrixMeasure(2, atoms, [ACPiece(0.5, 2.5, rho)])
+        region = IntervalUnion((0.0, 1.0, True, False), (2.0, 3.0))
+        inside = [a.W for a in atoms if 0.0 <= a.x < 1.0 or 2.0 <= a.x <= 3.0]
+        overlap = sum(max(0.0, min(b, 2.5) - max(a, 0.5)) for a, b in ((0.0, 1.0), (2.0, 3.0)))
+        reference = sum(inside) + overlap * rho
+        assert len(inside) == 2 and overlap == 1.0
+        assert np.allclose(integrate(region, omega), reference, atol=1e-14)
+        assert np.allclose(measure_of_set(omega, region), reference, atol=1e-14)
 
     def test_cauchy_real_axis_rejection_path(self):
         # real z sitting on an atom is reported divergent, not evaluated

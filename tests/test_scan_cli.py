@@ -150,6 +150,13 @@ class TestIO:
          r"atoms\[0\].W: expected 1 rows"),
         ({"n": 2, "atoms": [{"x": 0.0, "W": [[[1, 0]], [[0, 0], [1, 0]]]}]},
          r"atoms\[0\].W: row 0 must have 2 entries"),
+        ({"n": 1, "atoms": None}, "field 'atoms' must be a list"),
+        ({"n": 1, "atoms": 5}, "field 'atoms' must be a list"),
+        ({"n": 1, "atoms": [{"x": 0.0, "W": [[[1, 0]]]}], "ac": None},
+         "field 'ac' must be a list"),
+        ({"n": 1.7, "atoms": [{"x": 0.0, "W": [[[1, 0]]]}]}, "field 'n'"),
+        ({"n": "1", "atoms": [{"x": 0.0, "W": [[[1, 0]]]}]}, "field 'n'"),
+        ({"n": True, "atoms": [{"x": 0.0, "W": [[[1, 0]]]}]}, "field 'n'"),
     ])
     def test_malformed_measure_file_names_the_field(self, tmp_path, doc, match):
         with pytest.raises(InputError, match=match):
@@ -250,6 +257,17 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"]
 
+    def test_test_command_reports_an_undecided_t_limit(self, single_atom_file, tmp_path,
+                                                       capsys, undecided_t_limit):
+        d = write_json(tmp_path / "d.json", [[[-0.5, 0]]])
+        dp = write_json(tmp_path / "dp.json", [[[0.0, 0]]])
+        assert self.run("test", "--measure", single_atom_file, "--d-matrix", d,
+                        "--d-prime", dp, "--x", "0") == 0
+        out = capsys.readouterr().out
+        assert '"divergent_directions": []' in out and '"residual": null' in out
+        doc = json.loads(out)
+        assert not doc["verdict"] and not doc["t_finite"] and "m_boundary" not in doc
+
     def test_masses_of_an_extension_read_tol_bv(self, single_atom_file, tmp_path,
                                                 tol_bv_seen):
         # M_D carries no tolerances of its own: --tol-bv reaches the limit
@@ -300,11 +318,36 @@ class TestCLI:
                         "--seed", "7", "--out", str(out2)) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_verify_mismatch_exits_1_after_writing_the_report(self, single_atom_file,
+                                                               tmp_path):
+        out = tmp_path / "r.json"
+        assert self.run("verify", "--measure", single_atom_file, "--trials", "2",
+                        "--seed", "7", "--tol-match", "1e-30", "--out", str(out)) == 1
+        assert json.loads(out.read_text())["ok"] is False
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         path = write_json(tmp_path / "bad.json", {
             "n": 1, "atoms": [{"x": 0.0, "W": [[[-1, 0]]]}]})
         assert self.run("tmatrix", "--measure", path, "--x", "2") == 2
         assert "atoms[0]" in capsys.readouterr().err
+
+    def test_term_list_that_is_not_a_list_exits_2(self, tmp_path, capsys):
+        path = write_json(tmp_path / "m.json", {"n": 1, "atoms": None})
+        assert self.run("tmatrix", "--measure", path, "--x", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: field 'atoms' must be a list\n"
+
+    @pytest.mark.parametrize("args", [("tmatrix", "--x", "2"),
+                                      ("scan", "--grid=-1:1:3", "--format", "csv")])
+    def test_unwritable_out_exits_2(self, single_atom_file, tmp_path, capsys, args):
+        out = tmp_path / "missing" / "doc.out"
+        assert self.run(args[0], "--measure", single_atom_file, *args[1:],
+                        "--out", str(out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert str(out) in captured.err
 
     def test_nan_atom_is_an_input_error(self, tmp_path, capsys):
         path = write_json(tmp_path / "nan.json", {
