@@ -67,7 +67,10 @@ class MaxMultEvidence:
         return not is_divergent(self.t_value)
 
     def mass(self) -> np.ndarray:
-        """Eigenvalue mass T(x)^{-1}; T(x) must be finite."""
+        """Eigenvalue mass T(x)^{-1}; PreconditionError unless T(x) is finite."""
+        if not self.t_finite:
+            raise PreconditionError(f"T(x) diverges at x={self.x} in directions "
+                                    f"{self.t_value.directions}: no eigenvalue mass")
         return hermitian_part(_inv_checked(np.asarray(self.t_value), "T(x)"))
 
 
@@ -81,19 +84,62 @@ def as_parameter(d, n: int) -> ExtensionParameter:
     return p
 
 
+def _inv_certified(a: np.ndarray, rel: float, floor: float = 0.0):
+    """np.linalg.inv of a matrix, or of each of a stack, and the members it
+    holds for: smallest singular value above max(floor, rel·max(1, largest)).
+
+    Since σ_min(A) ≥ 1/‖A⁻¹‖_F and σ_max(A) ≤ ‖A‖_F, the inverse certifies
+    a member with 1/‖A⁻¹‖_F > 2·max(floor, rel·max(1, ‖A‖_F)); the factor
+    2 covers the rounding of the computed inverse at the condition numbers
+    (below 1/(2·rel)) this admits.  The SVD decides the rest, or every
+    member when ``inv`` finds one exactly singular, so decisions and
+    inverses are those of the SVD test followed by ``inv``.  Returns
+    (inv, ok, smin): inv NaN on each rejected member, ok the accepted ones,
+    smin the smallest singular value where the SVD ran, NaN elsewhere (a
+    bool and a float for one matrix).
+    """
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:       # a member is exactly singular
+        inv = None
+    if a.ndim == 2:
+        if inv is not None:
+            # (2‖A⁻¹‖_F·max(floor, rel, rel·‖A‖_F))² < 1, one comparison per
+            # term, so a NaN norm fails it (Python's max would drop the NaN)
+            q = 4.0 * float(np.vdot(inv, inv).real)
+            r = q * rel * rel
+            if q * floor * floor < 1.0 and r < 1.0 and r * float(np.vdot(a, a).real) < 1.0:
+                return inv, True, math.nan
+        inv, ok, smin = _inv_certified(a[None], rel, floor)
+        return inv[0], bool(ok[0]), float(smin[0])
+    if inv is None:
+        check = np.ones(a.shape[:-2], dtype=bool)
+    else:
+        na2, ni2 = (np.einsum("...ij,...ij->...", b, b.conj()).real for b in (a, inv))
+        check = ~(ni2 < 0.25 / np.maximum(floor * floor, rel * rel * np.maximum(1.0, na2)))
+    ok, smin = ~check, np.full(check.shape, np.nan)
+    if check.any():
+        s = np.linalg.svd(a[check], compute_uv=False)
+        smin[check] = s[:, -1]
+        ok[check] = s[:, -1] > np.maximum(floor, rel * np.maximum(1.0, s[:, 0]))
+        if inv is None:
+            inv = np.full_like(a, np.nan)
+            inv[ok] = np.linalg.inv(a[ok])
+        else:
+            inv[~ok] = np.nan
+    return inv, ok, smin
+
+
 def _inv_checked(a: np.ndarray, what: str) -> np.ndarray:
     """Inverse of a matrix, or of each of a stack.  One whose smallest
     singular value is within 1e-13·max(1, largest) of 0 is numerically
-    singular: alone it raises ConditioningError, in a stack it is NaN."""
-    s = np.linalg.svd(a, compute_uv=False)
-    ok = s[..., -1] > 1e-13 * np.maximum(1.0, s[..., 0])
-    if ok.all():
-        return np.linalg.inv(a)
-    if a.ndim == 2:
-        raise ConditioningError(f"{what} is numerically singular (smallest sv {s[-1]:.3e})")
-    out = np.full_like(a, np.nan)
-    out[ok] = np.linalg.inv(a[ok])
-    return out
+    singular: alone it raises ConditioningError, in a stack it is NaN.
+    The inverse certifies the others (``_inv_certified``), so the SVD
+    runs only on the members it cannot certify."""
+    inv, ok, smin = _inv_certified(a, 1e-13)
+    if a.ndim == 2 and not ok:
+        raise ConditioningError(f"{what} is numerically singular (smallest sv {smin:.3e})")
+    return inv
 
 
 def extension_weyl(m: HerglotzMatrix, d):
@@ -171,15 +217,19 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
     whole schedule; the divergence integral is the limit of
     Im M_{D'}(x+iε)/ε, whose error is O(ε²), so it is extrapolated at
     second order.  Undecided is reported as Divergent(()).
+
+    D' - D must have its smallest singular value above
+    max(MIN_GAP_SV, 1e-13·largest), else PreconditionError; D' - M(x+i0)
+    counts as singular on the rule of ``_inv_checked``.  Both inverses
+    certify their own conditioning, and an SVD runs only on a matrix whose
+    inverse cannot (``_inv_certified``).
     """
     x = as_real_point(x, "max_mult_test_via", batch=False)
     D, dp = as_parameter(d, m.dim).D, as_parameter(d_prime, m.dim)
-    gap = dp.D - D
-    s = np.linalg.svd(gap, compute_uv=False)
-    if s[-1] <= max(MIN_GAP_SV, 1e-13 * s[0]):     # absolutely or relatively singular
+    target, ok, smin = _inv_certified(dp.D - D, 1e-13, MIN_GAP_SV)
+    if not ok:      # absolutely or relatively singular
         raise PreconditionError(
-            f"det(D - D') vanishes within tolerance (smallest sv {s[-1]:.3e})")
-    target = np.linalg.inv(gap)
+            f"det(D - D') vanishes within tolerance (smallest sv {smin:.3e})")
 
     tols = m.omega.tols
     t = t_matrix(m, x)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from typing import Optional, Tuple
 
 import numpy as np
@@ -26,15 +27,19 @@ class InputError(ValueError):
     """Malformed or invalid input file; message carries the location."""
 
 
+def _is_real(v) -> bool:
+    """A JSON number a float can hold: a float, or an int (never a bool)
+    within the float range; never a string."""
+    return isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)
+
+
 def _complex_in(v, where: str) -> complex:
-    if isinstance(v, (int, float)):
+    if _is_real(v):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        try:
-            return complex(float(v[0]), float(v[1]))
-        except (TypeError, ValueError):
-            raise InputError(f"{where}: [re, im] entries must be real numbers, "
-                             f"got {v!r}") from None
+        if not (_is_real(v[0]) and _is_real(v[1])):
+            raise InputError(f"{where}: [re, im] entries must be real numbers, got {v!r}")
+        return complex(v[0], v[1])
     raise InputError(f"{where}: expected [re, im] pair, got {v!r}")
 
 
@@ -68,18 +73,17 @@ def measure_from_dict(doc: dict, tols: Tolerances = DEFAULT_TOLS,
             raise InputError(f"{where}: field '{key}' must be a list")
     atoms = []
     for k, a in enumerate(doc.get("atoms", [])):
-        try:
-            x = float(a["x"])
-        except (KeyError, TypeError, ValueError):
+        x = a.get("x") if isinstance(a, dict) else None
+        if not _is_real(x):
             raise InputError(f"{where}: atoms[{k}].x missing or not a real number")
-        atoms.append(Atom(x, matrix_in(a.get("W"), n, f"{where}: atoms[{k}].W")))
+        atoms.append(Atom(float(x), matrix_in(a.get("W"), n, f"{where}: atoms[{k}].W")))
     pieces = []
     for k, p in enumerate(doc.get("ac", [])):
-        try:
-            a_, b_ = float(p["a"]), float(p["b"])
-        except (KeyError, TypeError, ValueError):
+        ends = (p.get("a"), p.get("b")) if isinstance(p, dict) else (None, None)
+        if not all(map(_is_real, ends)):
             raise InputError(f"{where}: ac[{k}] needs real fields a, b")
-        pieces.append(ACPiece(a_, b_, matrix_in(p.get("rho"), n, f"{where}: ac[{k}].rho")))
+        pieces.append(ACPiece(float(ends[0]), float(ends[1]),
+                              matrix_in(p.get("rho"), n, f"{where}: ac[{k}].rho")))
     try:
         omega = MatrixMeasure(n, atoms, pieces, tols)
     except MeasureError as exc:

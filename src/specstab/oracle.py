@@ -17,7 +17,10 @@ the roots are clustered.  Masses come from residue calculus on the kernel
 of H at each pole, for all the poles in one stacked pass (one
 eigendecomposition of the stack of H(p), one batched T(p), one inverse
 per kernel dimension); maximum multiplicity means that the rank of the
-mass equals the ambient dimension.
+mass equals the ambient dimension.  A projected derivative V*T(p)V whose
+smallest singular value is within 1e-10·max(1, largest) of 0 is
+ill-conditioned; its inverse certifies the others, so an SVD runs only on
+those it cannot (``extensions._inv_certified``).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .extensions import as_parameter
+from .extensions import _inv_certified, as_parameter
 from .herglotz import HerglotzMatrix, integrate_cauchy, t_matrix
 from .measure import as_real_point, hermitian_part, is_batch, is_divergent, matrix_rank
 
@@ -161,12 +164,10 @@ def residue_mass(m: HerglotzMatrix, d, p, kernel_dim=None) -> np.ndarray:
         sel = kdims == k
         v = vecs[sel, :, :k]
         vh = v.conj().swapaxes(1, 2)
-        proj = vh @ t[sel] @ v
-        s = np.linalg.svd(proj, compute_uv=False)
-        bad = s[:, -1] <= 1e-10 * np.maximum(1.0, s[:, 0])
-        if bad.any():
-            raise OracleError(f"ill-conditioned projected derivative at p={ps[sel][bad][0]}")
-        out[sel] = hermitian_part(v @ np.linalg.inv(proj) @ vh)
+        inv, ok, _ = _inv_certified(vh @ t[sel] @ v, 1e-10)
+        if not ok.all():
+            raise OracleError(f"ill-conditioned projected derivative at p={ps[sel][~ok][0]}")
+        out[sel] = hermitian_part(v @ inv @ vh)
     return out if is_batch(p) else out[0]
 
 

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       ExtensionParameter, HerglotzMatrix, MatrixMeasure,
@@ -9,7 +11,7 @@ from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       extension_for_point, is_divergent, mass_at_max_mult,
                       max_mult_test, max_mult_test_via,
                       resolvent_identity_residual)
-from specstab.extensions import _inv_checked, extension_weyl
+from specstab.extensions import MIN_GAP_SV, _inv_certified, _inv_checked, extension_weyl
 from specstab.herglotz import EPS, atom_mass, boundary_value, richardson_limit
 from specstab.measure import hermitian_part
 from specstab.randgen import (random_gap_matrix, random_herglotz, random_hermitian,
@@ -326,6 +328,17 @@ class TestMassAtMaxMult:
         with pytest.raises(PreconditionError):
             mass_at_max_mult(single_atom, [[3.0]], 2.0)
 
+    def test_no_mass_where_t_diverges(self, two_atom):
+        # the evidence names x and the divergent directions; the verdict
+        # refuses the point first in mass_at_max_mult
+        ev = max_mult_test(two_atom, np.zeros((2, 2)), 1.0)
+        with pytest.raises(PreconditionError,
+                           match=r"T\(x\) diverges at x=1\.0 in directions \(0, 1\)"):
+            ev.mass()
+        with pytest.raises(PreconditionError,
+                           match=r"^x=1\.0 is not a maximum-multiplicity point for this D$"):
+            mass_at_max_mult(two_atom, np.zeros((2, 2)), 1.0)
+
 
 class TestGapDecomposedOnce:
     def test_gap_singular_relative_to_its_norm(self, two_atom):
@@ -334,10 +347,89 @@ class TestGapDecomposedOnce:
                            match=r"det\(D - D'\) vanishes within tolerance \(smallest sv 1\.000e-05\)"):
             max_mult_test_via(two_atom, np.zeros((2, 2)), np.diag([1e9, 1e-5]), 0.5)
 
-    def test_off_the_support_two_svds(self, two_atom, monkeypatch):
-        # one of D' - D and one of D' - M(x); the gap used to be decomposed twice
+    @pytest.fixture
+    def svd_shapes(self, monkeypatch):
         shapes, svd = [], np.linalg.svd
         monkeypatch.setattr(np.linalg, "svd",
                             lambda a, *args, **kw: shapes.append(np.shape(a)) or svd(a, *args, **kw))
+        return shapes
+
+    def test_off_the_support_no_svd(self, two_atom, svd_shapes):
+        # the inverses of D' - D and of D' - M(x) certify themselves; the gap
+        # used to be decomposed twice, then once
         ev = max_mult_test_via(two_atom, np.zeros((2, 2)), np.eye(2), 0.0)
-        assert ev.verdict and shapes == [(2, 2), (2, 2)]
+        assert ev.verdict and svd_shapes == []
+
+    def test_gap_near_the_relative_threshold_takes_the_svd(self, two_atom, svd_shapes):
+        # the threshold is 1e-13·1e9 = 1e-4: at 1.5× the certificate (which
+        # needs 2×) falls short, and the SVD accepts the gap
+        max_mult_test_via(two_atom, np.zeros((2, 2)), np.diag([1e9, 1.5e-4]), 0.5)
+        assert svd_shapes == [(1, 2, 2)]
+        with pytest.raises(PreconditionError, match=r"\(smallest sv 9\.000e-05\)"):
+            max_mult_test_via(two_atom, np.zeros((2, 2)), np.diag([1e9, 9e-5]), 0.5)
+        assert svd_shapes == [(1, 2, 2)] * 2
+
+
+def _svd_rule(a, rel, floor):
+    """The SVD test the certificate stands in for."""
+    s = np.linalg.svd(a, compute_uv=False)
+    return s[..., -1] > np.maximum(floor, rel * np.maximum(1.0, s[..., 0]))
+
+
+def _with_singular_values(rng, s):
+    """U diag(s) V* with Haar-like unitary U and V."""
+    u, v = (np.linalg.qr(rng.normal(size=(s.size, s.size))
+                         + 1j * rng.normal(size=(s.size, s.size)))[0] for _ in range(2))
+    return (u * s) @ v.conj().T
+
+
+class TestCertifiedInverse:
+    """_inv_certified decides as the SVD test and returns np.linalg.inv."""
+
+    @staticmethod
+    def member(rng, n, kind, rel, floor):
+        if kind == "singular":      # a zero column: inv itself finds it singular
+            a = _with_singular_values(rng, np.ones(n))
+            a[:, -1] = 0.0
+            return a
+        if kind in ("nan", "inf", "-inf"):
+            a = _with_singular_values(rng, np.ones(n))
+            a[0, -1] = float(kind)
+            return a
+        s_max = 10.0 ** rng.uniform(-2.0, 9.0)
+        s_min = kind * max(floor, rel * max(1.0, s_max))
+        s = np.sort(np.exp(rng.uniform(np.log(s_min), np.log(s_max), size=n)))[::-1]
+        s[0], s[-1] = s_max, s_min
+        return _with_singular_values(rng, s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 4),
+           size=st.one_of(st.none(), st.integers(1, 6)),
+           rel=st.sampled_from([1e-13, 1e-10]), floor=st.sampled_from([0.0, MIN_GAP_SV]),
+           # σ_min as a multiple of the threshold, drawn twice as often as
+           # each kind of member that is singular or not finite
+           kinds=st.lists(st.sampled_from([0.5, 1.0, 2.0, 4.0, 0.5, 1.0, 2.0, 4.0,
+                                           "singular", "nan", "inf", "-inf"]),
+                          min_size=6, max_size=6))
+    def test_decides_as_the_svd_and_returns_inv(self, seed, n, size, rel, floor, kinds):
+        rng = np.random.default_rng(seed)
+        a = np.array([self.member(rng, n, kinds[k], rel, floor) for k in range(size or 1)])
+        if size is None:
+            a = a[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            try:
+                want = _svd_rule(a, rel, floor)
+            except np.linalg.LinAlgError:       # NaN: the SVD does not converge
+                with pytest.raises(np.linalg.LinAlgError):
+                    _inv_certified(a, rel, floor)
+                return
+            inv, ok, smin = _inv_certified(a, rel, floor)
+        assert np.array_equal(ok, want)
+        for member, accepted, out, s in zip(a.reshape(-1, n, n), np.ravel(ok),
+                                            inv.reshape(-1, n, n), np.ravel(smin)):
+            if accepted:
+                assert np.array_equal(out, np.linalg.inv(member))
+            else:       # the SVD rejected it and reported its smallest value
+                assert np.isnan(out).all()
+                assert np.isfinite(s) or not np.isfinite(member).all()

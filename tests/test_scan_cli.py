@@ -157,10 +157,38 @@ class TestIO:
         ({"n": 1.7, "atoms": [{"x": 0.0, "W": [[[1, 0]]]}]}, "field 'n'"),
         ({"n": "1", "atoms": [{"x": 0.0, "W": [[[1, 0]]]}]}, "field 'n'"),
         ({"n": True, "atoms": [{"x": 0.0, "W": [[[1, 0]]]}]}, "field 'n'"),
+        # a string or a bool is not read as the number it spells
+        ({"n": 1, "atoms": [{"x": "0.5", "W": [[[1, 0]]]}]},
+         r"atoms\[0\].x missing or not a real number"),
+        ({"n": 1, "atoms": [{"x": True, "W": [[[1, 0]]]}]},
+         r"atoms\[0\].x missing or not a real number"),
+        ({"n": 1, "ac": [{"a": "0", "b": 1.0, "rho": [[[1, 0]]]}]},
+         r"ac\[0\] needs real fields a, b"),
+        ({"n": 1, "ac": [{"a": 0.0, "b": True, "rho": [[[1, 0]]]}]},
+         r"ac\[0\] needs real fields a, b"),
+        ({"n": 1, "atoms": [{"x": 0.0, "W": [[["1", "0"]]]}]},
+         r"atoms\[0\].W\[0\]\[0\]: \[re, im\] entries must be real numbers"),
+        ({"n": 1, "atoms": [{"x": 0.0, "W": [[[1, False]]]}]},
+         r"atoms\[0\].W\[0\]\[0\]: \[re, im\] entries must be real numbers"),
+        ({"n": 1, "atoms": [{"x": 0.0, "W": [[True]]}]},
+         r"atoms\[0\].W\[0\]\[0\]: expected \[re, im\] pair, got True"),
+        ({"n": 1, "ac": [{"a": 0.0, "b": 1.0, "rho": [["1"]]}]},
+         r"ac\[0\].rho\[0\]\[0\]: expected \[re, im\] pair"),
+        ({"n": 1, "atoms": [{"x": 0.0, "W": [[1]]}], "C": [[[0, "0"]]]},
+         r"C\[0\]\[0\]: \[re, im\] entries must be real numbers"),
+        # an integer no float can hold raised a bare OverflowError
+        ({"n": 1, "atoms": [{"x": 10 ** 400, "W": [[[1, 0]]]}]}, r"atoms\[0\].x missing or not"),
+        ({"n": 1, "atoms": [{"x": 0.0, "W": [[[-10 ** 400, 0]]]}]},
+         r"atoms\[0\].W\[0\]\[0\]: \[re, im\] entries must be real numbers"),
     ])
     def test_malformed_measure_file_names_the_field(self, tmp_path, doc, match):
         with pytest.raises(InputError, match=match):
             load_herglotz(write_json(tmp_path / "m.json", doc))
+
+    @pytest.mark.parametrize("entry", ["1", True, ["1", 0], [1, True]])
+    def test_load_hermitian_reads_only_json_numbers(self, tmp_path, entry):
+        with pytest.raises(InputError, match=r"D\[0\]\[0\]: "):
+            load_hermitian(write_json(tmp_path / "d.json", [[entry]]))
 
     def test_load_hermitian_rejects_an_empty_matrix(self, tmp_path):
         with pytest.raises(InputError, match="expected a matrix"):
