@@ -61,17 +61,23 @@ class MaxMultEvidence:
     m_boundary: Optional[np.ndarray]
     residual: float
     verdict: bool
+    via: bool = False   # through D': t_value is T_{D'}, m_boundary is M_{D'}(x+i0)
 
     @property
     def t_finite(self) -> bool:
         return not is_divergent(self.t_value)
 
     def mass(self) -> np.ndarray:
-        """Eigenvalue mass T(x)^{-1}; PreconditionError unless T(x) is finite."""
+        """Eigenvalue mass T(x)^{-1}; PreconditionError unless T(x) is finite.
+        Through D' it is F T_{D'}(x)^{-1} F, since T_{D'} = F T F with
+        F = M_{D'}(x+i0); PreconditionError where F has no limit."""
         if not self.t_finite:
             raise PreconditionError(f"T(x) diverges at x={self.x} in directions "
                                     f"{self.t_value.directions}: no eigenvalue mass")
-        return hermitian_part(_inv_checked(np.asarray(self.t_value), "T(x)"))
+        if self.via and self.m_boundary is None:
+            raise PreconditionError(f"M_D'(x+i0) has no limit at x={self.x}: no eigenvalue mass")
+        inv = _inv_checked(np.asarray(self.t_value), "T(x)")
+        return hermitian_part(self.m_boundary @ inv @ self.m_boundary if self.via else inv)
 
 
 def as_parameter(d, n: int) -> ExtensionParameter:
@@ -255,19 +261,19 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
 
         t_val, _, ok = richardson_limit(im_over_eps, tols, order=2)
         if t_val is None:
-            return MaxMultEvidence(x, Divergent(()), None, math.inf, False)
+            return MaxMultEvidence(x, Divergent(()), None, math.inf, False, via=True)
         if ok:
             t_val = hermitian_part(t_val)
 
         bval, _, ok = richardson_limit(v, tols)
         if not ok:
-            return MaxMultEvidence(x, t_val, None, math.inf, False)
+            return MaxMultEvidence(x, t_val, None, math.inf, False, via=True)
         bval = hermitian_part(bval)
     # relative match: the target norm grows like the inverse of the D-D' gap
     # and the eps-limit precision scales with it
     residual = float(np.linalg.norm(bval - target)) / max(1.0, float(np.linalg.norm(target)))
     verdict = (not is_divergent(t_val)) and residual <= tols.tol_match
-    return MaxMultEvidence(x, t_val, bval, residual, verdict)
+    return MaxMultEvidence(x, t_val, bval, residual, verdict, via=True)
 
 
 def extension_for_point(m: HerglotzMatrix, x: float) -> Optional[ExtensionParameter]:

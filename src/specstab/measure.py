@@ -9,7 +9,8 @@ meeting the support), never by numeric overflow.
 
 A measure is stored as arrays, built once when it is validated, so every
 integral is one weighted sum: kernel values at the atoms times their
-weights plus exact segment integrals times the piece densities.  A kernel
+weights plus exact segment integrals times the piece densities, all read
+from one row of coefficients that the kernel fills in place.  A kernel
 checks its point with ``as_point``, a real-x kernel with ``as_real_point``
 (PreconditionError).  A set, an ``IntervalUnion``, is the kernel of its own
 indicator, so its measure is ``integrate(region, omega)``.
@@ -265,7 +266,7 @@ class MatrixMeasure:
         self._weights = _frozen(np.concatenate([W[atom_kept], rho[piece_kept]]).reshape(-1, n * n))
         self._weights_re_im = self._weights.view(float)
         self.W, self.rho = self._weights[:len(self.xs)], self._weights[len(self.xs):]
-        self._ends = _frozen(np.concatenate([self.a, self.b]))
+        self._pts = _frozen(np.concatenate([self.xs, self.a, self.b]))
         self.cauchy_offset = _frozen(
             (self.xs / (1.0 + self.xs ** 2)) @ self.W
             + (0.5 * np.log((1.0 + self.b ** 2) / (1.0 + self.a ** 2))) @ self.rho)
@@ -352,17 +353,18 @@ class MatrixMeasure:
 class Kernel:
     """A closed-form integrand.
 
-    ``values(ys)`` evaluates it at an array of atom points and
-    ``primitive(ys)`` evaluates an antiderivative at an array of piece
-    ends, so a piece [a, b] integrates to primitive(b) - primitive(a);
-    a kernel holding a batch of parameters puts the batch on a leading
-    axis of both.  ``pole`` is the real point where it is singular (a 1-D
-    array of them for a batch of real points), or None; ``integrate``
-    reports divergence there instead of evaluating (a ``principal_value``
-    kernel only where the pole is not in a piece interior).
-    A ``compensated`` kernel's values and primitive omit the z-independent
-    Cauchy compensator y/(1+y²), whose integral ``integrate`` takes from
-    the measure's precomputed ``cauchy_offset``.
+    ``coefficients(pts, k)`` returns a fresh array over the measure's
+    points ``pts`` = [atoms, piece starts, piece ends]: the kernel at the
+    first k (the atoms) and an antiderivative at the rest, so a piece
+    [a, b] integrates to the difference of its two entries.  A kernel
+    holding a batch of parameters puts the batch on a leading axis.  The
+    array is the caller's: ``integrate`` overwrites it in place.
+    ``pole`` is the real point where the kernel is singular (a 1-D array
+    of them for a batch of real points), or None; ``integrate`` reports
+    divergence there instead of evaluating (a ``principal_value`` kernel
+    only where the pole is not in a piece interior).  A ``compensated``
+    kernel omits the z-independent Cauchy compensator y/(1+y²), whose
+    integral ``integrate`` takes from the measure's ``cauchy_offset``.
     """
 
     pole = None
@@ -381,11 +383,10 @@ class PoissonSquareKernel(Kernel):
         self.x = self.pole = as_real_point(x, "the divergence kernel")
         self._x = self.x if isinstance(self.x, float) else self.x[:, None]
 
-    def values(self, ys):
-        return 1.0 / (self._x - ys) ** 2
-
-    def primitive(self, ys):
-        return 1.0 / (self._x - ys)
+    def coefficients(self, pts, k):
+        d = self._x - pts   # 1/d² at the atoms, squared first; 1/d at piece ends
+        np.square(d[..., :k], out=d[..., :k])
+        return np.divide(1.0, d, out=d)
 
 
 class RegularizedKernel(Kernel):
@@ -398,16 +399,15 @@ class RegularizedKernel(Kernel):
             raise ValueError("regularization level m must be positive")
         self._width = 1.0 / self.m
 
-    def values(self, ys):
-        d = ys - self.x     # one temporary, every step in place
-        d *= d
-        d += self._width ** 2
-        return np.reciprocal(d, out=d)
-
-    def primitive(self, ys):
+    def coefficients(self, pts, k):
+        d = pts - self.x    # one temporary, every step in place
+        v, e = d[:k], d[k:]
+        v *= v
+        v += self._width ** 2
+        np.reciprocal(v, out=v)
         # m·atan(m(y - x)), with the product inside atan folded into atan2
-        d = np.arctan2(ys - self.x, self._width)
-        d *= self.m
+        np.arctan2(e, self._width, out=e)
+        e *= self.m
         return d
 
 
@@ -438,16 +438,16 @@ class CauchyKernel(Kernel):
             raise ValueError("a complex batch of z must be off the real axis (Im z != 0)")
         self.z, self._w = z, z[:, None]
 
-    def values(self, ys):
-        return 1.0 / (ys - self._w)
-
-    def primitive(self, ys):
+    def coefficients(self, pts, k):
+        d = pts - self._w
+        v, e = d[..., :k], d[..., k:]
+        np.divide(1.0, v, out=v)
         # The ends of a piece lie in one open half-plane when Im z != 0, so
         # their principal logs differ by the log of the ratio; for real z
         # log|y - z| is a primitive off the piece and, as a PV, across it.
-        if self.pole is None:
-            return np.log(ys - self._w)
-        return np.log(np.abs(ys - self._w))
+        if e.size:      # a purely atomic measure skips two calls on nothing
+            np.log(e if self.pole is None else np.abs(e, out=e), out=e)
+        return d
 
 
 class IntervalUnion(Kernel):
@@ -461,14 +461,12 @@ class IntervalUnion(Kernel):
     def __init__(self, *specs):
         self.intervals = tuple(Interval(*s) for s in specs)
 
-    def values(self, ys):
-        out = np.zeros(np.shape(ys), dtype=bool)
+    def coefficients(self, pts, k):
+        """The indicator at the atoms, then the Lebesgue measure of
+        (union) ∩ (-inf, y] at each piece end y."""
+        out = np.zeros(pts.shape)
         for iv in self.intervals:
-            out |= iv.contains(ys)
-        return out.astype(float)
-
-    def primitive(self, ys):
-        """Lebesgue measure of (union) ∩ (-inf, y] for each y in ys."""
+            np.logical_or(out[:k], iv.contains(pts[:k]), out=out[:k])
         segs = sorted((iv.a, iv.b) for iv in self.intervals if iv.b > iv.a)
         merged = []
         for s, e in segs:
@@ -476,10 +474,9 @@ class IntervalUnion(Kernel):
                 merged[-1][1] = max(merged[-1][1], e)
             else:
                 merged.append([s, e])
-        total = np.zeros(np.shape(ys))
         for s, e in merged:
-            total += np.clip(ys, s, e) - s
-        return total
+            out[k:] += np.clip(pts[k:], s, e) - s
+        return out
 
 
 # -- operations ----------------------------------------------------------
@@ -502,15 +499,15 @@ def integrate(kernel: Kernel, omega: MatrixMeasure):
         bad = omega._divergent_directions(kernel.pole)
         if bad and not (kernel.principal_value and omega.in_piece_interior(kernel.pole)):
             return Divergent(bad)
-    coef = kernel.values(omega.xs)
-    p = omega.a.size
-    if p:
-        prim = kernel.primitive(omega._ends)
-        coef = np.concatenate((coef, prim[..., p:] - prim[..., :p]), axis=-1)
+    k, p = omega.xs.size, omega.a.size
+    coef = kernel.coefficients(omega._pts, k)
+    if p:   # each piece: primitive at its end minus at its start, in place
+        np.subtract(coef[..., k + p:], coef[..., k:k + p], out=coef[..., k:k + p])
+        coef = coef[..., :k + p]
     if coef.dtype.kind == "c":
-        total = coef @ omega._weights
+        total = coef.dot(omega._weights)
     else:   # real coefficients: one real product over (re, im) pairs
-        total = (coef @ omega._weights_re_im).view(complex)
+        total = coef.dot(omega._weights_re_im).view(complex)
     if kernel.compensated:
         total -= omega.cauchy_offset
     return total.reshape(*coef.shape[:-1], omega.dim, omega.dim)

@@ -1,5 +1,7 @@
 import math
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,11 +13,16 @@ from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       extension_for_point, is_divergent, mass_at_max_mult,
                       max_mult_test, max_mult_test_via,
                       resolvent_identity_residual)
+import specstab.extensions as ext
 from specstab.extensions import MIN_GAP_SV, _inv_certified, _inv_checked, extension_weyl
 from specstab.herglotz import EPS, atom_mass, boundary_value, richardson_limit
 from specstab.measure import hermitian_part
 from specstab.randgen import (random_gap_matrix, random_herglotz, random_hermitian,
                               random_psd, point_off_atoms)
+from specstab.verify import MASS_AGREE_TOL, N_DPRIME
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+import instances  # noqa: E402  (the benchmark's seeded layouts)
 
 
 class TestExtensionParameter:
@@ -338,6 +345,48 @@ class TestMassAtMaxMult:
         with pytest.raises(PreconditionError,
                            match=r"^x=1\.0 is not a maximum-multiplicity point for this D$"):
             mass_at_max_mult(two_atom, np.zeros((2, 2)), 1.0)
+
+
+class TestMassThroughSecondParameter:
+    """Evidence through D' holds T_{D'} = F T F, F = M_{D'}(x+i0); its
+    mass is still the eigenvalue mass T(x)^{-1} = F T_{D'}(x)^{-1} F."""
+
+    def test_two_atoms_with_dprime_twice_the_identity(self, two_atom):
+        # T(0) = 2I and F = (D' - D)^{-1} = I/2, so T_{D'} = I/2 and the
+        # mass is I/2, where T_{D'}^{-1} would be 2I
+        d, dp = np.zeros((2, 2)), 2.0 * np.eye(2)
+        ev = max_mult_test_via(two_atom, d, dp, 0.0)
+        assert ev.verdict
+        assert np.allclose(ev.t_value, np.eye(2) / 2, rtol=0.0, atol=1e-14)
+        assert np.allclose(ev.mass(), np.eye(2) / 2, rtol=0.0, atol=1e-14)
+        assert np.linalg.norm(ev.mass() - mass_at_max_mult(two_atom, d, 0.0)) <= MASS_AGREE_TOL
+
+    @pytest.mark.parametrize("seed", [3, 4, 5, 6])
+    def test_constructed_points_of_atomic_layouts(self, seed):
+        # the construction of a verify trial: D = M(x0+i0) at a point off
+        # the atoms, then random well-separated D'
+        rng = np.random.default_rng(seed)
+        m = HerglotzMatrix.from_measure(instances.atomic_layout(rng).matrix_measure())
+        lo, hi = m.omega.support_bounds()
+        x0 = point_off_atoms(rng, m.omega, lo - 1.0, hi + 1.0)
+        d = extension_for_point(m, x0)
+        want = mass_at_max_mult(m, d, x0)
+        for _ in range(N_DPRIME):
+            ev = max_mult_test_via(m, d, d.D + random_gap_matrix(rng, m.dim), x0)
+            assert ev.verdict
+            assert np.linalg.norm(ev.mass() - want) <= MASS_AGREE_TOL
+
+    def test_no_mass_without_a_boundary_value(self, single_atom, monkeypatch):
+        # at a full-rank atom T_{D'} is an ε-limit (1/W); with the boundary
+        # value's limit not found there is no F, so no mass
+        real = ext.richardson_limit
+        monkeypatch.setattr(ext, "richardson_limit",
+                            lambda s, tols, order=1: real(s, tols, order) if order == 2
+                            else (None, [], False))
+        ev = max_mult_test_via(single_atom, [[-0.5]], [[0.0]], 0.0)
+        assert ev.t_finite and ev.m_boundary is None
+        with pytest.raises(PreconditionError, match=r"no limit at x=0\.0: no eigenvalue mass"):
+            ev.mass()
 
 
 class TestGapDecomposedOnce:

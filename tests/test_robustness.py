@@ -20,7 +20,7 @@ from specstab import (Atom, ConditioningError, ExtensionParameter, HerglotzMatri
                       density_matrix, evaluate, extension_for_point, extension_weyl, integrate,
                       mass_at_max_mult, max_mult_test, max_mult_test_via, real_poles,
                       residue_mass, resolvent_identity_residual, t_matrix, verify)
-from specstab.randgen import point_off_atoms, random_atomic_measure
+from specstab.randgen import point_off_atoms, random_atomic_measure, random_psd
 from specstab.verify import run_verify
 
 SRC = Path(specstab.__file__).parent
@@ -94,6 +94,19 @@ def test_atom_sampler_needs_an_atom():
     # K = 0 failed in eigvalsh with a LinAlgError about a 0-d array
     with pytest.raises(ValueError, match="K=0"):
         random_atomic_measure(np.random.default_rng(0), 2, n_atoms=0)
+
+
+def test_atom_sampler_repairs_a_nearly_singular_total():
+    # seed 161 draws one 2x2 weight with eigenvalues 2.1e-3 and 4.27, under
+    # the 1e-3·max(1, top) bound, so the sampler adds a full-rank term to it
+    raw_rng = np.random.default_rng(161)
+    raw_rng.uniform(0.1, 5.9, size=1)       # the atom's point, then its weight
+    raw = np.linalg.eigvalsh(random_psd(raw_rng, 2))
+    assert raw[0] < 1e-3 * max(1.0, raw[-1])
+    omega = random_atomic_measure(np.random.default_rng(161), 2, n_atoms=1)
+    total = np.linalg.eigvalsh(omega.atoms[0].W)
+    assert not np.allclose(total, raw)
+    assert total[0] >= 1e-3 * max(1.0, total[-1])
 
 
 def test_every_raised_exception_maps_to_an_exit_code():
