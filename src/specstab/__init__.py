@@ -12,7 +12,7 @@ from .measure import (ACPiece, Atom, CauchyKernel, DensityMatrixValue,
                       Divergent, Interval, IntervalUnion, MatrixMeasure,
                       MeasureError, PoissonSquareKernel, RegularizedKernel,
                       density_matrix, hermitian_part, integrate, is_divergent,
-                      matrix_rank, measure_of_set)
+                      matrix_rank)
 from .herglotz import (BoundaryReport, HerglotzMatrix, NotConvergedError,
                        atom_mass, boundary_value, evaluate, t_matrix)
 from .extensions import (ConditioningError, ExtensionParameter,

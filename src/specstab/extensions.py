@@ -25,8 +25,8 @@ import numpy as np
 
 from .herglotz import (EPS, ConditioningError, HerglotzMatrix, boundary_value,
                        evaluate, integrate_cauchy, richardson_limit, t_matrix)
-from .measure import (Divergent, PreconditionError, _frozen, as_point, as_real_point,
-                      hermitian_part, is_batch, is_divergent, is_hermitian)
+from .measure import (Divergent, PreconditionError, _fro, _frozen, as_point,
+                      as_real_point, hermitian_part, is_batch, is_divergent, is_hermitian)
 
 
 # smallest singular value of D' - D accepted by the second-parameter test
@@ -171,9 +171,7 @@ def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> fl
     delta = D - Dp
     form1 = mdp @ _inv_checked(delta @ mdp + eye, "(D-D')M_D' + I")
     form2 = _inv_checked(mdp @ delta + eye, "M_D'(D-D') + I") @ mdp
-    scale = max(1e-300, float(np.linalg.norm(md)))
-    return max(float(np.linalg.norm(md - form1)),
-               float(np.linalg.norm(md - form2))) / scale
+    return max(_fro(md - form1), _fro(md - form2)) / max(1e-300, _fro(md))
 
 
 def max_mult_test(m: HerglotzMatrix, d, x):
@@ -192,19 +190,15 @@ def max_mult_test(m: HerglotzMatrix, d, x):
     off = xs[~on]
     t = t_matrix(m, off)
     mb = hermitian_part(integrate_cauchy(m, off))
-    residuals = np.linalg.norm(mb - D, axis=(1, 2)).tolist()
     closed = iter([MaxMultEvidence(p, tp, mp, r, r <= m.omega.tols.tol_match)
-                   for p, tp, mp, r in zip(off.tolist(), t, mb, residuals)])
+                   for p, tp, mp, r in zip(off.tolist(), t, mb, _fro(mb - D).tolist())])
     return [_test_at(m, D, p) if at else next(closed)
             for p, at in zip(xs.tolist(), on.tolist())]
 
 
 def _test_at(m: HerglotzMatrix, D: np.ndarray, x: float) -> MaxMultEvidence:
     rep = boundary_value(m, x)
-    if rep.converged:
-        residual = float(np.linalg.norm(rep.m_boundary - D))
-    else:
-        residual = math.inf
+    residual = _fro(rep.m_boundary - D) if rep.converged else math.inf
     verdict = rep.t_finite and residual <= m.omega.tols.tol_match
     return MaxMultEvidence(x, rep.t_matrix, rep.m_boundary, residual, verdict)
 
@@ -242,17 +236,19 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
     mx = integrate_cauchy(m, x)     # C + PV∫ in a piece interior, lacking iπρ
     f = None
     if not is_divergent(mx):
-        rho = m.omega.density_at(x) if is_divergent(t) else 0.0
+        h = dp.D - mx
+        if is_divergent(t):     # in a piece interior: M(x+i0) adds iπρ(x)
+            h -= 1j * np.pi * (rho := m.omega.density_at(x))
         try:
-            f = _inv_checked(dp.D - mx - 1j * np.pi * rho, "D' - M(x+i0)")
+            f = _inv_checked(h, "D' - M(x+i0)")
         except ConditioningError:
             pass    # x is a pole of M_{D'}: the ε-limit reports it Divergent
     if f is not None:
         bval = hermitian_part(f)
         if is_divergent(t):
             frf = f @ rho @ f.conj().T
-            big = np.diag(frf).real > tols.rank_tol * max(1.0, float(np.linalg.norm(frf)))
-            t_val = Divergent(tuple(np.flatnonzero(big).tolist()))
+            big = frf.diagonal().real > tols.rank_tol * max(1.0, _fro(frf))
+            t_val = Divergent(tuple(big.nonzero()[0].tolist()))
         else:
             t_val = hermitian_part(f @ t @ f)
     else:
@@ -271,7 +267,7 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
         bval = hermitian_part(bval)
     # relative match: the target norm grows like the inverse of the D-D' gap
     # and the eps-limit precision scales with it
-    residual = float(np.linalg.norm(bval - target)) / max(1.0, float(np.linalg.norm(target)))
+    residual = _fro(bval - target) / max(1.0, _fro(target))
     verdict = (not is_divergent(t_val)) and residual <= tols.tol_match
     return MaxMultEvidence(x, t_val, bval, residual, verdict, via=True)
 

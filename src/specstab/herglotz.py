@@ -29,8 +29,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
 from .measure import (CauchyKernel, Divergent, MatrixMeasure, PoissonSquareKernel,
-                      _frozen, as_real_point, hermitian_part, integrate, is_batch,
-                      is_divergent, is_hermitian)
+                      _fro, _frozen, as_real_point, hermitian_part, integrate,
+                      is_batch, is_divergent, is_hermitian)
 
 
 class NotConvergedError(RuntimeError):
@@ -101,9 +101,9 @@ def integrate_cauchy(m: HerglotzMatrix, z):
     array (a complex one off the real axis, or a real one, batched as in
     ``CauchyKernel``); Divergent where a real z meets the support."""
     v = integrate(CauchyKernel(z), m.omega)
-    if is_divergent(v):
-        return v
-    return m.C + v
+    if not is_divergent(v):
+        v += m.C    # in place: integrate's array is fresh
+    return v
 
 
 def t_matrix(m: HerglotzMatrix, x) -> Union[np.ndarray, Divergent]:
@@ -118,8 +118,9 @@ def t_matrix(m: HerglotzMatrix, x) -> Union[np.ndarray, Divergent]:
 
 
 # the halving ε-schedule every limit samples: eps_j = 1e-2·2^-j, j = 0..40
-EPS = 1e-2 * 0.5 ** np.arange(41)
-EPS.setflags(write=False)
+EPS = _frozen(1e-2 * 0.5 ** np.arange(41))
+_I_EPS = _frozen(1j * EPS)      # the offsets iε of boundary_value's samples
+_MINUS_I_EPS = _frozen((-1j * EPS)[:, None, None])      # atom_mass's factor -iε
 
 
 def richardson_limit(samples: np.ndarray, tols: Tolerances = DEFAULT_TOLS,
@@ -146,16 +147,15 @@ def richardson_limit(samples: np.ndarray, tols: Tolerances = DEFAULT_TOLS,
         raise ValueError(f"expected a stack of {len(EPS)} ε-samples, got shape {s.shape}")
     w = 2.0 ** order
     r = (w * s[1:] - s[:-1]) / (w - 1.0)     # r[i] extrapolates samples i, i+1
-    norms = np.linalg.norm(r, axis=(1, 2))
+    norms = _fro(r)
     grows = norms[1:] > 1.8 * norms[:-1]
     converged = np.zeros(norms.size, dtype=bool)
-    converged[1:] = (np.linalg.norm(r[1:] - r[:-1], axis=(1, 2))
-                     <= tols.tol_bv * np.maximum(1.0, norms[1:]))
+    converged[1:] = _fro(r[1:] - r[:-1]) <= tols.tol_bv * np.maximum(1.0, norms[1:])
     blown = np.zeros(norms.size, dtype=bool)
     blown[3:] = (norms[3:] > 1e8) & grows[:-2] & grows[1:-1] & grows[2:]
-    stops = np.flatnonzero(converged | blown)
+    stops = (converged | blown).nonzero()[0]
     used = int(stops[0]) + 2 if stops.size else len(EPS)
-    unformed = np.flatnonzero(np.isnan(s[:used]).any(axis=(1, 2)))
+    unformed = np.isnan(s[:used]).any(axis=(1, 2)).nonzero()[0]
     if unformed.size:
         raise ConditioningError(
             f"the ε-sample at eps={EPS[unformed[0]]:.3e} could not be formed "
@@ -167,7 +167,7 @@ def richardson_limit(samples: np.ndarray, tols: Tolerances = DEFAULT_TOLS,
     if converged[i]:
         return r[i], trace, True
     last = s[i + 1]
-    dirs = tuple(int(k) for k in np.nonzero(np.real(np.diag(last)) > 1e6)[0])
+    dirs = tuple(int(k) for k in (last.diagonal().real > 1e6).nonzero()[0])
     return Divergent(dirs or tuple(range(last.shape[0]))), trace, False
 
 
@@ -186,7 +186,7 @@ def boundary_value(m: HerglotzMatrix, x: float) -> BoundaryReport:
         # Real kernel values against Hermitian weights: already Hermitian.
         return BoundaryReport(x, hermitian_part(mx), True, t, [])
 
-    val, trace, ok = richardson_limit(evaluate(m, x + 1j * EPS), m.omega.tols)
+    val, trace, ok = richardson_limit(evaluate(m, x + _I_EPS), m.omega.tols)
     return BoundaryReport(x, hermitian_part(val) if ok else None, ok, t, trace)
 
 
@@ -202,8 +202,7 @@ def atom_mass(f, x: float, tols: Optional[Tolerances] = None) -> np.ndarray:
     x = as_real_point(x, "atom_mass", batch=False)
     if tols is None:
         tols = f.omega.tols if isinstance(f, HerglotzMatrix) else DEFAULT_TOLS
-    val, _, ok = richardson_limit(
-        -1j * EPS[:, None, None] * np.asarray(f(x + 1j * EPS)), tols)
+    val, _, ok = richardson_limit(_MINUS_I_EPS * np.asarray(f(x + _I_EPS)), tols)
     if not ok:
         raise NotConvergedError(f"atom mass limit at x={x} did not converge")
     return hermitian_part(val)

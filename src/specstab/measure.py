@@ -19,8 +19,10 @@ indicator, so its measure is ``integrate(region, omega)``.
 from __future__ import annotations
 
 import cmath
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +43,20 @@ class PreconditionError(ValueError):
 
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    h = a + a.conj().swapaxes(-1, -2)
+    h *= 0.5    # in place: a float or complex sum, never a or a view of it
+    return h
+
+
+def _fro(a: np.ndarray):
+    """‖a‖_F of a matrix (a float) or each of a stack: np.linalg.norm's sums, not its wrapper."""
+    if a.ndim > 2:
+        return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
+    x = a.ravel(order="K")
+    if x.dtype.kind != "c":
+        return math.sqrt(x.dot(x))
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def is_hermitian(a: np.ndarray):
@@ -132,7 +147,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 def _reject_first(bad: np.ndarray, message) -> None:
     """Raise MeasureError(message(k)) for the first flagged index k."""
-    hits = np.flatnonzero(bad)
+    hits = bad.nonzero()[0]
     if hits.size:
         raise MeasureError(message(int(hits[0])))
 
@@ -257,7 +272,7 @@ class MatrixMeasure:
         # Terms without mass are left out: they add nothing, and a kernel
         # pole on one would give inf * 0.
         atom_kept, piece_kept = w_tr > 0.0, r_tr > 0.0
-        self._atom_ids = np.flatnonzero(atom_kept)
+        self._atom_ids = atom_kept.nonzero()[0]
         self.xs = _frozen(xs[atom_kept])
         self.a = _frozen(a[piece_kept])
         self.b = _frozen(b[piece_kept])
@@ -339,12 +354,17 @@ class MatrixMeasure:
         return (j > 0) & (self._reach_sorted[j - 1] >= x)
 
     def support_bounds(self):
-        pts = np.concatenate([self.xs, self.a, self.b])
-        return float(pts.min()), float(pts.max())
+        return float(self._pts.min()), float(self._pts.max())
 
     @property
     def purely_atomic(self) -> bool:
         return not self.a.size
+
+    @cached_property
+    def atom_eigh(self):
+        """eigh of the atom weights, read-only, formed on first use (not by __init__)."""
+        lam, vecs = np.linalg.eigh(hermitian_part(self.W.reshape(-1, self.dim, self.dim)))
+        return _frozen(lam), _frozen(vecs)
 
 
 # -- kernels -------------------------------------------------------------
@@ -511,11 +531,6 @@ def integrate(kernel: Kernel, omega: MatrixMeasure):
     if kernel.compensated:
         total -= omega.cauchy_offset
     return total.reshape(*coef.shape[:-1], omega.dim, omega.dim)
-
-
-def measure_of_set(omega: MatrixMeasure, region: IntervalUnion) -> np.ndarray:
-    """Measure of a finite union of bounded intervals (Hermitian PSD)."""
-    return integrate(region, omega)
 
 
 def density_matrix(omega: MatrixMeasure, t: float) -> DensityMatrixValue:

@@ -79,7 +79,7 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tupl
         raise OracleError(f"empty or inverted interval [{a}, {b}]")
     if np.isinf([a, b]).any():
         raise OracleError(f"the window [{a}, {b}] must be finite")
-    xs, n, tols = omega.xs, omega.dim, omega.tols
+    xs, tols = omega.xs, omega.tols
     if np.any(np.abs(np.subtract.outer([a, b], xs)) <= tols.tol_x):
         raise OracleError("interval endpoints must not be atoms")
 
@@ -94,7 +94,7 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tupl
         raise OracleError("D - M(x) is numerically singular at every shift tried")
 
     # W_k = B_k B_k*: one column sqrt(λ)u per eigenpair of W_k above rank_tol
-    lam, vecs = np.linalg.eigh(hermitian_part(omega.W.reshape(-1, n, n)))
+    lam, vecs = omega.atom_eigh
     kept = lam > tols.rank_tol * lam.max(axis=1, keepdims=True)
     k_of, j_of = np.nonzero(kept)
     dist = s - xs[k_of]

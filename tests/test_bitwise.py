@@ -1,0 +1,140 @@
+"""The criterion's arithmetic helpers against the numpy calls they replaced.
+
+``measure._fro`` runs the sums of ``np.linalg.norm`` without its wrapper,
+and ``hermitian_part`` halves its sum in place where it halved a copy, so
+both must equal the old expressions bit for bit, not merely closely.  On
+``bench/instances.mixed_instance`` measures the evidence residuals of both
+criteria are checked against the old ``np.linalg.norm`` formulas, written
+out here.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+
+from specstab import (ConditioningError, HerglotzMatrix, boundary_value, hermitian_part,
+                      max_mult_test, max_mult_test_via)
+from specstab.measure import _fro
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+import instances  # noqa: E402
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False, width=64)
+ANY = st.one_of(FINITE, st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1e300]))
+
+
+@st.composite
+def _matrices(draw, elements, shapes):
+    """A real or complex float64 array of one of the shapes."""
+    shape = draw(shapes)
+    re = draw(hnp.arrays(np.float64, shape, elements=elements))
+    if not draw(st.booleans()):
+        return re
+    z = np.empty(shape, dtype=complex)      # re + 1j·im would turn an infinite im into NaN
+    z.real, z.imag = re, draw(hnp.arrays(np.float64, shape, elements=elements))
+    return z
+
+
+def _bits(v) -> bytes:
+    return np.asarray(v, dtype=np.float64).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_matrices(ANY, st.sampled_from([(3, 3), (1, 1), (2, 4)])),
+       view=st.sampled_from(["as is", "T", "conj T", "F order", "real part"]))
+def test_fro_of_one_matrix_is_np_linalg_norm_bitwise(a, view):
+    a = {"as is": a, "T": a.T, "conj T": a.conj().T,
+         "F order": np.asfortranarray(a), "real part": a.real}[view]
+    with np.errstate(all="ignore"):
+        want, got = np.linalg.norm(a), _fro(a)
+    assert isinstance(got, float)
+    assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_matrices(ANY, st.sampled_from([(1, 3, 3), (5, 3, 3), (0, 3, 3), (2, 3, 2, 2)])),
+       transposed=st.booleans())
+def test_fro_of_a_stack_is_np_linalg_norm_bitwise(a, transposed):
+    if transposed:
+        a = a.swapaxes(-1, -2)
+    with np.errstate(all="ignore"):
+        want, got = np.linalg.norm(a, axis=(-2, -1)), _fro(a)
+    assert got.shape == a.shape[:-2]
+    assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=_matrices(st.one_of(FINITE, st.sampled_from([np.inf, -np.inf, -0.0, 1e308])),
+                   st.sampled_from([(3, 3), (1, 1), (6, 3, 3), (2, 2, 4, 4)])),
+       read_only=st.booleans(), f_order=st.booleans())
+def test_hermitian_part_is_the_halved_sum_bitwise(a, read_only, f_order):
+    if f_order:
+        a = np.asfortranarray(a)
+    before = a.copy()
+    a.setflags(write=not read_only)
+    with np.errstate(all="ignore"):
+        want, got = 0.5 * (a + a.conj().swapaxes(-1, -2)), hermitian_part(a)
+    assert got.tobytes() == want.tobytes() and got.dtype == want.dtype
+    assert got.flags.c_contiguous == want.flags.c_contiguous
+    assert a.tobytes() == before.tobytes()          # the input is left alone
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_matrices(ANY, st.sampled_from([(3, 3), (4, 3, 3)])))
+def test_hermitian_part_keeps_nan_where_the_halved_sum_has_it(a):
+    # a NaN may come out with another sign or payload bit: 0.5·h and h·0.5
+    # add the NaN products of a complex multiply in opposite orders
+    with np.errstate(all="ignore"):
+        want, got = 0.5 * (a + a.conj().swapaxes(-1, -2)), hermitian_part(a)
+    assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+
+
+def _mixed_cases(seed):
+    """(m, d, d', x) over the queries of one mixed instance: D = M(x+i0)
+    where that is finite, else M(x + 0.05 + i0) (at the atoms)."""
+    inst = instances.mixed_instance(np.random.default_rng(seed))
+    m = HerglotzMatrix.from_measure(inst.layout.matrix_measure())
+    for q in inst.queries:
+        shift = 0.05 if q.kind == instances.AT_ATOM else 0.0
+        d = boundary_value(m, q.x + shift).m_boundary
+        yield m, d, d + q.gap, q.x
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 99])
+def test_evidence_residuals_are_the_old_norm_formulas(seed):
+    kinds = set()
+    for m, d, dp, x in _mixed_cases(seed):
+        ev = max_mult_test(m, d, x)
+        want = (float(np.linalg.norm(ev.m_boundary - d))
+                if ev.m_boundary is not None else np.inf)
+        assert _bits(ev.residual) == _bits(want)
+        try:
+            ev = max_mult_test_via(m, d, dp, x)
+        except ConditioningError:       # a rank-deficient atom (CHANGES.md FOUND)
+            continue
+        target = np.linalg.inv(dp - d)
+        want = (float(np.linalg.norm(ev.m_boundary - target))
+                / max(1.0, float(np.linalg.norm(target)))
+                if ev.m_boundary is not None else np.inf)
+        assert _bits(ev.residual) == _bits(want)
+        kinds.add((ev.verdict, np.isfinite(ev.residual), ev.t_finite))
+    assert {(True, True, True), (False, True, False)} <= kinds
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 99])
+def test_batched_residuals_are_the_old_stacked_norm(seed):
+    cases = list(_mixed_cases(seed))
+    m, d = cases[0][0], cases[0][1]
+    xs = np.array([x for *_, x in cases])
+    evidence = max_mult_test(m, d, xs)
+    off = ~m.omega.on_support(xs)
+    mb = np.array([ev.m_boundary for ev, o in zip(evidence, off) if o])
+    want = np.linalg.norm(mb - d, axis=(1, 2))
+    got = [ev.residual for ev, o in zip(evidence, off) if o]
+    assert len(got) > 10 and _bits(got) == _bits(want)

@@ -9,8 +9,7 @@ from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
                       ExtensionParameter, HerglotzMatrix, Interval,
                       IntervalUnion, MatrixMeasure, MeasureError,
                       PoissonSquareKernel, RegularizedKernel, Tolerances,
-                      boundary_value, density_matrix, integrate, is_divergent,
-                      measure_of_set)
+                      boundary_value, density_matrix, integrate, is_divergent)
 from specstab.io import InputError, load_hermitian
 from specstab.measure import DefinedNowhereError, as_point, is_hermitian
 from specstab.randgen import random_atomic_measure
@@ -101,18 +100,18 @@ class TestMasslessTerms:
 class TestMeasureOfSet:
     def test_empty_set(self):
         omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
-        assert np.allclose(measure_of_set(omega, IntervalUnion()), 0.0)
+        assert np.allclose(integrate(IntervalUnion(), omega), 0.0)
 
     def test_atom_in_interval(self):
         omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
-        v = measure_of_set(omega, IntervalUnion((-1.0, 1.0)))
+        v = integrate(IntervalUnion((-1.0, 1.0)), omega)
         assert np.allclose(v, [[1.0]])
 
     def test_ac_slice(self):
         # length-1 slice of constant density diag(1,2), cross-checked by
         # scalar quadrature of the indicator
         omega = MatrixMeasure(2, ac_pieces=[ACPiece(0.0, 2.0, np.diag([1.0, 2.0]))])
-        v = measure_of_set(omega, IntervalUnion((0.0, 1.0)))
+        v = integrate(IntervalUnion((0.0, 1.0)), omega)
         xs = np.linspace(0, 2, 200001)
         quad = np.trapezoid((xs <= 1.0).astype(float), xs)
         assert np.allclose(v, quad * np.diag([1.0, 2.0]), atol=1e-4)
@@ -120,8 +119,8 @@ class TestMeasureOfSet:
 
     def test_endpoint_inclusion_flags(self):
         omega = MatrixMeasure(1, [Atom(1.0, [[1.0]])])
-        closed = measure_of_set(omega, IntervalUnion((0.0, 1.0, True, True)))
-        open_ = measure_of_set(omega, IntervalUnion((0.0, 1.0, True, False)))
+        closed = integrate(IntervalUnion((0.0, 1.0, True, True)), omega)
+        open_ = integrate(IntervalUnion((0.0, 1.0, True, False)), omega)
         assert np.allclose(closed, [[1.0]])
         assert np.allclose(open_, [[0.0]])
 
@@ -131,27 +130,27 @@ class TestMeasureOfSet:
         left = IntervalUnion((-4.0, 0.0, True, False))
         right = IntervalUnion((0.0, 4.0, True, True))
         both = IntervalUnion((-4.0, 0.0, True, False), (0.0, 4.0, True, True))
-        assert np.allclose(measure_of_set(omega, left) + measure_of_set(omega, right),
-                           measure_of_set(omega, both), atol=1e-12)
+        assert np.allclose(integrate(left, omega) + integrate(right, omega),
+                           integrate(both, omega), atol=1e-12)
 
 
 class TestTraceMeasure:
     def test_two_identity_atoms(self):
-        m = measure_of_set(two_atoms_eye2(), IntervalUnion((-2.0, 2.0)))
+        m = integrate(IntervalUnion((-2.0, 2.0)), two_atoms_eye2())
         assert float(np.trace(m).real) == pytest.approx(4.0)
 
     def test_empty(self):
-        assert float(np.trace(measure_of_set(two_atoms_eye2(), IntervalUnion())).real) == 0.0
+        assert float(np.trace(integrate(IntervalUnion(), two_atoms_eye2())).real) == 0.0
 
     def test_ac_slice(self):
         omega = MatrixMeasure(2, ac_pieces=[ACPiece(0.0, 2.0, np.diag([1.0, 2.0]))])
-        m = measure_of_set(omega, IntervalUnion((0.0, 1.0)))
+        m = integrate(IntervalUnion((0.0, 1.0)), omega)
         assert float(np.trace(m).real) == pytest.approx(3.0)
 
     def test_matches_sum_of_diagonal_entries(self):
         rng = np.random.default_rng(3)
         omega = random_atomic_measure(rng, 3)
-        m = measure_of_set(omega, IntervalUnion((-2.0, 1.0)))
+        m = integrate(IntervalUnion((-2.0, 1.0)), omega)
         inside = [at.W for at in omega.atoms if -2.0 <= at.x <= 1.0]
         assert float(np.trace(m).real) == pytest.approx(float(np.trace(sum(inside)).real))
 
@@ -183,7 +182,7 @@ class TestIntegrate:
         assert is_divergent(v)
         assert v.directions == (1,)
 
-    def test_indicator_consistent_with_measure_of_set(self):
+    def test_indicator_matches_the_weights_inside(self):
         # reference: the weights of the atoms in [0, 1) ∪ [2, 3], plus ρ times
         # the piece's overlap length with each interval; the atoms at 0 and 3
         # sit on closed ends, the one at 1 on an open end
@@ -197,7 +196,6 @@ class TestIntegrate:
         reference = sum(inside) + overlap * rho
         assert len(inside) == 2 and overlap == 1.0
         assert np.allclose(integrate(region, omega), reference, atol=1e-14)
-        assert np.allclose(measure_of_set(omega, region), reference, atol=1e-14)
 
     def test_cauchy_real_axis_rejection_path(self):
         # real z sitting on an atom is reported divergent, not evaluated

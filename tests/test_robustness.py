@@ -68,7 +68,7 @@ def test_public_api_census():
         "ScanConfig", "Tolerances", "atom_mass", "boundary_value", "classify",
         "density_matrix", "evaluate", "extension_for_point", "extension_weyl",
         "hermitian_part", "integrate", "is_divergent", "mass_at_max_mult", "matrix_rank",
-        "max_mult_test", "max_mult_test_via", "measure_of_set", "real_poles", "residue_mass",
+        "max_mult_test", "max_mult_test_via", "real_poles", "residue_mass",
         "resolvent_identity_residual", "run_verify", "scan_forbidden", "t_matrix"}
 
 
@@ -129,6 +129,20 @@ def test_every_raised_exception_maps_to_an_exit_code():
             if not issubclass(kind, mapped):
                 unmapped.add(f"{path.stem}: {ast.unparse(exc)}")
     assert unmapped == {"cli: argparse.ArgumentTypeError", "measure: TypeError"}
+
+
+def test_measure_fro_is_the_only_frobenius_norm():
+    # np.linalg.norm costs about twice its own arithmetic on a 3x3 matrix;
+    # measure._fro runs that arithmetic alone, bit for bit
+    uses = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "norm":
+                uses.append(f"{path.stem}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                uses += [f"{path.stem}:{node.lineno}: from {node.module} import {a.name}"
+                         for a in node.names if a.name == "norm"]
+    assert uses == []
 
 
 def test_internal_failures_are_typed(monkeypatch):
