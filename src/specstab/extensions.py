@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .herglotz import (EPS, ConditioningError, HerglotzMatrix, boundary_value,
                        evaluate, integrate_cauchy, richardson_limit, t_matrix)
@@ -91,48 +92,40 @@ def as_parameter(d, n: int) -> ExtensionParameter:
 
 
 def _inv_certified(a: np.ndarray, rel: float, floor: float = 0.0):
-    """np.linalg.inv of a matrix, or of each of a stack, and the members it
-    holds for: smallest singular value above max(floor, rel·max(1, largest)).
+    """np.linalg.inv of a complex matrix, or of each of a stack, and the members
+    it holds for: smallest singular value above max(floor, rel·max(1, largest)).
 
-    Since σ_min(A) ≥ 1/‖A⁻¹‖_F and σ_max(A) ≤ ‖A‖_F, the inverse certifies
-    a member with 1/‖A⁻¹‖_F > 2·max(floor, rel·max(1, ‖A‖_F)); the factor
-    2 covers the rounding of the computed inverse at the condition numbers
-    (below 1/(2·rel)) this admits.  The SVD decides the rest, or every
-    member when ``inv`` finds one exactly singular, so decisions and
-    inverses are those of the SVD test followed by ``inv``.  Returns
-    (inv, ok, smin): inv NaN on each rejected member, ok the accepted ones,
-    smin the smallest singular value where the SVD ran, NaN elsewhere (a
-    bool and a float for one matrix).
+    It runs inv's own LAPACK gufunc without inv's wrapper (the private module
+    numpy.linalg itself loads, since numpy 1.8: a rename fails at import), so
+    an exactly singular member comes out NaN.  Since σ_min(A) ≥ 1/‖A⁻¹‖_F and
+    σ_max(A) ≤ ‖A‖_F, the inverse certifies a member with 1/‖A⁻¹‖_F >
+    2·max(floor, rel·max(1, ‖A‖_F)); the factor 2 covers the rounding of the
+    computed inverse at the condition numbers (below 1/(2·rel)) this admits.
+    The SVD decides the rest, a NaN inverse among them, so decisions and
+    inverses are those of the SVD test followed by ``inv``.  Returns (inv,
+    ok, smin): inv NaN on each rejected member, ok the accepted ones, smin the
+    smallest singular value where the SVD ran, NaN elsewhere (a bool and a
+    float for one matrix).
     """
-    try:
-        inv = np.linalg.inv(a)
-    except np.linalg.LinAlgError:       # a member is exactly singular
-        inv = None
+    with np.errstate(all="ignore"):
+        inv = _umath_linalg.inv(a, signature="D->D")
     if a.ndim == 2:
-        if inv is not None:
-            # (2‖A⁻¹‖_F·max(floor, rel, rel·‖A‖_F))² < 1, one comparison per
-            # term, so a NaN norm fails it (Python's max would drop the NaN)
-            q = 4.0 * float(np.vdot(inv, inv).real)
-            r = q * rel * rel
-            if q * floor * floor < 1.0 and r < 1.0 and r * float(np.vdot(a, a).real) < 1.0:
-                return inv, True, math.nan
+        # (2‖A⁻¹‖_F·max(floor, rel, rel·‖A‖_F))² < 1, one comparison per
+        # term, so a NaN norm fails it (Python's max would drop the NaN)
+        q = 4.0 * float(np.vdot(inv, inv).real)
+        r = q * rel * rel
+        if q * floor * floor < 1.0 and r < 1.0 and r * float(np.vdot(a, a).real) < 1.0:
+            return inv, True, math.nan
         inv, ok, smin = _inv_certified(a[None], rel, floor)
         return inv[0], bool(ok[0]), float(smin[0])
-    if inv is None:
-        check = np.ones(a.shape[:-2], dtype=bool)
-    else:
-        na2, ni2 = (np.einsum("...ij,...ij->...", b, b.conj()).real for b in (a, inv))
-        check = ~(ni2 < 0.25 / np.maximum(floor * floor, rel * rel * np.maximum(1.0, na2)))
+    na2, ni2 = (np.einsum("...ij,...ij->...", b, b.conj()).real for b in (a, inv))
+    check = ~(ni2 < 0.25 / np.maximum(floor * floor, rel * rel * np.maximum(1.0, na2)))
     ok, smin = ~check, np.full(check.shape, np.nan)
     if check.any():
         s = np.linalg.svd(a[check], compute_uv=False)
         smin[check] = s[:, -1]
         ok[check] = s[:, -1] > np.maximum(floor, rel * np.maximum(1.0, s[:, 0]))
-        if inv is None:
-            inv = np.full_like(a, np.nan)
-            inv[ok] = np.linalg.inv(a[ok])
-        else:
-            inv[~ok] = np.nan
+        inv[~ok] = np.nan
     return inv, ok, smin
 
 
@@ -189,7 +182,7 @@ def max_mult_test(m: HerglotzMatrix, d, x):
     on = m.omega.on_support(xs)
     off = xs[~on]
     t = t_matrix(m, off)
-    mb = hermitian_part(integrate_cauchy(m, off))
+    mb = integrate_cauchy(m, off)
     closed = iter([MaxMultEvidence(p, tp, mp, r, r <= m.omega.tols.tol_match)
                    for p, tp, mp, r in zip(off.tolist(), t, mb, _fro(mb - D).tolist())])
     return [_test_at(m, D, p) if at else next(closed)

@@ -43,7 +43,8 @@ class ConditioningError(np.linalg.LinAlgError):
 
 @dataclass(frozen=True)
 class HerglotzMatrix:
-    """Hermitian offset C plus a matrix-valued measure; takes ownership of C."""
+    """Hermitian offset C plus a matrix-valued measure; takes ownership of C, or
+    stores its Hermitian part, -0.0 made +0.0, where that differs from C."""
 
     C: np.ndarray
     omega: MatrixMeasure
@@ -55,7 +56,9 @@ class HerglotzMatrix:
             raise ValueError(f"C must be {n}x{n}, got {c.shape}")
         if not is_hermitian(c):
             raise ValueError("C must be Hermitian")
-        object.__setattr__(self, "C", _frozen(c))
+        raw = c.tobytes()       # all +0.0, the default C, is left unchecked
+        h = hermitian_part(c) + 0.0 if raw != bytes(len(raw)) else c
+        object.__setattr__(self, "C", _frozen(c if h.tobytes() == raw else h))
 
     @classmethod
     def from_measure(cls, omega: MatrixMeasure, C=None) -> "HerglotzMatrix":
@@ -110,11 +113,9 @@ def t_matrix(m: HerglotzMatrix, x) -> Union[np.ndarray, Divergent]:
     """T(x) = ∫ dΩ(y)/(x-y)², or Divergent with the offending directions.
 
     For a 1-D array of real x the stack of T(x), or Divergent when any
-    point is on the support (``integrate``'s all-or-nothing batch)."""
-    v = integrate(PoissonSquareKernel(x), m.omega)
-    if is_divergent(v):
-        return v
-    return hermitian_part(v)
+    point is on the support (``integrate``'s all-or-nothing batch); exactly
+    Hermitian, as a real kernel against the measure's weights."""
+    return integrate(PoissonSquareKernel(x), m.omega)
 
 
 # the halving ε-schedule every limit samples: eps_j = 1e-2·2^-j, j = 0..40
@@ -176,15 +177,14 @@ def boundary_value(m: HerglotzMatrix, x: float) -> BoundaryReport:
 
     Off the support and in a piece interior the real-x Cauchy integral is
     exact: M(x), or the principal value C + PV∫, the Hermitian part of
-    M(x+i0) = C + PV∫ + iπρ(x).  At an atom or a piece end the ε-schedule
-    limit is taken and the Hermitian part of the converged value reported.
+    M(x+i0) = C + PV∫ + iπρ(x), both exactly Hermitian as they come.  At an
+    atom or a piece end, the Hermitian part of the ε-schedule limit.
     """
     x = as_real_point(x, "boundary_value", batch=False)
     t = t_matrix(m, x)
     mx = integrate_cauchy(m, x)
     if not is_divergent(mx):
-        # Real kernel values against Hermitian weights: already Hermitian.
-        return BoundaryReport(x, hermitian_part(mx), True, t, [])
+        return BoundaryReport(x, mx, True, t, [])
 
     val, trace, ok = richardson_limit(evaluate(m, x + _I_EPS), m.omega.tols)
     return BoundaryReport(x, hermitian_part(val) if ok else None, ok, t, trace)

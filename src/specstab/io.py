@@ -103,7 +103,10 @@ def _read_json(path: str):
 def load_herglotz(path: str, tols: Tolerances = DEFAULT_TOLS) -> HerglotzMatrix:
     """Measure file plus optional C offset, as a Herglotz function (C=0 default)."""
     omega, c = measure_from_dict(_read_json(path), tols, where=path)
-    return HerglotzMatrix.from_measure(omega, c)
+    try:
+        return HerglotzMatrix.from_measure(omega, c)
+    except ValueError as exc:       # C is not Hermitian
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def load_hermitian(path: str) -> np.ndarray:

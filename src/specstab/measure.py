@@ -108,10 +108,10 @@ def as_real_point(x, what: str, batch: bool = True):
     return x
 
 
-def is_psd(a: np.ndarray, rank_tol: float):
-    """Whether a matrix (or each of a stack) is Hermitian PSD, eigenvalues
-    down to -rank_tol·max(1, top |eigenvalue|) counting as zero."""
-    w = np.linalg.eigvalsh(hermitian_part(a))
+def is_psd(a: np.ndarray, h: np.ndarray, rank_tol: float):
+    """Whether a matrix (or each of a stack) is Hermitian PSD, eigenvalues of
+    h, its Hermitian part, down to -rank_tol·max(1, top |eigenvalue|) counting as zero."""
+    w = np.linalg.eigvalsh(h)
     scale = np.maximum(1.0, np.abs(w).max(axis=-1, initial=0.0))
     return is_hermitian(a) & (w.min(axis=-1, initial=0.0) >= -rank_tol * scale)
 
@@ -230,7 +230,9 @@ class MatrixMeasure:
     ``atoms`` and ``ac_pieces`` hold the terms as given, sorted.  The
     terms carrying mass (nonzero trace) are also held as read-only arrays:
     ``xs`` (K,) and ``W`` (K, n*n) for the atoms, ``a``, ``b`` (P,) and
-    ``rho`` (P, n*n) for the pieces, weights flattened row-major.
+    ``rho`` (P, n*n) for the pieces, weights flattened row-major: the given
+    ones' Hermitian parts with -0.0 made +0.0, which ``hermitian_part`` leaves
+    bit for bit, as it leaves their integrals T(x) and M(x) at real x.
     ``cauchy_offset`` (n*n,) is ∫ y/(1+y²) dΩ(y), the z-independent part
     of the Cauchy kernel integral.
     """
@@ -259,8 +261,9 @@ class MatrixMeasure:
         _reject_first(~np.isfinite(ends).all(axis=1), lambda k: f"ac[{k}]: ends are not finite")
         _reject_first(~np.isfinite(rho).all(axis=(1, 2)), lambda k: f"ac[{k}].rho is not finite")
         _reject_first(~(a < b), lambda k: f"ac[{k}]: requires a < b, got [{a[k]}, {b[k]}]")
-        _reject_first(~is_psd(W, rt), lambda k: f"atoms[{k}].W is not Hermitian positive semidefinite")
-        _reject_first(~is_psd(rho, rt), lambda k: f"ac[{k}].rho is not Hermitian positive semidefinite")
+        hW, hrho = hermitian_part(W) + 0.0, hermitian_part(rho) + 0.0     # as stored
+        _reject_first(~is_psd(W, hW, rt), lambda k: f"atoms[{k}].W is not Hermitian positive semidefinite")
+        _reject_first(~is_psd(rho, hrho, rt), lambda k: f"ac[{k}].rho is not Hermitian positive semidefinite")
         _reject_first(np.abs(np.diff(xs)) <= tol_x,
                       lambda k: f"atom points {xs[k]} and {xs[k + 1]} coincide")
         _reject_first(a[1:] < b[:-1] - tol_x, lambda k: "ac pieces have overlapping interiors")
@@ -278,7 +281,7 @@ class MatrixMeasure:
         self.b = _frozen(b[piece_kept])
         # integrate's one product weighs the kernel values at xs by W and
         # the segment integrals by rho: both are views of one array
-        self._weights = _frozen(np.concatenate([W[atom_kept], rho[piece_kept]]).reshape(-1, n * n))
+        self._weights = _frozen(np.concatenate([hW[atom_kept], hrho[piece_kept]]).reshape(-1, n * n))
         self._weights_re_im = self._weights.view(float)
         self.W, self.rho = self._weights[:len(self.xs)], self._weights[len(self.xs):]
         self._pts = _frozen(np.concatenate([self.xs, self.a, self.b]))
@@ -363,7 +366,7 @@ class MatrixMeasure:
     @cached_property
     def atom_eigh(self):
         """eigh of the atom weights, read-only, formed on first use (not by __init__)."""
-        lam, vecs = np.linalg.eigh(hermitian_part(self.W.reshape(-1, self.dim, self.dim)))
+        lam, vecs = np.linalg.eigh(self.W.reshape(-1, self.dim, self.dim))
         return _frozen(lam), _frozen(vecs)
 
 

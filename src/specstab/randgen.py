@@ -24,15 +24,15 @@ def random_psd(rng: np.random.Generator, n: int, rank: int = None,
 def random_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
     a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     q, r = np.linalg.qr(a)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
+    return q * ((d := r.diagonal()) / np.abs(d))
 
 
 def random_gap_matrix(rng: np.random.Generator, n: int, min_abs_eig: float = 1e-1) -> np.ndarray:
     """Hermitian matrix with eigenvalue magnitudes in [min_abs_eig, 2)."""
     q = random_unitary(rng, n)
     mags = rng.uniform(min_abs_eig, 2.0, size=n)
-    signs = rng.choice([-1.0, 1.0], size=n)
-    return q @ np.diag(mags * signs) @ q.conj().T
+    signs = 2.0 * rng.integers(0, 2, size=n) - 1.0     # rng.choice([-1.0, 1.0])'s draw
+    return (q * (mags * signs)) @ q.conj().T
 
 
 def random_atomic_measure(rng: np.random.Generator, n: int,

@@ -5,7 +5,9 @@ and ``hermitian_part`` halves its sum in place where it halved a copy, so
 both must equal the old expressions bit for bit, not merely closely.  On
 ``bench/instances.mixed_instance`` measures the evidence residuals of both
 criteria are checked against the old ``np.linalg.norm`` formulas, written
-out here.
+out here.  The stored weights and C are their own Hermitian parts, and so
+are T(x) and M(x) at real points: the property that lets ``t_matrix``,
+``boundary_value`` and ``max_mult_test`` skip ``hermitian_part``.
 """
 
 import sys
@@ -18,8 +20,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from specstab import (ConditioningError, HerglotzMatrix, boundary_value, hermitian_part,
-                      max_mult_test, max_mult_test_via)
+from specstab import (ACPiece, Atom, ConditioningError, HerglotzMatrix, MatrixMeasure,
+                      boundary_value, hermitian_part, max_mult_test, max_mult_test_via,
+                      t_matrix)
+from specstab.herglotz import integrate_cauchy
 from specstab.measure import _fro
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
@@ -138,3 +142,78 @@ def test_batched_residuals_are_the_old_stacked_norm(seed):
     want = np.linalg.norm(mb - d, axis=(1, 2))
     got = [ev.residual for ev, o in zip(evidence, off) if o]
     assert len(got) > 10 and _bits(got) == _bits(want)
+
+
+# -- Hermitian by construction -----------------------------------------------
+
+
+@st.composite
+def _hermitian(draw, n, kind, psd=True):
+    """An n x n matrix of one kind: exactly Hermitian, Hermitian to about
+    1e-13, or real diagonal with signed zeros off the diagonal."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "diagonal":
+        a = np.zeros((n, n), dtype=complex)
+        a.real[np.diag_indices(n)] = rng.uniform(0.0, 2.0, size=n) * (rng.random(n) < 0.8)
+        zeros = (rng.random((n, n)) < 0.5) & ~np.eye(n, dtype=bool)
+        a.real[zeros] = -0.0
+        a.imag[rng.random((n, n)) < 0.5] = -0.0
+        return a
+    rank = draw(st.integers(1, n))
+    g = rng.normal(size=(n, rank)) + 1j * rng.normal(size=(n, rank))
+    a = g @ g.conj().T if psd else g @ rng.normal(size=(rank, n))
+    a = hermitian_part(a)
+    if kind == "rounding":
+        a += 1e-13 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return a
+
+
+@st.composite
+def _herglotz(draw):
+    """M of a measure with atoms and pieces in disjoint cells of [-5, 5],
+    its off-support points (the cell edges and ±7) and piece midpoints."""
+    n = draw(st.integers(1, 4))
+    kinds = st.sampled_from(["exact", "rounding", "diagonal"])
+    atoms, pieces = [], []
+    for lo in range(-5, 5, 2):
+        term = draw(st.sampled_from(["atom", "piece", "piece", None]))
+        if term == "atom":
+            atoms.append(Atom(lo + draw(st.floats(0.3, 1.7)), draw(_hermitian(n, draw(kinds)))))
+        elif term == "piece":
+            a = lo + draw(st.floats(0.2, 0.9))
+            pieces.append(ACPiece(a, a + draw(st.floats(0.2, 0.9)),
+                                  draw(_hermitian(n, draw(kinds)))))
+    if not atoms and not pieces:
+        atoms.append(Atom(0.0, np.eye(n)))
+    if all(not np.trace(t.W if isinstance(t, Atom) else t.rho).real > 0.0
+           for t in atoms + pieces):
+        atoms.append(Atom(5.5, np.eye(n)))
+    omega = MatrixMeasure(n, atoms, pieces)
+    c = draw(st.one_of(st.none(), kinds.flatmap(lambda k: _hermitian(n, k, psd=False))))
+    m = HerglotzMatrix.from_measure(omega, c)
+    off = np.array([-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 7.0])
+    mids = [0.5 * (p.a + p.b) for p in pieces]
+    return m, off[~omega.on_support(off)], mids
+
+
+def _own_hermitian_part(v) -> bool:
+    return hermitian_part(v).tobytes() == v.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_herglotz())
+def test_weights_c_and_real_point_integrals_are_their_own_hermitian_parts(case):
+    m, off, mids = case
+    n = m.dim
+    assert _own_hermitian_part(m.omega.W.reshape(-1, n, n))
+    assert _own_hermitian_part(m.omega.rho.reshape(-1, n, n))
+    assert _own_hermitian_part(m.C)
+    assert _own_hermitian_part(t_matrix(m, off))
+    assert _own_hermitian_part(integrate_cauchy(m, off))
+    for x in off.tolist():
+        assert _own_hermitian_part(t_matrix(m, x))
+        assert _own_hermitian_part(integrate_cauchy(m, x))
+        assert _own_hermitian_part(boundary_value(m, x).m_boundary)
+    for x in mids:      # the principal value C + PV∫ in a piece interior
+        assert _own_hermitian_part(integrate_cauchy(m, x))
+        assert _own_hermitian_part(boundary_value(m, x).m_boundary)

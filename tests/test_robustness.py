@@ -20,7 +20,7 @@ from specstab import (Atom, ConditioningError, ExtensionParameter, HerglotzMatri
                       density_matrix, evaluate, extension_for_point, extension_weyl, integrate,
                       mass_at_max_mult, max_mult_test, max_mult_test_via, real_poles,
                       residue_mass, resolvent_identity_residual, t_matrix, verify)
-from specstab.randgen import point_off_atoms, random_atomic_measure, random_psd
+from specstab.randgen import point_off_atoms, random_atomic_measure, random_gap_matrix, random_psd
 from specstab.verify import run_verify
 
 SRC = Path(specstab.__file__).parent
@@ -143,6 +143,24 @@ def test_measure_fro_is_the_only_frobenius_norm():
                 uses += [f"{path.stem}:{node.lineno}: from {node.module} import {a.name}"
                          for a in node.names if a.name == "norm"]
     assert uses == []
+
+
+def test_the_lapack_gufunc_is_the_only_inverse():
+    # _inv_certified runs the gufunc np.linalg.inv wraps, without the
+    # wrapper's type checks, and its certificate: no second inverse path
+    uses, loads = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "inv"
+                    and ast.unparse(node.value) in ("np.linalg", "numpy.linalg", "linalg")):
+                uses.append(f"{path.stem}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and "linalg" in (node.module or ""):
+                uses += [f"{path.stem}:{node.lineno}: from {node.module} import {a.name}"
+                         for a in node.names if a.name == "inv"]
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "_umath_linalg" in ast.unparse(node):
+                loads.append(path.stem)
+    assert uses == []
+    assert loads == ["extensions"]
 
 
 def test_internal_failures_are_typed(monkeypatch):
@@ -276,3 +294,17 @@ def test_functions_validate_a_copy_of_the_callers_parameter(two_atom):
     ExtensionParameter(d)
     HerglotzMatrix(c, two_atom.omega)
     assert not d.flags.writeable and not c.flags.writeable
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_random_gap_matrix_makes_the_draws_of_the_diagonal_product(n):
+    # the signs were rng.choice([-1.0, 1.0]) and the product q @ diag @ q*
+    for seed in range(200):
+        rng, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = random_gap_matrix(rng, n, 0.1)
+        q, r = np.linalg.qr(old.normal(size=(n, n)) + 1j * old.normal(size=(n, n)))
+        q = q * (np.diag(r) / np.abs(np.diag(r)))
+        mags = old.uniform(0.1, 2.0, size=n)
+        want = q @ np.diag(mags * old.choice([-1.0, 1.0], size=n)) @ q.conj().T
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == old.random()     # the generator is left where it was

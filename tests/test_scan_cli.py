@@ -359,6 +359,15 @@ class TestCLI:
         assert self.run("tmatrix", "--measure", path, "--x", "2") == 2
         assert "atoms[0]" in capsys.readouterr().err
 
+    def test_non_hermitian_c_exits_2_naming_the_file(self, tmp_path, capsys):
+        # HerglotzMatrix's ValueError reached the CLI without the path
+        path = write_json(tmp_path / "m.json", {
+            "n": 2, "atoms": [{"x": 0.0, "W": [[1, 0], [0, 1]]}],
+            "C": [[0, [1, 0]], [0, 0]]})
+        assert self.run("tmatrix", "--measure", path, "--x", "2") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {path}: C must be Hermitian\n"
+
     def test_term_list_that_is_not_a_list_exits_2(self, tmp_path, capsys):
         path = write_json(tmp_path / "m.json", {"n": 1, "atoms": None})
         assert self.run("tmatrix", "--measure", path, "--x", "2") == 2
