@@ -109,15 +109,14 @@ def _inv_certified(a: np.ndarray, rel: float, floor: float = 0.0):
     """
     with np.errstate(all="ignore"):
         inv = _umath_linalg.inv(a, signature="D->D")
-    if a.ndim == 2:
+    if one := a.ndim == 2:
         # (2‖A⁻¹‖_F·max(floor, rel, rel·‖A‖_F))² < 1, one comparison per
         # term, so a NaN norm fails it (Python's max would drop the NaN)
         q = 4.0 * float(np.vdot(inv, inv).real)
         r = q * rel * rel
         if q * floor * floor < 1.0 and r < 1.0 and r * float(np.vdot(a, a).real) < 1.0:
             return inv, True, math.nan
-        inv, ok, smin = _inv_certified(a[None], rel, floor)
-        return inv[0], bool(ok[0]), float(smin[0])
+        a, inv = a[None], inv[None]     # the gufunc inverts a and a[None] alike
     na2, ni2 = (np.einsum("...ij,...ij->...", b, b.conj()).real for b in (a, inv))
     check = ~(ni2 < 0.25 / np.maximum(floor * floor, rel * rel * np.maximum(1.0, na2)))
     ok, smin = ~check, np.full(check.shape, np.nan)
@@ -126,7 +125,7 @@ def _inv_certified(a: np.ndarray, rel: float, floor: float = 0.0):
         smin[check] = s[:, -1]
         ok[check] = s[:, -1] > np.maximum(floor, rel * np.maximum(1.0, s[:, 0]))
         inv[~ok] = np.nan
-    return inv, ok, smin
+    return (inv[0], bool(ok[0]), float(smin[0])) if one else (inv, ok, smin)
 
 
 def _inv_checked(a: np.ndarray, what: str) -> np.ndarray:

@@ -413,25 +413,40 @@ class PoissonSquareKernel(Kernel):
 
 
 class RegularizedKernel(Kernel):
-    """y -> 1/((x - y)^2 + 1/m^2) at one real point x; everywhere finite."""
+    """y -> 1/((x - y)^2 + 1/m^2) at one real point x; everywhere finite.
 
-    def __init__(self, x: float, m: float):
+    m is one level, or a 1-D array of levels: a batch, whose coefficients
+    are one (L, K+2P) block with the levels on the leading axis.  One
+    level is a batch of one, so each row of a block has the bytes of its
+    level's own kernel.  Every level must be finite and positive.
+    """
+
+    def __init__(self, x: float, m):
         self.x = as_real_point(x, "the regularized kernel", batch=False)
-        self.m = float(m)
-        if self.m <= 0:
-            raise ValueError("regularization level m must be positive")
-        self._width = 1.0 / self.m
+        levels = np.array(m, dtype=float)
+        if levels.ndim > 1:
+            raise PreconditionError("a batch of regularization levels m must be a 1-D array")
+        ms = levels.ravel().tolist()
+        if not all(0.0 < v < math.inf for v in ms):     # NaN fails too
+            raise PreconditionError(f"regularization level m must be finite and positive, got {m}")
+        self.m = _frozen(levels) if levels.ndim else ms[0]
+        widths = [1.0 / v for v in ms]
+        # w ** 2 is Python's square (libm pow): numpy's w * w differs from it in the last bit
+        self._m, self._width, self._width2 = np.array(
+            [ms, widths, [w ** 2 for w in widths]])[..., None]
 
     def coefficients(self, pts, k):
-        d = pts - self.x    # one temporary, every step in place
-        v, e = d[:k], d[k:]
-        v *= v
-        v += self._width ** 2
+        d = pts - self.x    # (y - x)² once, then one ufunc per step over all levels
+        sq = d[:k]
+        sq *= sq
+        out = np.empty((self._m.shape[0], d.size))
+        v, e = out[:, :k], out[:, k:]
+        np.add(sq, self._width2, out=v)
         np.reciprocal(v, out=v)
         # m·atan(m(y - x)), with the product inside atan folded into atan2
-        np.arctan2(e, self._width, out=e)
-        e *= self.m
-        return d
+        np.arctan2(d[k:], self._width, out=e)
+        e *= self._m
+        return out if is_batch(self.m) else out[0]
 
 
 class CauchyKernel(Kernel):

@@ -6,7 +6,10 @@ T(x), and the diagonal of the regularized integrals ∫ dΩ(y)/((x-y)² + 1/m²)
 along a schedule of regularization levels m.  Those diagonals are the
 open-set layers whose growth past a threshold exposes the
 countable-intersection structure of the divergence set; the scanner emits
-the raw values so any threshold can be audited downstream.
+the raw values so any threshold can be audited downstream.  Each grid
+point forms one coefficient block for all levels, the levels on its
+leading axis (``RegularizedKernel`` over the schedule), and integrates
+each level's row on its own.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import ClassVar, Dict, List, Tuple, Union
 
 import numpy as np
 
-from .measure import (Divergent, MatrixMeasure, RegularizedKernel, integrate,
+from .measure import (Divergent, Kernel, MatrixMeasure, RegularizedKernel, integrate,
                       is_divergent)
 from .herglotz import HerglotzMatrix, t_matrix
 
@@ -56,16 +59,32 @@ class GridRecord:
         return self.t_value.directions if is_divergent(self.t_value) else ()
 
 
+class _Row(Kernel):
+    """A coefficient row computed beforehand, for a single use: ``integrate``
+    overwrites it in place."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+    def coefficients(self, pts, k):
+        return self.row
+
+
 def scan_forbidden(omega: MatrixMeasure, config: ScanConfig) -> List[GridRecord]:
-    """Evaluate support membership, T-finiteness and regularized layers."""
+    """Evaluate support membership, T-finiteness and regularized layers:
+    per grid point, one coefficient block over all levels, each level's
+    row then integrated on its own (one product over the whole block
+    would differ from the one-level integrals in the last bits)."""
     h = HerglotzMatrix.from_measure(omega)
     grid = config.grid()
-    levels = [(int(m), float(m)) for m in config.m_schedule]
+    keys = [int(m) for m in config.m_schedule]
+    ms = np.array(config.m_schedule, dtype=float)
     records = []
     for x, in_support in zip(grid.tolist(), omega.on_support(grid).tolist()):
         t = t_matrix(h, x)
-        reg = {k: integrate(RegularizedKernel(x, m), omega).real.diagonal().tolist()
-               for k, m in levels}
+        block = RegularizedKernel(x, ms).coefficients(omega._pts, omega.xs.size)
+        reg = {k: integrate(_Row(row), omega).real.diagonal().tolist()
+               for k, row in zip(keys, block)}
         records.append(GridRecord(x, in_support, not is_divergent(t), t, reg))
     return records
 

@@ -8,6 +8,9 @@ criteria are checked against the old ``np.linalg.norm`` formulas, written
 out here.  The stored weights and C are their own Hermitian parts, and so
 are T(x) and M(x) at real points: the property that lets ``t_matrix``,
 ``boundary_value`` and ``max_mult_test`` skip ``hermitian_part``.
+``RegularizedKernel`` over a batch of levels fills one block whose rows
+are the one-level kernels' rows, and ``scan_forbidden`` built from those
+blocks gives the records of the old loop of one kernel per level.
 """
 
 import sys
@@ -21,10 +24,12 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from specstab import (ACPiece, Atom, ConditioningError, HerglotzMatrix, MatrixMeasure,
-                      boundary_value, hermitian_part, max_mult_test, max_mult_test_via,
-                      t_matrix)
+                      RegularizedKernel, ScanConfig, boundary_value, hermitian_part,
+                      integrate, is_divergent, max_mult_test, max_mult_test_via,
+                      scan_forbidden, t_matrix)
 from specstab.herglotz import integrate_cauchy
-from specstab.measure import _fro
+from specstab.measure import Kernel, _fro
+from specstab.scan import GridRecord
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import instances  # noqa: E402
@@ -217,3 +222,98 @@ def test_weights_c_and_real_point_integrals_are_their_own_hermitian_parts(case):
     for x in mids:      # the principal value C + PV∫ in a piece interior
         assert _own_hermitian_part(integrate_cauchy(m, x))
         assert _own_hermitian_part(boundary_value(m, x).m_boundary)
+
+
+# -- one coefficient block per scan point -------------------------------------
+
+
+def _old_regularized_row(pts, k, x, m):
+    """The coefficients of one level m as the one-level kernel formed them."""
+    d = pts - x
+    v, e = d[:k], d[k:]
+    v *= v
+    v += (1.0 / m) ** 2
+    np.reciprocal(v, out=v)
+    np.arctan2(e, 1.0 / m, out=e)
+    e *= m
+    return d
+
+
+class _OldRegularized(Kernel):
+    def __init__(self, x, m):
+        self.x, self.m = x, m
+
+    def coefficients(self, pts, k):
+        return _old_regularized_row(pts, k, self.x, self.m)
+
+
+def _old_scan(omega, config):
+    """scan_forbidden as a loop of one kernel and one integrate call per level."""
+    h = HerglotzMatrix.from_measure(omega)
+    grid = config.grid()
+    records = []
+    for x, in_support in zip(grid.tolist(), omega.on_support(grid).tolist()):
+        t = t_matrix(h, x)
+        reg = {int(m): integrate(_OldRegularized(x, float(m)), omega).real.diagonal().tolist()
+               for m in config.m_schedule}
+        records.append(GridRecord(x, in_support, not is_divergent(t), t, reg))
+    return records
+
+
+def _record_bits(r):
+    t = _bits(np.asarray(r.t_value).view(float)) if r.t_finite else r.t_value.directions
+    return (r.x, r.in_support, r.t_finite, t,
+            [(m, _bits(v)) for m, v in r.regularized_diagonals.items()])
+
+
+SCAN = ScanConfig(-4.0, 4.0, 17)    # grid step 0.5, every point exact
+
+
+@st.composite
+def _scan_case(draw):
+    """A measure whose terms sit at the points of SCAN's grid: an atom on a
+    point or within tol_x of it, a piece ending or starting at a point or
+    holding it inside; some terms carry no trace."""
+    n = draw(st.integers(1, 3))
+    tol_x = MatrixMeasure(1, [Atom(0.0, [[1.0]])]).tols.tol_x
+    kinds = st.sampled_from(["exact", "rounding", "diagonal", "zero"])
+
+    def weight():
+        kind = draw(kinds)
+        return np.zeros((n, n)) if kind == "zero" else draw(_hermitian(n, kind))
+
+    atoms, pieces = [], []
+    for x in SCAN.grid().tolist():
+        term = draw(st.sampled_from(["atom on", "atom near", "piece ending", "piece starting",
+                                     "piece around", None]))
+        if term == "atom on":
+            atoms.append(Atom(x, weight()))
+        elif term == "atom near":
+            atoms.append(Atom(x + draw(st.sampled_from([-0.5, 0.9])) * tol_x, weight()))
+        elif term == "piece ending":
+            pieces.append(ACPiece(x - 0.3, x, weight()))
+        elif term == "piece starting":
+            pieces.append(ACPiece(x, x + 0.2, weight()))
+        elif term == "piece around":
+            pieces.append(ACPiece(x - 0.15, x + draw(st.floats(0.01, 0.15)), weight()))
+    atoms.append(Atom(4.75, np.eye(n)))     # off the grid: the measure is never trivial
+    # at 1.57, 3.14 and 5.77 libm's (1/m) ** 2 is not numpy's (1/m) * (1/m)
+    levels = draw(st.lists(st.one_of(st.floats(1e-3, 1e4), st.sampled_from([1.57, 3.14, 5.77])),
+                           min_size=1, max_size=5))
+    return MatrixMeasure(n, atoms, pieces), np.array(levels + list(SCAN.m_schedule), dtype=float)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_scan_case())
+def test_level_blocks_are_the_one_level_rows_and_scans_the_old_loop(case):
+    omega, levels = case
+    k = omega.xs.size
+    for x in SCAN.grid().tolist():
+        block = RegularizedKernel(x, levels).coefficients(omega._pts, k)
+        assert block.shape == (levels.size, omega._pts.size)
+        for row, m in zip(block, levels.tolist()):
+            one = RegularizedKernel(x, m).coefficients(omega._pts, k)
+            assert row.tobytes() == one.tobytes()
+            assert one.tobytes() == _old_regularized_row(omega._pts, k, x, m).tobytes()
+    got, want = scan_forbidden(omega, SCAN), _old_scan(omega, SCAN)
+    assert [_record_bits(r) for r in got] == [_record_bits(r) for r in want]

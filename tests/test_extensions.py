@@ -482,3 +482,24 @@ class TestCertifiedInverse:
             else:       # the SVD rejected it and reported its smallest value
                 assert np.isnan(out).all()
                 assert np.isfinite(s) or not np.isfinite(member).all()
+
+
+def test_one_uncertified_matrix_is_inverted_once(monkeypatch):
+    # the one-matrix path used to run the gufunc again on a[None] before the SVD
+    shapes = []
+
+    class Spy:
+        @staticmethod
+        def inv(a, **kw):
+            shapes.append(a.shape)
+            return np.linalg._umath_linalg.inv(a, **kw)
+
+    monkeypatch.setattr(ext, "_umath_linalg", Spy)
+    a = np.diag([1.0, 1e-14]).astype(complex)
+    inv, ok, smin = _inv_certified(a, 1e-13)
+    assert shapes == [(2, 2)]
+    assert not ok and np.isnan(inv).all() and smin == 1e-14
+    shapes.clear()
+    inv, ok, smin = _inv_certified(np.diag([1.0, 1e-6]).astype(complex), 1e-13)
+    assert shapes == [(2, 2)] and ok
+    assert np.array_equal(inv, np.linalg.inv(np.diag([1.0, 1e-6]).astype(complex)))

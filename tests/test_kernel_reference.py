@@ -54,13 +54,15 @@ def _cauchy_primitive(kernel, ys):
 def _regularized_values(kernel, ys):
     d = ys - kernel.x
     d *= d
-    d += (1.0 / kernel.m) ** 2
-    return np.reciprocal(d, out=d)
+    # each level's width squared by Python's float power, level by level
+    w2 = np.array([(1.0 / m) ** 2 for m in np.ravel(kernel.m).tolist()])
+    return np.reciprocal(d + _param(w2 if isinstance(kernel.m, np.ndarray) else w2[0]))
 
 
 def _regularized_primitive(kernel, ys):
-    d = np.arctan2(ys - kernel.x, 1.0 / kernel.m)
-    d *= kernel.m
+    m = _param(kernel.m)
+    d = np.arctan2(ys - kernel.x, 1.0 / m)
+    d *= m
     return d
 
 
@@ -126,6 +128,9 @@ def _kernels(omega):
         "poisson real batch": PoissonSquareKernel(off),
         "regularized scalar real": RegularizedKernel(x, 7.5),
         "regularized at a support point": RegularizedKernel(omega.support_bounds()[0], 1e3),
+        "regularized level batch": RegularizedKernel(x, np.array([0.3, 1.0, 7.5, 1e3, 3.14])),
+        "regularized level batch at a support point": RegularizedKernel(
+            omega.support_bounds()[0], np.array([1e3, 1.0, 7.5])),
         "cauchy scalar real": CauchyKernel(x),
         "cauchy real batch": CauchyKernel(off),
         "cauchy scalar complex": CauchyKernel(z),

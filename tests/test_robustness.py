@@ -220,6 +220,22 @@ def test_regularized_kernel_rejects_complex_points(x):
         RegularizedKernel(x, 1.0)
 
 
+@pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, 0.0, -1.0,
+                               np.array([1.0, math.nan, 4.0]), [2.0, math.inf], np.array([8.0, 0.0])],
+                         ids=["nan", "inf", "-inf", "zero", "negative", "batch with nan",
+                              "batch with inf", "batch with zero"])
+def test_regularization_levels_must_be_finite_and_positive(two_atom, m):
+    # a NaN level passed the old `m <= 0` check and integrated to a NaN
+    # matrix; an infinite one gave a zero width (inf at an atom)
+    with pytest.raises(PreconditionError, match="finite and positive"):
+        integrate(RegularizedKernel(0.5, m), two_atom.omega)
+
+
+def test_a_batch_of_levels_must_be_one_dimensional():
+    with pytest.raises(PreconditionError, match="1-D"):
+        RegularizedKernel(0.5, np.ones((2, 2)))
+
+
 ONE_POINT_CALLS = {
     "boundary_value": boundary_value,
     "extension_for_point": extension_for_point,

@@ -107,6 +107,30 @@ class TestScanForbidden:
     def test_numpy_integer_steps_accepted(self):
         assert ScanConfig(0.0, 1.0, np.int64(3)).grid().tolist() == [0.0, 0.5, 1.0]
 
+    def test_one_coefficient_block_per_grid_point(self, mixed_measure, monkeypatch):
+        # every level of a point comes from one block; each level and T(x)
+        # still integrate once, the call count the benchmark's tracer pins
+        from specstab import herglotz, scan
+        blocks, calls = [], []
+        coefficients = RegularizedKernel.coefficients
+
+        def block(kernel, pts, k):
+            out = coefficients(kernel, pts, k)
+            blocks.append(out.shape)
+            return out
+
+        def counted(kernel, omega):
+            calls.append(kernel)
+            return integrate(kernel, omega)
+
+        monkeypatch.setattr(RegularizedKernel, "coefficients", block)
+        for mod in (scan, herglotz):
+            monkeypatch.setattr(mod, "integrate", counted)
+        g, levels = 7, len(ScanConfig.m_schedule)
+        scan_forbidden(mixed_measure, ScanConfig(-0.5, 2.5, g))
+        assert blocks == [(levels, mixed_measure._pts.size)] * g
+        assert len(calls) == g * (1 + levels)
+
 
 class TestIO:
     def test_load_measure_with_offset(self, tmp_path):
