@@ -44,8 +44,9 @@ class PreconditionError(ValueError):
 
 def hermitian_part(a: np.ndarray) -> np.ndarray:
     h = a + a.conj().swapaxes(-1, -2)
-    h *= 0.5    # in place: a float or complex sum, never a or a view of it
-    return h
+    # in place, as 0.5 * h: a float or complex sum, never a or a view of it;
+    # h *= 0.5 multiplies in the other order, so a complex zero's sign can differ
+    return np.multiply(0.5, h, h)
 
 
 def _fro(a: np.ndarray):
@@ -83,7 +84,7 @@ def is_batch(x) -> bool:
 def as_point(x):
     """x as a number, or a 1-D array of them as an array: complex where x
     is complex, float otherwise.  PreconditionError for a NaN or infinite
-    part, ValueError for a batch that is not 1-D."""
+    part and for a batch that is not 1-D."""
     if not is_batch(x):     # np.iscomplexobj costs ~2 µs on a Python number
         x = complex(x) if isinstance(x, complex) or (
             not isinstance(x, float) and np.iscomplexobj(x)) else float(x)
@@ -91,7 +92,7 @@ def as_point(x):
     else:
         x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
         if x.ndim != 1:
-            raise ValueError("a batch of points must be a 1-D array")
+            raise PreconditionError("a batch of points must be a 1-D array")
         finite = np.isfinite(x).all()
     if not finite:
         raise PreconditionError(f"points must be finite, got {x}")
@@ -279,6 +280,11 @@ class MatrixMeasure:
         self.xs = _frozen(xs[atom_kept])
         self.a = _frozen(a[piece_kept])
         self.b = _frozen(b[piece_kept])
+        # integrate's sizes and slices, set once: K, P, the piece starts, the
+        # piece ends and the K+P terms of a coefficient row, one integral's shape
+        k, p = self._k, self._p = self.xs.size, self.a.size
+        self._starts, self._ends = (..., slice(k, k + p)), (..., slice(k + p, None))
+        self._terms, self._nn = (..., slice(k + p)), (n, n)
         # integrate's one product weighs the kernel values at xs by W and
         # the segment integrals by rho: both are views of one array
         self._weights = _frozen(np.concatenate([hW[atom_kept], hrho[piece_kept]]).reshape(-1, n * n))
@@ -380,7 +386,7 @@ class Kernel:
     points ``pts`` = [atoms, piece starts, piece ends]: the kernel at the
     first k (the atoms) and an antiderivative at the rest, so a piece
     [a, b] integrates to the difference of its two entries.  A kernel
-    holding a batch of parameters puts the batch on a leading axis.  The
+    holding a batch of parameters puts the batch on leading axes.  The
     array is the caller's: ``integrate`` overwrites it in place.
     ``pole`` is the real point where the kernel is singular (a 1-D array
     of them for a batch of real points), or None; ``integrate`` reports
@@ -413,16 +419,18 @@ class PoissonSquareKernel(Kernel):
 
 
 class RegularizedKernel(Kernel):
-    """y -> 1/((x - y)^2 + 1/m^2) at one real point x; everywhere finite.
+    """y -> 1/((x - y)^2 + 1/m^2); everywhere finite.
 
-    m is one level, or a 1-D array of levels: a batch, whose coefficients
-    are one (L, K+2P) block with the levels on the leading axis.  One
-    level is a batch of one, so each row of a block has the bytes of its
-    level's own kernel.  Every level must be finite and positive.
+    x is one real point or a 1-D array of them, m one level or a 1-D array
+    of levels.  The coefficients are one (G, L, K+2P) block: points first,
+    then levels, then terms, an axis left out where its parameter is one
+    number.  One point and one level are each a batch of one, so each row
+    of a block has the bytes of its own (x, m) kernel.  Every level must be
+    finite and positive.
     """
 
-    def __init__(self, x: float, m):
-        self.x = as_real_point(x, "the regularized kernel", batch=False)
+    def __init__(self, x, m):
+        self.x = as_real_point(x, "the regularized kernel")
         levels = np.array(m, dtype=float)
         if levels.ndim > 1:
             raise PreconditionError("a batch of regularization levels m must be a 1-D array")
@@ -434,19 +442,22 @@ class RegularizedKernel(Kernel):
         # w ** 2 is Python's square (libm pow): numpy's w * w differs from it in the last bit
         self._m, self._width, self._width2 = np.array(
             [ms, widths, [w ** 2 for w in widths]])[..., None]
+        self._x = np.reshape(self.x, (-1, 1))
+        self._axes = tuple(slice(None) if is_batch(v) else 0 for v in (self.x, self.m))
 
     def coefficients(self, pts, k):
-        d = pts - self.x    # (y - x)² once, then one ufunc per step over all levels
-        sq = d[:k]
-        sq *= sq
-        out = np.empty((self._m.shape[0], d.size))
-        v, e = out[:, :k], out[:, k:]
-        np.add(sq, self._width2, out=v)
-        np.reciprocal(v, out=v)
+        d = pts - self._x
+        sq = np.zeros(d.shape)  # (y - x)² at the atoms once per point; 0 at the piece ends
+        np.square(d[:, :k], out=sq[:, :k])
+        # one add and one reciprocal over the contiguous block, whose piece
+        # columns the primitive then overwrites: numpy runs one loop, not one per row
+        out = np.add(sq[:, None], self._width2)
+        np.reciprocal(out, out=out)
+        e = out[..., k:]
         # m·atan(m(y - x)), with the product inside atan folded into atan2
-        np.arctan2(d[k:], self._width, out=e)
+        np.arctan2(d[:, None, k:], self._width, out=e)
         e *= self._m
-        return out if is_batch(self.m) else out[0]
+        return out[self._axes]
 
 
 class CauchyKernel(Kernel):
@@ -523,7 +534,7 @@ class IntervalUnion(Kernel):
 def integrate(kernel: Kernel, omega: MatrixMeasure):
     """Integrate a closed-form kernel against the measure.
 
-    Returns the matrix (a stack of them, on a leading axis, for a batched
+    Returns the matrix (a stack of them, on leading axes, for a batched
     kernel), or a :class:`Divergent` carrying the 0-based directions i
     whose diagonal scalar integral against mu_ii diverges.  Divergence is
     directional: a kernel pole sitting on an atom or inside a piece only
@@ -531,24 +542,27 @@ def integrate(kernel: Kernel, omega: MatrixMeasure):
     has a principal value there (in piece interiors only).  A batch of real
     points is all or nothing: one point on the support makes the whole
     result Divergent, in the directions diverging at any point, so callers
-    split a batch with ``on_support`` first.
+    split a batch with ``on_support`` first.  K, P, the slices of a
+    coefficient row and the (n, n) shape come from the measure, set once
+    when it was validated; the coefficients are overwritten in place, so a
+    kernel handing out an array it keeps (the scan's rows) is single use.
     """
     if kernel.pole is not None:
         bad = omega._divergent_directions(kernel.pole)
         if bad and not (kernel.principal_value and omega.in_piece_interior(kernel.pole)):
             return Divergent(bad)
-    k, p = omega.xs.size, omega.a.size
-    coef = kernel.coefficients(omega._pts, k)
-    if p:   # each piece: primitive at its end minus at its start, in place
-        np.subtract(coef[..., k + p:], coef[..., k:k + p], out=coef[..., k:k + p])
-        coef = coef[..., :k + p]
+    coef = kernel.coefficients(omega._pts, omega._k)
+    if omega._p:    # each piece: primitive at its end minus at its start, in place
+        starts = coef[omega._starts]
+        np.subtract(coef[omega._ends], starts, out=starts)
+        coef = coef[omega._terms]
     if coef.dtype.kind == "c":
         total = coef.dot(omega._weights)
     else:   # real coefficients: one real product over (re, im) pairs
         total = coef.dot(omega._weights_re_im).view(complex)
     if kernel.compensated:
         total -= omega.cauchy_offset
-    return total.reshape(*coef.shape[:-1], omega.dim, omega.dim)
+    return total.reshape(coef.shape[:-1] + omega._nn)
 
 
 def density_matrix(omega: MatrixMeasure, t: float) -> DensityMatrixValue:

@@ -6,10 +6,11 @@ T(x), and the diagonal of the regularized integrals ∫ dΩ(y)/((x-y)² + 1/m²)
 along a schedule of regularization levels m.  Those diagonals are the
 open-set layers whose growth past a threshold exposes the
 countable-intersection structure of the divergence set; the scanner emits
-the raw values so any threshold can be audited downstream.  Each grid
-point forms one coefficient block for all levels, the levels on its
-leading axis (``RegularizedKernel`` over the schedule), and integrates
-each level's row on its own.
+the raw values so any threshold can be audited downstream.  Each chunk of
+grid points forms one coefficient block, ``RegularizedKernel`` over its
+points and the schedule's levels (points, then levels, then terms), and
+integrates each (point, level) row on its own; a chunk's size keeps the
+block within a fixed entry budget, however long the grid.
 """
 
 from __future__ import annotations
@@ -25,6 +26,10 @@ from .measure import (Divergent, Kernel, MatrixMeasure, RegularizedKernel, integ
 from .herglotz import HerglotzMatrix, t_matrix
 
 DEFAULT_M_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+# coefficients per block, 4 MiB: a chunk's (points, levels, terms) block stays
+# bounded however long the grid is (a 1500-point grid over K = 512 atoms ran
+# faster in 4 MiB chunks than in 1, 2 or 16 MiB ones)
+_BLOCK_ENTRIES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -72,20 +77,24 @@ class _Row(Kernel):
 
 def scan_forbidden(omega: MatrixMeasure, config: ScanConfig) -> List[GridRecord]:
     """Evaluate support membership, T-finiteness and regularized layers:
-    per grid point, one coefficient block over all levels, each level's
-    row then integrated on its own (one product over the whole block
-    would differ from the one-level integrals in the last bits)."""
+    per chunk of grid points, one coefficient block over its points and
+    all levels, each (point, level) row then integrated on its own (one
+    product over the whole block would differ from the one-level integrals
+    in the last bits).  A chunk holds at most _BLOCK_ENTRIES coefficients."""
     h = HerglotzMatrix.from_measure(omega)
     grid = config.grid()
     keys = [int(m) for m in config.m_schedule]
     ms = np.array(config.m_schedule, dtype=float)
+    chunk = max(1, _BLOCK_ENTRIES // (ms.size * omega._pts.size))
+    points = list(zip(grid.tolist(), omega.on_support(grid).tolist()))
     records = []
-    for x, in_support in zip(grid.tolist(), omega.on_support(grid).tolist()):
-        t = t_matrix(h, x)
-        block = RegularizedKernel(x, ms).coefficients(omega._pts, omega.xs.size)
-        reg = {k: integrate(_Row(row), omega).real.diagonal().tolist()
-               for k, row in zip(keys, block)}
-        records.append(GridRecord(x, in_support, not is_divergent(t), t, reg))
+    for start in range(0, grid.size, chunk):
+        block = RegularizedKernel(grid[start:start + chunk], ms).coefficients(omega._pts, omega._k)
+        for (x, in_support), rows in zip(points[start:start + chunk], block):
+            t = t_matrix(h, x)
+            reg = {k: integrate(_Row(row), omega).real.diagonal().tolist()
+                   for k, row in zip(keys, rows)}
+            records.append(GridRecord(x, in_support, not is_divergent(t), t, reg))
     return records
 
 

@@ -8,9 +8,10 @@ criteria are checked against the old ``np.linalg.norm`` formulas, written
 out here.  The stored weights and C are their own Hermitian parts, and so
 are T(x) and M(x) at real points: the property that lets ``t_matrix``,
 ``boundary_value`` and ``max_mult_test`` skip ``hermitian_part``.
-``RegularizedKernel`` over a batch of levels fills one block whose rows
-are the one-level kernels' rows, and ``scan_forbidden`` built from those
-blocks gives the records of the old loop of one kernel per level.
+``RegularizedKernel`` over a batch of points and levels fills one block
+whose rows are the one-point, one-level kernels' rows, and
+``scan_forbidden`` built from those blocks, in chunks of any size, gives
+the records of the old loop of one kernel per point and level.
 """
 
 import sys
@@ -20,7 +21,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from specstab import (ACPiece, Atom, ConditioningError, HerglotzMatrix, MatrixMeasure,
@@ -29,6 +30,7 @@ from specstab import (ACPiece, Atom, ConditioningError, HerglotzMatrix, MatrixMe
                       scan_forbidden, t_matrix)
 from specstab.herglotz import integrate_cauchy
 from specstab.measure import Kernel, _fro
+from specstab import scan
 from specstab.scan import GridRecord
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
@@ -78,10 +80,19 @@ def test_fro_of_a_stack_is_np_linalg_norm_bitwise(a, transposed):
     assert _bits(got) == _bits(want)
 
 
+def _subnormal_case():
+    """5e-324j everywhere but a zero at [0, 1]: h *= 0.5 gave +0.0 at
+    [0, 1].imag, where 0.5 * (a + a*) gives -0.0."""
+    a = np.full((3, 3), 5e-324j)
+    a[0, 1] = 0.0
+    return a
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=_matrices(st.one_of(FINITE, st.sampled_from([np.inf, -np.inf, -0.0, 1e308])),
                    st.sampled_from([(3, 3), (1, 1), (6, 3, 3), (2, 2, 4, 4)])),
        read_only=st.booleans(), f_order=st.booleans())
+@example(a=_subnormal_case(), read_only=False, f_order=False)
 def test_hermitian_part_is_the_halved_sum_bitwise(a, read_only, f_order):
     if f_order:
         a = np.asfortranarray(a)
@@ -304,16 +315,26 @@ def _scan_case(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=_scan_case())
-def test_level_blocks_are_the_one_level_rows_and_scans_the_old_loop(case):
+@given(case=_scan_case(), cut=st.integers(1, SCAN.steps - 1))
+def test_level_blocks_are_the_one_level_rows_and_scans_the_old_loop(case, cut):
     omega, levels = case
-    k = omega.xs.size
-    for x in SCAN.grid().tolist():
-        block = RegularizedKernel(x, levels).coefficients(omega._pts, k)
-        assert block.shape == (levels.size, omega._pts.size)
-        for row, m in zip(block, levels.tolist()):
+    k, grid = omega.xs.size, SCAN.grid()
+    block = RegularizedKernel(grid, levels).coefficients(omega._pts, k)
+    assert block.shape == (grid.size, levels.size, omega._pts.size)
+    for rows, x in zip(block, grid.tolist()):
+        assert rows.tobytes() == RegularizedKernel(x, levels).coefficients(omega._pts, k).tobytes()
+        for row, m in zip(rows, levels.tolist()):
             one = RegularizedKernel(x, m).coefficients(omega._pts, k)
             assert row.tobytes() == one.tobytes()
             assert one.tobytes() == _old_regularized_row(omega._pts, k, x, m).tobytes()
-    got, want = scan_forbidden(omega, SCAN), _old_scan(omega, SCAN)
-    assert [_record_bits(r) for r in got] == [_record_bits(r) for r in want]
+    for rows, m in zip(block.swapaxes(0, 1), levels.tolist()):     # points at one level
+        assert rows.tobytes() == RegularizedKernel(grid, m).coefficients(omega._pts, k).tobytes()
+    # two chunks, cut before grid point `cut`, give the rows of the whole grid
+    halves = [RegularizedKernel(g, levels).coefficients(omega._pts, k)
+              for g in (grid[:cut], grid[cut:])]
+    assert np.concatenate(halves).tobytes() == block.tobytes()
+    want = [_record_bits(r) for r in _old_scan(omega, SCAN)]
+    assert [_record_bits(r) for r in scan_forbidden(omega, SCAN)] == want
+    with pytest.MonkeyPatch.context() as mp:    # a scan in chunks of `cut` points
+        mp.setattr(scan, "_BLOCK_ENTRIES", cut * len(SCAN.m_schedule) * omega._pts.size)
+        assert [_record_bits(r) for r in scan_forbidden(omega, SCAN)] == want

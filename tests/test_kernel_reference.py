@@ -51,17 +51,26 @@ def _cauchy_primitive(kernel, ys):
     return np.log(ys - w) if kernel.pole is None else np.log(np.abs(ys - w))
 
 
-def _regularized_values(kernel, ys):
-    d = ys - kernel.x
-    d *= d
-    # each level's width squared by Python's float power, level by level
+def _regularized_params(kernel):
+    """x, m and 1/m² against the block's axes (points, levels, terms), each
+    width squared by Python's float power, level by level."""
     w2 = np.array([(1.0 / m) ** 2 for m in np.ravel(kernel.m).tolist()])
-    return np.reciprocal(d + _param(w2 if isinstance(kernel.m, np.ndarray) else w2[0]))
+    if not isinstance(kernel.m, np.ndarray):
+        return _param(kernel.x), kernel.m, w2[0]
+    x = kernel.x[:, None, None] if isinstance(kernel.x, np.ndarray) else kernel.x
+    return x, kernel.m[:, None], w2[:, None]
+
+
+def _regularized_values(kernel, ys):
+    x, _, w2 = _regularized_params(kernel)
+    d = ys - x
+    d *= d
+    return np.reciprocal(d + w2)
 
 
 def _regularized_primitive(kernel, ys):
-    m = _param(kernel.m)
-    d = np.arctan2(ys - kernel.x, 1.0 / m)
+    x, m, _ = _regularized_params(kernel)
+    d = np.arctan2(ys - x, 1.0 / m)
     d *= m
     return d
 
@@ -131,6 +140,7 @@ def _kernels(omega):
         "regularized level batch": RegularizedKernel(x, np.array([0.3, 1.0, 7.5, 1e3, 3.14])),
         "regularized level batch at a support point": RegularizedKernel(
             omega.support_bounds()[0], np.array([1e3, 1.0, 7.5])),
+        "regularized point batch": RegularizedKernel(np.append(off, omega.support_bounds()), 3.14),
         "cauchy scalar real": CauchyKernel(x),
         "cauchy real batch": CauchyKernel(off),
         "cauchy scalar complex": CauchyKernel(z),
@@ -154,3 +164,18 @@ def test_integrate_equals_the_two_step_assembly(kind):
         got, want = integrate(kernel, omega), reference_integrate(kernel, omega)
         assert got.shape == want.shape, name
         assert np.array_equal(got, want), name
+
+
+@pytest.mark.parametrize("kind", ["atomic", "pieces", "mixed"])
+def test_a_point_and_level_block_is_the_reference_formula(kind):
+    # integrate has no product to match for a (G, L, K+2P) block: the scan
+    # integrates its rows one by one, so the block itself is compared
+    omega = _measure(kind)
+    k = omega.xs.size
+    xs = np.append(_off_support(omega), omega.support_bounds())
+    kernel = RegularizedKernel(xs, np.array([0.3, 1.0, 7.5, 1e3, 3.14]))
+    block = kernel.coefficients(omega._pts, k)
+    want = np.concatenate([_regularized_values(kernel, omega.xs),
+                           _regularized_primitive(kernel, omega._pts[k:])], axis=-1)
+    assert block.shape == want.shape == (xs.size, 5, omega._pts.size)
+    assert block.tobytes() == want.tobytes()

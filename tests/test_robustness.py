@@ -216,8 +216,18 @@ def test_divergence_kernel_rejects_complex_points(two_atom, x):
                          ids=["complex", "complex128", "0-d complex array"])
 def test_regularized_kernel_rejects_complex_points(x):
     # a numpy complex point lost Im x with a ComplexWarning; a Python complex raised TypeError
-    with pytest.raises(PreconditionError, match="one real point"):
+    with pytest.raises(PreconditionError, match="real points"):
         RegularizedKernel(x, 1.0)
+
+
+@pytest.mark.parametrize("x, match", [
+    (np.array([0.5, 2.0 + 1j]), "real points"),
+    (np.array([[0.5, 2.0], [1.5, 3.0]]), "1-D"),
+    (np.array([0.5, math.nan, 2.0]), "finite"),
+], ids=["complex batch", "2-D", "batch with nan"])
+def test_regularized_kernel_checks_a_batch_of_points(x, match):
+    with pytest.raises(PreconditionError, match=match):
+        RegularizedKernel(x, np.array([1.0, 4.0]))
 
 
 @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, 0.0, -1.0,

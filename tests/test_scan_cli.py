@@ -107,9 +107,10 @@ class TestScanForbidden:
     def test_numpy_integer_steps_accepted(self):
         assert ScanConfig(0.0, 1.0, np.int64(3)).grid().tolist() == [0.0, 0.5, 1.0]
 
-    def test_one_coefficient_block_per_grid_point(self, mixed_measure, monkeypatch):
-        # every level of a point comes from one block; each level and T(x)
-        # still integrate once, the call count the benchmark's tracer pins
+    @staticmethod
+    def _spy(monkeypatch):
+        """The shapes of the RegularizedKernel blocks formed and the kernels
+        integrated by scan and herglotz, in call order."""
         from specstab import herglotz, scan
         blocks, calls = [], []
         coefficients = RegularizedKernel.coefficients
@@ -126,10 +127,42 @@ class TestScanForbidden:
         monkeypatch.setattr(RegularizedKernel, "coefficients", block)
         for mod in (scan, herglotz):
             monkeypatch.setattr(mod, "integrate", counted)
+        return blocks, calls
+
+    def test_one_coefficient_block_per_chunk(self, mixed_measure, monkeypatch):
+        # every (point, level) row of a chunk comes from one block; each level
+        # and T(x) still integrate once, the call count the benchmark's tracer pins
+        blocks, calls = self._spy(monkeypatch)
         g, levels = 7, len(ScanConfig.m_schedule)
         scan_forbidden(mixed_measure, ScanConfig(-0.5, 2.5, g))
-        assert blocks == [(levels, mixed_measure._pts.size)] * g
+        assert blocks == [(g, levels, mixed_measure._pts.size)]
         assert len(calls) == g * (1 + levels)
+
+    def test_a_grid_longer_than_a_chunk_is_scanned_chunk_by_chunk(self, mixed_measure,
+                                                                  monkeypatch):
+        # the block of a long grid is bounded by the chunk's entry budget, and
+        # chunking moves no bit: the grid -5, -4, ..., 5 in chunks of three
+        # points gives the records of scanning each chunk on its own
+        from specstab import scan
+        levels, terms = len(ScanConfig.m_schedule), mixed_measure._pts.size
+        # an entry budget one short of four points' blocks: chunks of three
+        monkeypatch.setattr(scan, "_BLOCK_ENTRIES", 4 * levels * terms - 1)
+        blocks, calls = self._spy(monkeypatch)
+        records = scan_forbidden(mixed_measure, ScanConfig(-5.0, 5.0, 11))
+        assert blocks == [(3, levels, terms)] * 3 + [(2, levels, terms)]
+        assert len(calls) == 11 * (1 + levels)
+
+        def bits(rec):
+            t = np.asarray(rec.t_value).tobytes() if rec.t_finite else rec.t_value.directions
+            return (rec.x, rec.in_support, rec.t_finite, t,
+                    [(m, np.array(v).tobytes()) for m, v in rec.regularized_diagonals.items()])
+
+        one_by_one = [r for a, b, g in [(-5.0, -3.0, 3), (-2.0, 0.0, 3), (1.0, 3.0, 3),
+                                        (4.0, 5.0, 2)]
+                      for r in scan_forbidden(mixed_measure, ScanConfig(a, b, g))]
+        assert [r.x for r in records] == [float(x) for x in range(-5, 6)]
+        assert [bits(r) for r in records] == [bits(r) for r in one_by_one]
+        assert any(not r.t_finite for r in records) and any(r.t_finite for r in records)
 
 
 class TestIO:
