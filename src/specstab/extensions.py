@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .herglotz import (EPS, ConditioningError, HerglotzMatrix, boundary_value,
+from .herglotz import (EPS, ConditioningError, HerglotzMatrix, _t_and_m, boundary_value,
                        evaluate, integrate_cauchy, richardson_limit, t_matrix)
 from .measure import (Divergent, PreconditionError, _fro, _frozen, as_point,
                       as_real_point, hermitian_part, is_batch, is_divergent, is_hermitian)
@@ -172,7 +172,8 @@ def max_mult_test(m: HerglotzMatrix, d, x):
     For a 1-D array of x, a list with one MaxMultEvidence per point, in
     order.  The points off the support share one ``t_matrix`` and one
     ``integrate_cauchy`` call, whose closed form is the boundary value
-    there; each point on the support takes ``boundary_value`` alone.
+    there; each point on the support takes ``boundary_value`` alone, as
+    does a single x (its T(x) and M(x) are read-only, from m's memo).
     """
     D = as_parameter(d, m.dim).D
     if not is_batch(x):
@@ -200,6 +201,8 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
 
     Checks that the divergence integral of the measure of M_{D'} is finite
     and that M_{D'}(x+i0) = (D'-D)^{-1}, on the paths of ``boundary_value``.
+    T(x) and M(x) come from m's one-point memo, shared with
+    ``boundary_value``: both criteria at one x integrate them once.
     Where M(x+i0) is closed form and D' - M(x+i0) invertible, the boundary
     value is F = (D' - M(x+i0))^{-1}; off the support the divergence
     integral is F T(x) F, since F' = F M' F and M' = T; in a piece interior
@@ -224,8 +227,7 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
             f"det(D - D') vanishes within tolerance (smallest sv {smin:.3e})")
 
     tols = m.omega.tols
-    t = t_matrix(m, x)
-    mx = integrate_cauchy(m, x)     # C + PV∫ in a piece interior, lacking iπρ
+    t, mx = _t_and_m(m, x)      # mx is C + PV∫ in a piece interior, lacking iπρ
     f = None
     if not is_divergent(mx):
         h = dp.D - mx

@@ -17,11 +17,15 @@ a kernel (``measure.as_point``), and by ``boundary_value`` and ``atom_mass``
 (whose callable may be any), which take one real point.  Real points come
 in arrays too: ``t_matrix`` and ``integrate_cauchy`` take a 1-D array
 of real x and return the stack of T(x) and of the closed-form M(x), or a
-Divergent when any of the points is on the support.
+Divergent when any of the points is on the support.  At one real point
+``boundary_value`` and ``max_mult_test_via`` read T(x) and M(x) through a
+one-slot memo on the HerglotzMatrix (``_t_and_m``), so both criteria at
+one energy integrate them once; the arrays it hands out are read-only.
 """
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple, Union
 
@@ -44,7 +48,9 @@ class ConditioningError(np.linalg.LinAlgError):
 @dataclass(frozen=True)
 class HerglotzMatrix:
     """Hermitian offset C plus a matrix-valued measure; takes ownership of C, or
-    stores its Hermitian part, -0.0 made +0.0, where that differs from C."""
+    stores its Hermitian part, -0.0 made +0.0, where that differs from C.
+    T(x) and M(x) at the last real point (``_t_and_m``) live in a slot that
+    is not a field: equality, repr and ``replace`` ignore it."""
 
     C: np.ndarray
     omega: MatrixMeasure
@@ -59,6 +65,8 @@ class HerglotzMatrix:
         raw = c.tobytes()       # all +0.0, the default C, is left unchecked
         h = hermitian_part(c) + 0.0 if raw != bytes(len(raw)) else c
         object.__setattr__(self, "C", _frozen(c if h.tobytes() == raw else h))
+        # (bits of x, T(x), M(x)) at the last real point of ``_t_and_m``
+        object.__setattr__(self, "_last", (None, None, None))
 
     @classmethod
     def from_measure(cls, omega: MatrixMeasure, C=None) -> "HerglotzMatrix":
@@ -116,6 +124,25 @@ def t_matrix(m: HerglotzMatrix, x) -> Union[np.ndarray, Divergent]:
     point is on the support (``integrate``'s all-or-nothing batch); exactly
     Hermitian, as a real kernel against the measure's weights."""
     return integrate(PoissonSquareKernel(x), m.omega)
+
+
+_BITS = struct.Struct("d").pack
+
+
+def _t_and_m(m: HerglotzMatrix, x: float):
+    """``t_matrix`` and ``integrate_cauchy`` at one real float x, each
+    read-only (a Divergent as it comes).  m keeps the last point's pair,
+    keyed by the bits of x, so 0.0 and -0.0 are two points: both criteria
+    at one x integrate T(x) and M(x) once."""
+    key, last = _BITS(x), m._last
+    if last[0] != key:
+        t, mx = t_matrix(m, x), integrate_cauchy(m, x)
+        for v in (t, mx):
+            if not is_divergent(v):
+                _frozen(v)
+        last = (key, t, mx)
+        object.__setattr__(m, "_last", last)
+    return last[1], last[2]
 
 
 # the halving ε-schedule every limit samples: eps_j = 1e-2·2^-j, j = 0..40
@@ -179,10 +206,11 @@ def boundary_value(m: HerglotzMatrix, x: float) -> BoundaryReport:
     exact: M(x), or the principal value C + PV∫, the Hermitian part of
     M(x+i0) = C + PV∫ + iπρ(x), both exactly Hermitian as they come.  At an
     atom or a piece end, the Hermitian part of the ε-schedule limit.
+    T(x) and M(x) come from m's one-point memo, so the report's t_matrix
+    and a closed-form m_boundary are read-only arrays.
     """
     x = as_real_point(x, "boundary_value", batch=False)
-    t = t_matrix(m, x)
-    mx = integrate_cauchy(m, x)
+    t, mx = _t_and_m(m, x)
     if not is_divergent(mx):
         return BoundaryReport(x, mx, True, t, [])
 

@@ -42,9 +42,8 @@ def tol_bv_seen(monkeypatch):
     return seen
 
 
-@pytest.fixture
-def eps_calls(monkeypatch):
-    """The names of the ``evaluate`` and ``richardson_limit`` calls made by
+def _call_log(monkeypatch, *names):
+    """The names of the calls to the named ``herglotz`` functions made by
     the Herglotz and extension layers, in call order."""
     calls = []
 
@@ -54,10 +53,22 @@ def eps_calls(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for mod in (ext, hz):
-        monkeypatch.setattr(mod, "evaluate", count(hz.evaluate))
-        monkeypatch.setattr(mod, "richardson_limit", count(hz.richardson_limit))
+    for name in names:
+        for mod in (ext, hz):
+            monkeypatch.setattr(mod, name, count(getattr(hz, name)))
     return calls
+
+
+@pytest.fixture
+def eps_calls(monkeypatch):
+    """The ``evaluate`` and ``richardson_limit`` calls, in order."""
+    return _call_log(monkeypatch, "evaluate", "richardson_limit")
+
+
+@pytest.fixture
+def real_x_calls(monkeypatch):
+    """The ``t_matrix`` and ``integrate_cauchy`` calls, in order."""
+    return _call_log(monkeypatch, "t_matrix", "integrate_cauchy")
 
 
 @pytest.fixture

@@ -108,11 +108,11 @@ def test_hermitian_part_is_the_halved_sum_bitwise(a, read_only, f_order):
 @settings(max_examples=100, deadline=None)
 @given(a=_matrices(ANY, st.sampled_from([(3, 3), (4, 3, 3)])))
 def test_hermitian_part_keeps_nan_where_the_halved_sum_has_it(a):
-    # a NaN may come out with another sign or payload bit: 0.5·h and h·0.5
-    # add the NaN products of a complex multiply in opposite orders
+    # np.multiply(0.5, h, h) is 0.5 * h with its operands in the same order,
+    # so the products of a complex multiply with NaN match too, sign and payload
     with np.errstate(all="ignore"):
         want, got = 0.5 * (a + a.conj().swapaxes(-1, -2)), hermitian_part(a)
-    assert np.array_equal(got.view(float), want.view(float), equal_nan=True)
+    assert got.tobytes() == want.tobytes()
 
 
 def _mixed_cases(seed):
@@ -158,6 +158,38 @@ def test_batched_residuals_are_the_old_stacked_norm(seed):
     want = np.linalg.norm(mb - d, axis=(1, 2))
     got = [ev.residual for ev, o in zip(evidence, off) if o]
     assert len(got) > 10 and _bits(got) == _bits(want)
+
+
+def _evidence_bytes(m, d, dp, x) -> bytes:
+    """Every field of both criteria's evidence at x, as bytes."""
+    out = []
+    for test in (lambda: max_mult_test(m, d, x), lambda: max_mult_test_via(m, d, dp, x)):
+        try:
+            ev = test()
+        except ConditioningError as e:
+            out.append(repr(e).encode())
+            continue
+        for v in (ev.t_value, ev.m_boundary):
+            out.append(repr(v).encode() if v is None or is_divergent(v) else v.tobytes())
+        out.append(_bits([ev.x, ev.residual]) + bytes([ev.verdict, ev.via]))
+    return b"|".join(out)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_evidence_is_the_same_from_a_primed_matrix(seed):
+    # boundary_value keeps T(x) and M(x) of its last point on the matrix:
+    # primed at x or at another point, both criteria answer as a fresh one
+    cases = list(_mixed_cases(seed))
+    kinds = set()
+    for (m, d, dp, x), (*_, other) in zip(cases, cases[1:] + cases[:1]):
+        kinds.add("atom" if x in m.omega.xs.tolist() else
+                  "piece" if m.omega.on_support(x) else "off")
+        want = _evidence_bytes(HerglotzMatrix(m.C, m.omega), d, dp, x)
+        for prime in (x, other):
+            primed = HerglotzMatrix(m.C, m.omega)
+            boundary_value(primed, prime)
+            assert _evidence_bytes(primed, d, dp, x) == want, (x, prime)
+    assert kinds == {"atom", "piece", "off"}
 
 
 # -- Hermitian by construction -----------------------------------------------

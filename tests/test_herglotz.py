@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -102,6 +103,39 @@ class TestBoundaryValue:
             assert boundary_value(m, x).eps_trace, x
         for x in (-1.0 + 2 * tol_x, 0.25 + 2 * tol_x, 0.5):
             assert not boundary_value(m, x).eps_trace, x
+
+
+class TestOnePointMemo:
+    """T(x) and M(x) at the last real point, kept on the HerglotzMatrix."""
+
+    def test_both_criteria_at_one_point_integrate_once(self, two_atom, real_x_calls):
+        d = boundary_value(two_atom, 0.5).m_boundary
+        ev = max_mult_test_via(two_atom, d, d + np.eye(2), 0.5)
+        assert ev.verdict and real_x_calls == ["t_matrix", "integrate_cauchy"]
+        assert max_mult_test(two_atom, d, 0.5).verdict
+        assert len(real_x_calls) == 2
+
+    def test_another_point_misses(self, two_atom, real_x_calls):
+        for x in (0.5, 0.25, 0.0, -0.0, 0.0, 0.0):
+            boundary_value(two_atom, x)
+        assert real_x_calls == ["t_matrix", "integrate_cauchy"] * 5
+
+    def test_equal_matrices_keep_their_own_slot(self, two_atom, real_x_calls):
+        twin = dataclasses.replace(two_atom)
+        assert twin == two_atom and repr(twin) == repr(two_atom)
+        boundary_value(two_atom, 0.5)
+        boundary_value(twin, 0.5)
+        assert len(real_x_calls) == 4
+
+    def test_handed_out_matrices_are_read_only(self, two_atom):
+        rep = boundary_value(two_atom, 0.5)
+        before = rep.m_boundary.tobytes(), rep.t_matrix.tobytes()
+        ev = max_mult_test(two_atom, rep.m_boundary, 0.5)
+        for a in (rep.m_boundary, rep.t_matrix, ev.m_boundary, ev.t_value):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0, 0] = 7.0
+        again = boundary_value(two_atom, 0.5)
+        assert (again.m_boundary.tobytes(), again.t_matrix.tobytes()) == before
 
 
 @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])

@@ -163,6 +163,41 @@ def test_the_lapack_gufunc_is_the_only_inverse():
     assert loads == ["extensions"]
 
 
+def _memos(tree: ast.Module, module: str):
+    """Memos in a module: functions decorated with functools' cache,
+    lru_cache or cached_property, and object.__setattr__ on an instance
+    after construction (outside __init__ and __post_init__)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = ".".join(scope + [child.name])
+                for dec in child.decorator_list:
+                    called = dec.func if isinstance(dec, ast.Call) else dec
+                    if ast.unparse(called).split(".")[-1] in ("cache", "lru_cache",
+                                                              "cached_property"):
+                        found.append(f"{module}.{name}")
+                visit(child, scope + [child.name])
+                continue
+            if (isinstance(child, ast.Call) and ast.unparse(child.func) == "object.__setattr__"
+                    and scope[-1:] not in (["__init__"], ["__post_init__"])):
+                found.append(f"{module}.{'.'.join(scope)} sets {ast.literal_eval(child.args[1])}")
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_memo_census():
+    # a memo trades memory and staleness for speed, so each is added here on
+    # purpose; its key is its whole input, never an id (ids are reused)
+    memos = []
+    for path in sorted(SRC.glob("*.py")):
+        memos += _memos(ast.parse(path.read_text()), path.stem)
+    assert sorted(memos) == ["herglotz._t_and_m sets _last", "measure.MatrixMeasure.atom_eigh"]
+
+
 def test_internal_failures_are_typed(monkeypatch):
     # both used to raise a bare RuntimeError, a traceback and exit 1 in the CLI
     omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
