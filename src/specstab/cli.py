@@ -5,8 +5,7 @@ declaring only the options it reads (``build_parser`` lists them).
 Inputs are the JSON measure/matrix files documented in ``specstab.io``.
 Each command returns its document, which ``main`` alone writes to stdout or
 --out: as JSON, or as CSV rows for ``scan --format csv``.
-At a real x the boundary value is closed form off the support, Plemelj
-in a piece interior, and an ε-limit at an atom or a piece end.
+Only ``masses`` takes an ε-limit, so only it reads --tol-bv.
 Exit codes: 0 ok, 1 a ``verify`` report whose "ok" is false, 2 input error
 (NaN or ±inf in an argument or a matrix entry, a malformed file or an
 unwritable --out included), 3 numerical failure (a limit that did not
@@ -184,16 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(fn=fn)
 
     command("eval", cmd_eval, "evaluate M(z) or M_D(z)", "--d-matrix", "--z!")
-    command("boundary", cmd_boundary, "boundary value M(x+i0) and T(x)", "--x!", "--tol-bv")
+    command("boundary", cmd_boundary, "boundary value M(x+i0) and T(x)", "--x!")
     command("tmatrix", cmd_tmatrix, "divergence matrix T(x)", "--x!")
     command("masses", cmd_masses, "point mass via -ieps M(x+ieps)",
             "--d-matrix", "--x!", "--tol-bv")
     command("eigs", cmd_eigs, "brute-force pole/multiplicity report", "--d-matrix!", "--grid!")
     command("test", cmd_test, "maximum-multiplicity criterion at x",
-            "--d-matrix!", "--d-prime", "--x!", "--tol-bv", "--tol-match")
+            "--d-matrix!", "--d-prime", "--x!", "--tol-match")
     command("scan", cmd_scan, "forbidden-energy grid scan", "--grid!", "--format")
     command("verify", cmd_verify, "oracle-vs-criterion campaign",
-            "--trials", "--seed", "--tol-bv", "--tol-match")
+            "--trials", "--seed", "--tol-match")
     return parser
 
 

@@ -7,12 +7,10 @@ identity, and decides whether a real energy is an eigenvalue of maximum
 multiplicity:  T(x) finite and M(x+i0) = D, or equivalently (through any
 second parameter D' with det(D - D') != 0) the boundary value of M_{D'}
 equals (D' - D)^{-1} with the corresponding divergence integral finite.
-In both forms the support lookup chooses the path: closed form off the
-support, Plemelj boundary values (T(x), T_{D'}(x) divergent) in a piece
-interior, ε-limits at an atom or a piece end.  ``max_mult_test`` also
-takes a 1-D array of real points: those off the support share one T(x)
-and one closed-form boundary-value call.  Every parameter must be n x n
-for the n of the measure it meets.
+Both are closed form at every real x: the mass at x is split off and the
+rest integrated as it is.  ``max_mult_test`` also takes a 1-D array of
+real points: those off the support share one T(x) and one boundary-value
+call.  Every parameter must be n x n for the n of the measure it meets.
 """
 
 from __future__ import annotations
@@ -24,10 +22,11 @@ from typing import Optional, Union
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-from .herglotz import (EPS, ConditioningError, HerglotzMatrix, _t_and_m, boundary_value,
-                       evaluate, integrate_cauchy, richardson_limit, t_matrix)
-from .measure import (Divergent, PreconditionError, _fro, _frozen, as_point,
-                      as_real_point, hermitian_part, is_batch, is_divergent, is_hermitian)
+from .herglotz import (ConditioningError, HerglotzMatrix, _t_and_m, boundary_value,
+                       evaluate, integrate_cauchy, t_matrix)
+from .measure import (Divergent, PoissonSquareKernel, PreconditionError, _fro, _frozen,
+                      as_point, as_real_point, hermitian_part, integrate, is_batch,
+                      is_divergent, is_hermitian)
 
 
 # smallest singular value of D' - D accepted by the second-parameter test
@@ -71,12 +70,10 @@ class MaxMultEvidence:
     def mass(self) -> np.ndarray:
         """Eigenvalue mass T(x)^{-1}; PreconditionError unless T(x) is finite.
         Through D' it is F T_{D'}(x)^{-1} F, since T_{D'} = F T F with
-        F = M_{D'}(x+i0); PreconditionError where F has no limit."""
+        F = M_{D'}(x+i0), which a finite T_{D'} comes with."""
         if not self.t_finite:
             raise PreconditionError(f"T(x) diverges at x={self.x} in directions "
                                     f"{self.t_value.directions}: no eigenvalue mass")
-        if self.via and self.m_boundary is None:
-            raise PreconditionError(f"M_D'(x+i0) has no limit at x={self.x}: no eigenvalue mass")
         inv = _inv_checked(np.asarray(self.t_value), "T(x)")
         return hermitian_part(self.m_boundary @ inv @ self.m_boundary if self.via else inv)
 
@@ -196,28 +193,41 @@ def _test_at(m: HerglotzMatrix, D: np.ndarray, x: float) -> MaxMultEvidence:
     return MaxMultEvidence(x, rep.t_matrix, rep.m_boundary, residual, verdict)
 
 
+def _kernel_and_pinv(a: np.ndarray, tol: float):
+    """A basis of the kernel of a Hermitian a (eigenvalues within tol of 0), and |a|⁺."""
+    lam, v = np.linalg.eigh(a)
+    on = np.abs(lam) > tol
+    r = v[:, on]
+    return v[:, ~on], (r / np.abs(lam[on])) @ r.conj().T
+
+
+def _on(basis, a):
+    """a compressed to the span of an orthonormal basis (a itself for None)."""
+    return a if basis is None else basis.conj().T @ a @ basis
+
+
+def _from(basis, a):
+    """The inverse map of ``_on``: zero off the span of the basis."""
+    return a if basis is None else basis @ a @ basis.conj().T
+
+
 def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidence:
     """The same verdict computed through a second extension parameter D'.
 
-    Checks that the divergence integral of the measure of M_{D'} is finite
-    and that M_{D'}(x+i0) = (D'-D)^{-1}, on the paths of ``boundary_value``.
-    T(x) and M(x) come from m's one-point memo, shared with
-    ``boundary_value``: both criteria at one x integrate them once.
-    Where M(x+i0) is closed form and D' - M(x+i0) invertible, the boundary
-    value is F = (D' - M(x+i0))^{-1}; off the support the divergence
-    integral is F T(x) F, since F' = F M' F and M' = T; in a piece interior
-    Im F = π F ρ F*, and it diverges where that diagonal exceeds
-    rank_tol·max(1, ‖F ρ F*‖).  Elsewhere (at an atom, a piece end, or a
-    pole of M_{D'}) both are ε-limits of M_{D'}, evaluated once over the
-    whole schedule; the divergence integral is the limit of
-    Im M_{D'}(x+iε)/ε, whose error is O(ε²), so it is extrapolated at
-    second order.  Undecided is reported as Divergent(()).
-
-    D' - D must have its smallest singular value above
-    max(MIN_GAP_SV, 1e-13·largest), else PreconditionError; D' - M(x+i0)
-    counts as singular on the rule of ``_inv_checked``.  Both inverses
-    certify their own conditioning, and an SVD runs only on a matrix whose
-    inverse cannot (``_inv_certified``).
+    Checks that T_{D'}, the divergence integral of the measure of M_{D'},
+    is finite and that M_{D'}(x+i0) = (D'-D)^{-1}, from m's memo of M_fin(x)
+    and the mass W, ρ̄, J at x.  Near x, D' - M(x+iε) = A - J log(1/ε) -
+    iW/ε + o(1), A = D' - M_fin(x) - iπρ̄, so M_{D'}(x+i0) = G =
+    N(N*AN)^{-1}N*, N spanning the kernel of J_W within ker W = span N_W
+    (X_W = N_W* X N_W; a kernel holds eigenvalues within rank_tol·‖·‖_F
+    of 0).  Where the density at x reaches neither N*ρ̄N nor J_W,
+    T_{D'} = G T_rest G + (GA - I)W⁺(AG - I), T_rest the finite part of
+    T(x): off the support F T(x) F, F = (D' - M(x))^{-1}, as F' = F T F.
+    Else T_{D'} diverges where the diagonal of Gρ̄G* +
+    N_W(G_W A_W - I)|J_W|⁺(A_W G_W - I)N_W* exceeds rank_tol·max(1, its
+    norm), or where it is largest.  Where N*AN is singular (``_inv_checked``),
+    M_{D'} has a pole at x: T_{D'} diverges along its kernel.  D' - D needs
+    its smallest singular value above max(MIN_GAP_SV, 1e-13·largest).
     """
     x = as_real_point(x, "max_mult_test_via", batch=False)
     D, dp = as_parameter(d, m.dim).D, as_parameter(d_prime, m.dim)
@@ -226,43 +236,49 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
         raise PreconditionError(
             f"det(D - D') vanishes within tolerance (smallest sv {smin:.3e})")
 
-    tols = m.omega.tols
-    t, mx = _t_and_m(m, x)      # mx is C + PV∫ in a piece interior, lacking iπρ
-    f = None
-    if not is_divergent(mx):
-        h = dp.D - mx
-        if is_divergent(t):     # in a piece interior: M(x+i0) adds iπρ(x)
-            h -= 1j * np.pi * (rho := m.omega.density_at(x))
-        try:
-            f = _inv_checked(h, "D' - M(x+i0)")
-        except ConditioningError:
-            pass    # x is a pole of M_{D'}: the ε-limit reports it Divergent
-    if f is not None:
-        bval = hermitian_part(f)
-        if is_divergent(t):
-            frf = f @ rho @ f.conj().T
-            big = frf.diagonal().real > tols.rank_tol * max(1.0, _fro(frf))
-            t_val = Divergent(tuple(big.nonzero()[0].tolist()))
-        else:
-            t_val = hermitian_part(f @ t @ f)
+    rank_tol = m.omega.tols.rank_tol
+    t, mx, (w, rho, j, near) = _t_and_m(m, x)
+    a = dp.D - mx
+    if rho is not None:
+        a -= 1j * np.pi * rho
+    # split off the atom at x, then the jump on what the atom leaves
+    nw, w_pinv = (None, None) if w is None else _kernel_and_pinv(w, rank_tol * _fro(w))
+    basis, j_pinv = nw, None
+    if j is not None:
+        kj, j_pinv = _kernel_and_pinv(_on(nw, j), rank_tol * _fro(j))
+        basis = kj if nw is None else nw @ kj
+    a_n = _on(basis, a)
+    inv, ok, _ = _inv_certified(a_n, 1e-13)
+    if not ok:      # a pole of M_{D'}: its mass at x lies along ker N*AN
+        _, s, vh = np.linalg.svd(a_n)
+        k = vh[s <= max(1e-13 * max(1.0, s[0]), s[-1])]
+        dirs = np.flatnonzero(_from(basis, k.conj().T @ k).diagonal().real > rank_tol)
+        return MaxMultEvidence(x, Divergent(tuple(dirs.tolist())), None, math.inf, False, via=True)
+    g = _from(basis, inv)
+    dense = rho is not None
+    if dense and basis is not None:     # do the pieces at x reach span N?
+        dense = _fro(_on(basis, rho)) > rank_tol * _fro(rho) or (
+            j_pinv is not None and j_pinv.any())
+    if dense:
+        s = g @ rho @ g.conj().T
+        if j_pinv is not None:
+            eye = np.eye(m.dim)
+            s = s + _from(nw, _on(nw, g @ a - eye) @ j_pinv @ _on(nw, a @ g - eye))
+        diag = s.diagonal().real
+        big = np.flatnonzero(diag > rank_tol * max(1.0, _fro(s))).tolist()
+        t_val = Divergent(tuple(big) or (int(diag.argmax()),))
     else:
-        v = extension_weyl(m, dp)(x + 1j * EPS)
-        im_over_eps = hermitian_part((v - v.conj().swapaxes(1, 2)) / 2j) / EPS[:, None, None]
-
-        t_val, _, ok = richardson_limit(im_over_eps, tols, order=2)
-        if t_val is None:
-            return MaxMultEvidence(x, Divergent(()), None, math.inf, False, via=True)
-        if ok:
-            t_val = hermitian_part(t_val)
-
-        bval, _, ok = richardson_limit(v, tols)
-        if not ok:
-            return MaxMultEvidence(x, t_val, None, math.inf, False, via=True)
-        bval = hermitian_part(bval)
+        if near:
+            t = integrate(PoissonSquareKernel(x), m.omega, near)
+        t_val = g @ t @ g
+        if w_pinv is not None:
+            eye = np.eye(m.dim)
+            t_val += (g @ a - eye) @ w_pinv @ (a @ g - eye)
+        t_val = hermitian_part(t_val)
+    bval = hermitian_part(g)
     # relative match: the target norm grows like the inverse of the D-D' gap
-    # and the eps-limit precision scales with it
     residual = _fro(bval - target) / max(1.0, _fro(target))
-    verdict = (not is_divergent(t_val)) and residual <= tols.tol_match
+    verdict = (not is_divergent(t_val)) and residual <= m.omega.tols.tol_match
     return MaxMultEvidence(x, t_val, bval, residual, verdict, via=True)
 
 

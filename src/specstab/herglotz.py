@@ -2,25 +2,17 @@
 
 Realizes the canonical representation M(z) = C + ∫ (1/(y-z) - y/(1+y²)) dΩ(y)
 together with its real boundary values, the divergence matrix T(x) and
-atomic mass recovery via -iε M(x+iε).  All ε-limits (boundary values,
-masses, and on the support the divergence integrals of extension Weyl
-functions) run through one halving ε-schedule, ``richardson_limit``,
-with Richardson extrapolation and geometric blow-up detection.  At a
-real point the support lookup chooses the path: off the support the
-boundary value is closed form, in a piece interior it is Sokhotski–Plemelj
-C + PV∫ + iπρ(x), and only at an atom or a piece end an ε-limit.
-The schedule is the constant ``EPS``, sampled in one array call:
-``evaluate`` takes a 1-D array of z and returns the stack of M(z), so a
-limit costs one ``integrate``.  Every analysis reads the tolerances of the
-measure it runs on, ``m.omega.tols``.  Points are checked where they enter
-a kernel (``measure.as_point``), and by ``boundary_value`` and ``atom_mass``
-(whose callable may be any), which take one real point.  Real points come
-in arrays too: ``t_matrix`` and ``integrate_cauchy`` take a 1-D array
-of real x and return the stack of T(x) and of the closed-form M(x), or a
-Divergent when any of the points is on the support.  At one real point
-``boundary_value`` and ``max_mult_test_via`` read T(x) and M(x) through a
-one-slot memo on the HerglotzMatrix (``_t_and_m``), so both criteria at
-one energy integrate them once; the arrays it hands out are read-only.
+atomic mass recovery via -iε M(x+iε).  At a real x every value is closed
+form: on the support M is the finite part M_fin, without the terms within
+tol_x of x (``MatrixMeasure.mass_at``: atoms W, mean density ρ̄, jump J),
+and M(x+i0) = M_fin + iπρ̄ where W = J = 0, with no limit elsewhere.  The
+one ε-limit is ``atom_mass``: ``richardson_limit`` over the schedule
+``EPS``, sampled by one call of ``evaluate`` on a 1-D array of z.  Every
+analysis reads the measure's tolerances, ``m.omega.tols``.  Points are
+checked where they enter a kernel (``measure.as_point``) and by the
+one-point entries; ``t_matrix`` and ``integrate_cauchy`` also take a 1-D
+array of real x.  ``boundary_value`` and ``max_mult_test_via`` read
+T(x), M_fin(x) and the mass at x from a one-slot memo (``_t_and_m``).
 """
 
 from __future__ import annotations
@@ -49,7 +41,7 @@ class ConditioningError(np.linalg.LinAlgError):
 class HerglotzMatrix:
     """Hermitian offset C plus a matrix-valued measure; takes ownership of C, or
     stores its Hermitian part, -0.0 made +0.0, where that differs from C.
-    T(x) and M(x) at the last real point (``_t_and_m``) live in a slot that
+    The values at the last real point (``_t_and_m``) live in a slot that
     is not a field: equality, repr and ``replace`` ignore it."""
 
     C: np.ndarray
@@ -65,8 +57,8 @@ class HerglotzMatrix:
         raw = c.tobytes()       # all +0.0, the default C, is left unchecked
         h = hermitian_part(c) + 0.0 if raw != bytes(len(raw)) else c
         object.__setattr__(self, "C", _frozen(c if h.tobytes() == raw else h))
-        # (bits of x, T(x), M(x)) at the last real point of ``_t_and_m``
-        object.__setattr__(self, "_last", (None, None, None))
+        # (bits of x, T(x), M_fin(x), mass at x) at the last real point of ``_t_and_m``
+        object.__setattr__(self, "_last", (None,))
 
     @classmethod
     def from_measure(cls, omega: MatrixMeasure, C=None) -> "HerglotzMatrix":
@@ -107,11 +99,11 @@ def evaluate(m: HerglotzMatrix, z) -> np.ndarray:
     return integrate_cauchy(m, z)
 
 
-def integrate_cauchy(m: HerglotzMatrix, z):
+def integrate_cauchy(m: HerglotzMatrix, z, drop=None):
     """C + ∫ (1/(y-z) - y/(1+y²)) dΩ(y) at z, or at each point of a 1-D
-    array (a complex one off the real axis, or a real one, batched as in
-    ``CauchyKernel``); Divergent where a real z meets the support."""
-    v = integrate(CauchyKernel(z), m.omega)
+    array (batched as in ``CauchyKernel``); Divergent where a real z meets
+    the support, or the finite part given ``integrate``'s ``drop``."""
+    v = integrate(CauchyKernel(z), m.omega, drop)
     if not is_divergent(v):
         v += m.C    # in place: integrate's array is fresh
     return v
@@ -130,51 +122,41 @@ _BITS = struct.Struct("d").pack
 
 
 def _t_and_m(m: HerglotzMatrix, x: float):
-    """``t_matrix`` and ``integrate_cauchy`` at one real float x, each
-    read-only (a Divergent as it comes).  m keeps the last point's pair,
-    keyed by the bits of x, so 0.0 and -0.0 are two points: both criteria
-    at one x integrate T(x) and M(x) once."""
+    """At one real float x: ``t_matrix``, M_fin(x) (``integrate_cauchy``'s
+    finite part) and ``MatrixMeasure._at``, kept on m for the last x, keyed
+    by its bits (0.0 and -0.0 are two points): both criteria reuse them."""
     key, last = _BITS(x), m._last
     if last[0] != key:
-        t, mx = t_matrix(m, x), integrate_cauchy(m, x)
-        for v in (t, mx):
-            if not is_divergent(v):
-                _frozen(v)
-        last = (key, t, mx)
+        at = m.omega._at(x)
+        t, mx = t_matrix(m, x), _frozen(integrate_cauchy(m, x, at[3]))
+        last = (key, t if is_divergent(t) else _frozen(t), mx, at)
         object.__setattr__(m, "_last", last)
-    return last[1], last[2]
+    return last[1:]
 
 
 # the halving ε-schedule every limit samples: eps_j = 1e-2·2^-j, j = 0..40
 EPS = _frozen(1e-2 * 0.5 ** np.arange(41))
-_I_EPS = _frozen(1j * EPS)      # the offsets iε of boundary_value's samples
+_I_EPS = _frozen(1j * EPS)      # the offsets iε of atom_mass's samples
 _MINUS_I_EPS = _frozen((-1j * EPS)[:, None, None])      # atom_mass's factor -iε
 
 
-def richardson_limit(samples: np.ndarray, tols: Tolerances = DEFAULT_TOLS,
-                     order: int = 1):
+def richardson_limit(samples: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     """Limit as eps -> 0 of a sequence sampled on the halving schedule.
 
     ``samples`` is the stack (len(EPS), n, n) of the sequence at each eps
     of ``EPS`` (ValueError for any other length); a sample that could not
-    be formed (a numerically singular inverse) is NaN.  The scan is the one a
-    sequential loop over the schedule would make: Richardson extrapolation
-    of the given order (error assumed O(eps**order)), stopping at the
+    be formed (a numerically singular inverse) is NaN.  The scan is that of
+    a sequential loop: first-order Richardson extrapolation, stopping at the
     first extrapolate within tol_bv of the previous one (Frobenius), or at
     a geometric blow-up: four extrapolate norms each over 1.8 times the
-    last, ending above 1e8; convergence wins when both fire at once.
-    Only the samples up to that stop are consumed, and ConditioningError is
-    raised exactly when a NaN sample is among them.  Returns (value, trace,
-    converged); value is the converged extrapolate, a Divergent in the
-    directions where the last consumed sample's real diagonal exceeds 1e6
-    (all directions if none does), or None when the schedule ends
-    undecided.  The trace holds the consumed (eps, sample) pairs.
+    last, ending above 1e8.  ConditioningError is raised exactly when a NaN
+    sample is among those consumed.  Returns (the converged extrapolate or
+    None, the consumed (eps, sample) pairs, converged).
     """
     s = np.asarray(samples, dtype=complex)
     if s.shape[:1] != EPS.shape:
         raise ValueError(f"expected a stack of {len(EPS)} ε-samples, got shape {s.shape}")
-    w = 2.0 ** order
-    r = (w * s[1:] - s[:-1]) / (w - 1.0)     # r[i] extrapolates samples i, i+1
+    r = 2.0 * s[1:] - s[:-1]     # r[i] extrapolates samples i, i+1
     norms = _fro(r)
     grows = norms[1:] > 1.8 * norms[:-1]
     converged = np.zeros(norms.size, dtype=bool)
@@ -189,33 +171,23 @@ def richardson_limit(samples: np.ndarray, tols: Tolerances = DEFAULT_TOLS,
             f"the ε-sample at eps={EPS[unformed[0]]:.3e} could not be formed "
             "(numerically singular)")
     trace = list(zip(EPS[:used].tolist(), s[:used]))
-    if not stops.size:
-        return None, trace, False
-    i = used - 2
-    if converged[i]:
-        return r[i], trace, True
-    last = s[i + 1]
-    dirs = tuple(int(k) for k in (last.diagonal().real > 1e6).nonzero()[0])
-    return Divergent(dirs or tuple(range(last.shape[0]))), trace, False
+    ok = bool(converged[used - 2])      # False where no rule fired
+    return (r[used - 2] if ok else None), trace, ok
 
 
 def boundary_value(m: HerglotzMatrix, x: float) -> BoundaryReport:
-    """M(x+i0) at a real point, plus T(x), from one support lookup.
+    """M(x+i0) at a real point, plus T(x), from m's one-point memo.
 
-    Off the support and in a piece interior the real-x Cauchy integral is
-    exact: M(x), or the principal value C + PV∫, the Hermitian part of
-    M(x+i0) = C + PV∫ + iπρ(x), both exactly Hermitian as they come.  At an
-    atom or a piece end, the Hermitian part of the ε-schedule limit.
-    T(x) and M(x) come from m's one-point memo, so the report's t_matrix
-    and a closed-form m_boundary are read-only arrays.
+    Where W = J = 0 at x (``MatrixMeasure.mass_at``: off the support, in a
+    piece interior, at a junction of equal densities) the Hermitian part of
+    M(x+i0) = M_fin(x) + iπρ̄ is the finite part M_fin(x), read-only and
+    exactly Hermitian; at an atom or a jump there is no limit.  The report's
+    ``eps_trace`` is always empty.
     """
     x = as_real_point(x, "boundary_value", batch=False)
-    t, mx = _t_and_m(m, x)
-    if not is_divergent(mx):
-        return BoundaryReport(x, mx, True, t, [])
-
-    val, trace, ok = richardson_limit(evaluate(m, x + _I_EPS), m.omega.tols)
-    return BoundaryReport(x, hermitian_part(val) if ok else None, ok, t, trace)
+    t, mx, (w, _, j, _) = _t_and_m(m, x)
+    ok = w is None and j is None
+    return BoundaryReport(x, mx if ok else None, ok, t, [])
 
 
 def atom_mass(f, x: float, tols: Optional[Tolerances] = None) -> np.ndarray:

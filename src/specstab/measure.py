@@ -146,6 +146,11 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _summed(rows: np.ndarray, ids: list):
+    """rows[ids] summed in order, one row as is; None for no ids."""
+    return (rows[ids[0]] if len(ids) == 1 else rows[ids].sum(axis=0)) if ids else None
+
+
 def _reject_first(bad: np.ndarray, message) -> None:
     """Raise MeasureError(message(k)) for the first flagged index k."""
     hits = bad.nonzero()[0]
@@ -276,7 +281,6 @@ class MatrixMeasure:
         # Terms without mass are left out: they add nothing, and a kernel
         # pole on one would give inf * 0.
         atom_kept, piece_kept = w_tr > 0.0, r_tr > 0.0
-        self._atom_ids = atom_kept.nonzero()[0]
         self.xs = _frozen(xs[atom_kept])
         self.a = _frozen(a[piece_kept])
         self.b = _frozen(b[piece_kept])
@@ -289,7 +293,9 @@ class MatrixMeasure:
         # the segment integrals by rho: both are views of one array
         self._weights = _frozen(np.concatenate([hW[atom_kept], hrho[piece_kept]]).reshape(-1, n * n))
         self._weights_re_im = self._weights.view(float)
+        self._zero = _frozen(np.zeros((n, n), dtype=complex))
         self.W, self.rho = self._weights[:len(self.xs)], self._weights[len(self.xs):]
+        self._w_nn, self._rho_nn = (v.reshape(-1, n, n) for v in (self.W, self.rho))
         self._pts = _frozen(np.concatenate([self.xs, self.a, self.b]))
         self.cauchy_offset = _frozen(
             (self.xs / (1.0 + self.xs ** 2)) @ self.W
@@ -332,25 +338,30 @@ class MatrixMeasure:
             return tuple(sorted({i for t in ids for i in self._dirs[t]}))
         return self._dirs[ids[0]] if ids else ()
 
-    def in_piece_interior(self, x: float) -> bool:
-        """Whether x is on the support in piece interiors only: more than
-        tol_x inside every piece holding it, and off every atom."""
-        k, tol = len(self.xs), self.tols.tol_x
-        ids = self._terms_at(x)
-        return bool(ids) and all(t >= k and self._a[t - k] + tol < x < self._b[t - k] - tol
-                                 for t in ids)
+    def mass_at(self, x: float):
+        """(W, ρ̄, J) at x: the weight of the atoms within tol_x of x, the
+        mean ρ̄ = (ρ(x−) + ρ(x+))/2 of the densities beside x and their jump
+        J = ρ(x+) − ρ(x−); a piece holds x on one side within tol_x of an end."""
+        return tuple(self._zero if v is None else v for v in self._at(x)[:3])
 
-    def density_at(self, x: float) -> np.ndarray:
-        """ρ(x): the summed density of the pieces holding x inside them."""
-        k = len(self.xs)
-        inside = sorted(t - k for t in self._terms_at(x)     # summed in piece order
-                        if t >= k and self._a[t - k] < x < self._b[t - k])
-        return self.rho[inside].sum(axis=0).reshape(self.dim, self.dim)
-
-    def atom_at(self, x: float):
-        """Atom carrying mass whose point is within tol_x of x, or None."""
-        ids = [t for t in self._terms_at(x) if t < len(self.xs)]
-        return self.atoms[self._atom_ids[min(ids)]] if ids else None
+    def _at(self, x: float):
+        """``mass_at``, None for a zero, and the coefficient-row indices of
+        the terms within tol_x of x (atoms, piece starts, piece ends)."""
+        ids = sorted(self._terms_at(x))
+        if not ids:
+            return None, None, None, ()
+        k, tol = self._k, self.tols.tol_x
+        atoms, pieces = [t for t in ids if t < k], [t - k for t in ids if t >= k]
+        left = [j for j in pieces if self._a[j] + tol < x]
+        right = [j for j in pieces if x < self._b[j] - tol]
+        near = atoms + [k + j for j in pieces if j not in left]
+        near += [k + self._p + j for j in pieces if j not in right]
+        w, below = _summed(self._w_nn, atoms), _summed(self._rho_nn, left)
+        if left == right:       # a piece interior, or no piece at all
+            return w, below, None, near
+        below, above = (self._rho_nn[side].sum(axis=0) for side in (left, right))
+        jump = above - below
+        return w, 0.5 * (below + above), jump if jump.any() else None, near
 
     def on_support(self, x):
         """Whether x is within tol_x of a term carrying mass: a bool, or a
@@ -390,14 +401,12 @@ class Kernel:
     array is the caller's: ``integrate`` overwrites it in place.
     ``pole`` is the real point where the kernel is singular (a 1-D array
     of them for a batch of real points), or None; ``integrate`` reports
-    divergence there instead of evaluating (a ``principal_value`` kernel
-    only where the pole is not in a piece interior).  A ``compensated``
+    divergence there instead of evaluating.  A ``compensated``
     kernel omits the z-independent Cauchy compensator y/(1+y²), whose
     integral ``integrate`` takes from the measure's ``cauchy_offset``.
     """
 
     pole = None
-    principal_value = False
     compensated = False
 
 
@@ -463,10 +472,9 @@ class RegularizedKernel(Kernel):
 class CauchyKernel(Kernel):
     """y -> 1/(y - z) - y/(1 + y^2), the Herglotz representation integrand.
 
-    Works for complex z off the real axis and, as the boundary-value fast
-    path, for real z off the support, where it is evaluated in real
-    arithmetic, and a single real z in a piece interior, where it is the
-    principal value.  A 1-D array of z is a batch: the integral comes out
+    Works for complex z off the real axis and, in real arithmetic, for
+    real z off the support or, as a finite part (``integrate``'s ``drop``),
+    on it.  A 1-D array of z is a batch: the integral comes out
     stacked along a leading axis.  A complex array is a batch off the real
     axis, every Im z != 0; a real array is a batch of real points.
     """
@@ -479,7 +487,6 @@ class CauchyKernel(Kernel):
             self.z = self._w = complex(z)
             if self.z.imag == 0.0:
                 self.pole = self._w = self.z.real
-                self.principal_value = True
             return
         if z.dtype.kind != "c":
             self.pole = z
@@ -531,27 +538,33 @@ class IntervalUnion(Kernel):
 # -- operations ----------------------------------------------------------
 
 
-def integrate(kernel: Kernel, omega: MatrixMeasure):
+def integrate(kernel: Kernel, omega: MatrixMeasure, drop=None):
     """Integrate a closed-form kernel against the measure.
 
     Returns the matrix (a stack of them, on leading axes, for a batched
     kernel), or a :class:`Divergent` carrying the 0-based directions i
     whose diagonal scalar integral against mu_ii diverges.  Divergence is
     directional: a kernel pole sitting on an atom or inside a piece only
-    kills the directions with nonzero diagonal mass there, unless the kernel
-    has a principal value there (in piece interiors only).  A batch of real
+    kills the directions with nonzero diagonal mass there.  A batch of real
     points is all or nothing: one point on the support makes the whole
     result Divergent, in the directions diverging at any point, so callers
-    split a batch with ``on_support`` first.  K, P, the slices of a
+    split a batch with ``on_support`` first.  Given ``drop``, the row
+    indices of every term at a one-point kernel's pole (``MatrixMeasure._at``),
+    it returns the finite part instead: those coefficients 0.  K, P, the slices of a
     coefficient row and the (n, n) shape come from the measure, set once
     when it was validated; the coefficients are overwritten in place, so a
     kernel handing out an array it keeps (the scan's rows) is single use.
     """
-    if kernel.pole is not None:
+    if drop is None and kernel.pole is not None:
         bad = omega._divergent_directions(kernel.pole)
-        if bad and not (kernel.principal_value and omega.in_piece_interior(kernel.pole)):
+        if bad:
             return Divergent(bad)
-    coef = kernel.coefficients(omega._pts, omega._k)
+    if not drop:
+        coef = kernel.coefficients(omega._pts, omega._k)
+    else:   # 1/0 or log 0 at a dropped term, overwritten
+        with np.errstate(divide="ignore", over="ignore"):
+            coef = kernel.coefficients(omega._pts, omega._k)
+        coef[drop] = 0.0
     if omega._p:    # each piece: primitive at its end minus at its start, in place
         starts = coef[omega._starts]
         np.subtract(coef[omega._ends], starts, out=starts)
@@ -569,16 +582,13 @@ def density_matrix(omega: MatrixMeasure, t: float) -> DensityMatrixValue:
     """Trace-normalized density at t and its rank (the local multiplicity).
 
     At an atom the atom weight dominates the Radon-Nikodym derivative;
-    inside a piece the constant density appears. Points with no trace mass
-    have no density value.
+    elsewhere the mean density ρ̄ of ``mass_at`` appears (at a piece end,
+    the density of its side).  Points with no trace mass have no density value.
     """
     t = as_real_point(t, "density_matrix", batch=False)
-    at = omega.atom_at(t)
-    if at is not None:
-        w = np.asarray(at.W)
-    else:
-        w = omega.density_at(t)
-        if not np.trace(w).real > 0.0:
-            raise DefinedNowhereError(f"no trace mass at t={t}")
+    w, rho, _ = omega.mass_at(t)
+    w = w if w.any() else rho
+    if not np.trace(w).real > 0.0:
+        raise DefinedNowhereError(f"no trace mass at t={t}")
     psi = w / np.trace(w).real
     return DensityMatrixValue(psi, matrix_rank(psi, omega.tols.rank_tol))

@@ -34,9 +34,9 @@ def tol_bv_seen(monkeypatch):
     seen = []
     real = hz.richardson_limit
 
-    def spy(samples, tols, order=1):
+    def spy(samples, tols):
         seen.append(tols.tol_bv)
-        return real(samples, tols, order)
+        return real(samples, tols)
 
     monkeypatch.setattr(hz, "richardson_limit", spy)
     return seen
@@ -55,7 +55,8 @@ def _call_log(monkeypatch, *names):
 
     for name in names:
         for mod in (ext, hz):
-            monkeypatch.setattr(mod, name, count(getattr(hz, name)))
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, count(getattr(hz, name)))
     return calls
 
 
@@ -69,18 +70,6 @@ def eps_calls(monkeypatch):
 def real_x_calls(monkeypatch):
     """The ``t_matrix`` and ``integrate_cauchy`` calls, in order."""
     return _call_log(monkeypatch, "t_matrix", "integrate_cauchy")
-
-
-@pytest.fixture
-def undecided_t_limit(monkeypatch):
-    """The second-order ε-limit of max_mult_test_via (its T_{D'}) finds no
-    limit at all, as richardson_limit reports it: (None, [], False)."""
-    real = ext.richardson_limit
-
-    def undecided(samples, tols, order=1):
-        return (None, [], False) if order == 2 else real(samples, tols, order)
-
-    monkeypatch.setattr(ext, "richardson_limit", undecided)
 
 
 @pytest.fixture

@@ -164,7 +164,7 @@ def test_criterion_6_union_theorem_scan():
     records = scan_forbidden(omega, ScanConfig(-3.0, 3.0, steps=2000))
     n_finite = 0
     for rec in records:
-        on_atom = omega.atom_at(rec.x) is not None
+        on_atom = omega.mass_at(rec.x)[0].any()
         in_ac = 0.0 < rec.x < 1.0
         if on_atom or in_ac:
             assert not rec.t_finite, f"support point x={rec.x} reported finite T"

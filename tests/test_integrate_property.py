@@ -8,8 +8,9 @@ sit exactly on atoms and piece ends, within tol_x/2 of them and 2·tol_x
 away.  A batch of complex z near the point goes through the Cauchy kernel
 and ``evaluate`` in one call and must match the scalar calls z by z.  On
 the same measures: T(x), the real-x Cauchy integral and ``on_support``
-make one support decision, in which a piece interior gives the Cauchy
-kernel its principal value; just off the support the closed-form
+make one support decision; on the support both real-x kernels have the
+finite part of the reference, which leaves out the terms within tol_x of
+x (``integrate``'s ``drop``); just off the support the closed-form
 boundary value is the ε-limit; and Im M(z) ⪰ 0 above the axis.
 """
 
@@ -57,7 +58,8 @@ def reference_kernel(kernel):
     if isinstance(kernel, PoissonSquareKernel):
         x = kernel.x
         return (lambda y: [1.0 / (x - y) ** 2],
-                lambda a, b: [1.0 / (x - b), -1.0 / (x - a)], x)
+                lambda a, b: [1.0 / (x - b) if abs(x - b) > TOL_X else 0.0,
+                              -1.0 / (x - a) if abs(x - a) > TOL_X else 0.0], x)
     if isinstance(kernel, RegularizedKernel):
         x, m = kernel.x, kernel.m
         return (lambda y: [1.0 / ((x - y) ** 2 + 1.0 / m ** 2)],
@@ -67,40 +69,45 @@ def reference_kernel(kernel):
         pole = z.real if z.imag == 0.0 else None
 
         def segment(a, b):
-            log = complex(np.log((b - z) / (a - z)))
-            return [log.real if pole is not None else log,
-                    -0.5 * math.log((1 + b * b) / (1 + a * a))]
+            comp = -0.5 * math.log((1 + b * b) / (1 + a * a))
+            if pole is None:
+                return [complex(np.log((b - z) / (a - z))), comp]
+            # real z: log|y - z| at each end, 0 at one within tol_x (the finite part)
+            return [math.log(abs(b - pole)) if abs(b - pole) > TOL_X else 0.0,
+                    -math.log(abs(a - pole)) if abs(a - pole) > TOL_X else 0.0, comp]
         return (lambda y: [1.0 / (y - z), -y / (1.0 + y * y)], segment, pole)
     region = kernel
     return (lambda y: [1.0 if _in_region(region, y) else 0.0],
             lambda a, b: [_overlap(region, a, b)], None)
 
 
-def reference_integrate(kernel, omega: MatrixMeasure):
+def reference_integrate(kernel, omega: MatrixMeasure, finite: bool = False):
     """(matrix or Divergent, size): size bounds the sum's rounding.  A
-    real-x Cauchy kernel whose pole lies only in piece interiors, more than
-    tol_x inside their ends, is the principal value."""
+    real pole on the support gives Divergent, or with ``finite`` the finite
+    part: an atom within tol_x of the pole left out but for its Cauchy
+    compensator, and the primitive at a piece end there taken as 0."""
     value, segment, pole = reference_kernel(kernel)
     terms = [(at.W, at.x, None) for at in omega.atoms]
     terms += [(pc.rho, pc.a, pc.b) for pc in omega.ac_pieces]
     bad = set()
-    edge = False      # the pole within tol_x of an atom or a piece end
     total = np.zeros((omega.dim, omega.dim), dtype=complex)
     size = 0.0
     for w, a, b in terms:
         if np.trace(w).real <= 0.0:   # the zero matrix adds nothing anywhere
             continue
-        if pole is not None and (abs(a - pole) <= TOL_X if b is None
-                                 else a - TOL_X <= pole <= b + TOL_X):
+        on_pole = pole is not None and (abs(a - pole) <= TOL_X if b is None
+                                         else a - TOL_X <= pole <= b + TOL_X)
+        if on_pole:
             bad.update(int(i) for i in np.flatnonzero(np.real(np.diag(w)) > 0))
-            edge = edge or b is None or not a + TOL_X < pole < b - TOL_X
-            if edge:
-                continue
-        parts = value(a) if b is None else segment(a, b)
+        if b is not None:
+            parts = segment(a, b)
+        elif on_pole:   # the pole part goes; the Cauchy compensator stays
+            parts = [-a / (1.0 + a * a)] if isinstance(kernel, CauchyKernel) else []
+        else:
+            parts = value(a)
         total += sum(parts) * w
         size += sum(abs(p) for p in parts) * float(np.linalg.norm(w))
-    # only the real-x Cauchy kernel has a principal value, in piece interiors
-    if bad and (edge or not isinstance(kernel, CauchyKernel)):
+    if bad and not finite:
         return Divergent(tuple(sorted(bad))), 0.0
     return total, size
 
@@ -159,10 +166,13 @@ def test_array_integrate_matches_term_by_term_reference(data):
     region = IntervalUnion((x - 1.0, x + 0.25), (x, x + 1.0, False, True), (x + 2.0, x + 3.0))
     kernels = [PoissonSquareKernel(x), RegularizedKernel(x, m), CauchyKernel(x + 1j * imag),
                CauchyKernel(x), RegularizedKernel(0.0, 1.0), region]
-    for kernel in kernels:
-        got = integrate(kernel, omega)
-        ref, size = reference_integrate(kernel, omega)
-        name = type(kernel).__name__
+    drop = omega._at(x)[3]
+    cases = [(k, None, False) for k in kernels]
+    cases += [(k, drop, True) for k in (PoissonSquareKernel(x), CauchyKernel(x))]
+    for kernel, dropped, finite in cases:
+        got = integrate(kernel, omega, dropped)
+        ref, size = reference_integrate(kernel, omega, finite)
+        name = (type(kernel).__name__, finite)
         if isinstance(ref, Divergent):
             assert isinstance(got, Divergent), name
             assert got.directions == ref.directions, name
@@ -223,14 +233,18 @@ def test_t_matrix_cauchy_and_support_agree(data):
     m = HerglotzMatrix.from_measure(omega)
     t = t_matrix(m, x)
     cauchy = integrate_cauchy(m, x)
-    interior = omega.in_piece_interior(x)
-    assert is_divergent(t) == omega.on_support(x)
-    assert is_divergent(cauchy) == (omega.on_support(x) and not interior)
+    assert is_divergent(t) == is_divergent(cauchy) == omega.on_support(x)
     if is_divergent(cauchy):
         assert t.directions == cauchy.directions
-    # the support lookup chooses the boundary-value path: no ε-limit iff
-    # T(x) is finite or x lies in a piece interior
-    assert (not boundary_value(m, x).eps_trace) == (not is_divergent(t) or interior)
+    # M(x+i0) has a limit unless an atom sits at x or the density jumps
+    # there: sides taken as in MatrixMeasure.mass_at, with tol_x
+    kept = [pc for pc in omega.ac_pieces if np.trace(pc.rho).real > 0.0]
+    below = sum((pc.rho for pc in kept if pc.a + TOL_X < x <= pc.b + TOL_X), np.zeros(1))
+    above = sum((pc.rho for pc in kept if pc.a - TOL_X <= x < pc.b - TOL_X), np.zeros(1))
+    atom = any(abs(at.x - x) <= TOL_X and np.trace(at.W).real > 0.0 for at in omega.atoms)
+    rep = boundary_value(m, x)
+    assert rep.converged == (not atom and np.array_equal(above - below, np.zeros_like(above - below)))
+    assert rep.eps_trace == []
 
 
 @settings(max_examples=100, deadline=None)

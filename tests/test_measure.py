@@ -88,7 +88,7 @@ class TestMasslessTerms:
     def test_poisson_square_at_zero_weight_atom(self):
         omega = self.zero_atom()
         assert not omega.on_support(0.0)
-        assert omega.atom_at(0.0) is None
+        assert not any(v.any() for v in omega.mass_at(0.0))
         np.testing.assert_allclose(integrate(PoissonSquareKernel(0.0), omega), np.eye(2))
 
     def test_boundary_value_at_zero_weight_atom(self):
@@ -268,6 +268,15 @@ class TestDensityMatrix:
             assert abs(np.trace(dv.psi).real - 1.0) < 1e-12
             assert 0 <= dv.multiplicity <= 3
 
+    def test_piece_ends_answer_for_their_side(self):
+        # at an end within tol_x the piece holds x on its side only: ρ̄ = ρ/2,
+        # normalized as inside; it raised DefinedNowhereError at an exact end
+        omega = MatrixMeasure(2, ac_pieces=[ACPiece(0.0, 1.0, np.diag([2.0, 1.0]))])
+        inside = density_matrix(omega, 0.5)
+        for t in (0.0, 1.0, 1.0 + 0.5 * omega.tols.tol_x, 1e-13):
+            dv = density_matrix(omega, t)
+            assert np.array_equal(dv.psi, inside.psi) and dv.multiplicity == 2, t
+
     def test_no_mass_raises(self):
         omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
         with pytest.raises(DefinedNowhereError):
@@ -351,15 +360,19 @@ def check_lookups(omega, xs):
         dirs = {i for k in atoms for i in diag(omega.W[k])}
         dirs |= {i for p in pieces for i in diag(omega.rho[p])}
         assert omega._divergent_directions(x) == tuple(sorted(dirs)), x
-        interior = bool(pieces) and not atoms and all(
-            omega.a[p] + tol < x < omega.b[p] - tol for p in pieces)
-        assert omega.in_piece_interior(x) is interior, x
-        atom = next((at for at in omega.atoms if np.trace(at.W).real > 0.0
-                     and at.x - tol <= x <= at.x + tol), None)
-        assert omega.atom_at(x) is atom, x
-        inside = (omega.a < x) & (x < omega.b)
-        assert np.array_equal(omega.density_at(x),
-                              omega.rho[inside].sum(axis=0).reshape(n, n)), x
+        # mass_at: a piece holds x on a side unless x is within tol_x of that end
+        below = [p for p in pieces if omega.a[p] + tol < x]
+        above = [p for p in pieces if x < omega.b[p] - tol]
+        w, rho, jump = omega.mass_at(x)
+        rho_b, rho_a = (omega.rho[side].sum(axis=0).reshape(n, n) for side in (below, above))
+        assert np.array_equal(w, omega.W[atoms].sum(axis=0).reshape(n, n)), x
+        assert np.array_equal(rho, rho_b if below == above else 0.5 * (rho_b + rho_a)), x
+        assert np.array_equal(jump, rho_a - rho_b), x
+        # the finite part drops the atoms and the piece ends within tol_x
+        k, p = omega.xs.size, omega.a.size
+        near = atoms + [k + q for q in pieces if q not in below]
+        near += [k + p + q for q in pieces if q not in above]
+        assert sorted(omega._at(x)[3]) == sorted(near), x
     batch = np.array(xs)
     assert omega.on_support(batch).tolist() == [omega.on_support(x) for x in xs]
     assert omega._divergent_directions(batch) == tuple(sorted(
@@ -379,8 +392,13 @@ class TestSupportLookup:
         assert omega._divergent_directions(1.0) == (0, 1, 2)
         assert omega._divergent_directions(0.5) == (1, 2)
         assert omega._divergent_directions(3.0) == () and not omega.on_support(2.6)
-        assert omega.in_piece_interior(1.5) and not omega.in_piece_interior(0.5)
-        assert omega.atom_at(1.0) is omega.atoms[1] and omega.atom_at(3.0) is None
+        # at 1.0 an atom and a junction: ρ(1−) = e₁, ρ(1+) = 3e₂
+        w, rho, jump = omega.mass_at(1.0)
+        assert np.array_equal(w, np.diag([1.0, 0.0, 0.0]))
+        assert np.array_equal(rho, np.diag([0.0, 0.5, 1.5]))
+        assert np.array_equal(jump, np.diag([0.0, -1.0, 3.0]))
+        assert not omega._at(1.5)[3] and omega.mass_at(1.5)[1][2, 2] == 3.0
+        assert not any(v.any() for v in omega.mass_at(3.0))
         check_lookups(omega, lookup_points(omega, np.random.default_rng(0)))
 
     @settings(max_examples=150, deadline=None)

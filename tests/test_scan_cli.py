@@ -342,16 +342,17 @@ class TestCLI:
         doc = json.loads(capsys.readouterr().out)
         assert doc["verdict"]
 
-    def test_test_command_reports_an_undecided_t_limit(self, single_atom_file, tmp_path,
-                                                       capsys, undecided_t_limit):
+    def test_test_command_at_an_atom_is_closed_form(self, single_atom_file, tmp_path,
+                                                    capsys):
+        # at the unit atom M_{D'}(0+i0) = 0 and T_{D'}(0) = W⁻¹ = 1, while
+        # (D' - D)^{-1} = 2: false, with the relative residual |0 - 2|/2
         d = write_json(tmp_path / "d.json", [[[-0.5, 0]]])
         dp = write_json(tmp_path / "dp.json", [[[0.0, 0]]])
         assert self.run("test", "--measure", single_atom_file, "--d-matrix", d,
                         "--d-prime", dp, "--x", "0") == 0
-        out = capsys.readouterr().out
-        assert '"divergent_directions": []' in out and '"residual": null' in out
-        doc = json.loads(out)
-        assert not doc["verdict"] and not doc["t_finite"] and "m_boundary" not in doc
+        doc = json.loads(capsys.readouterr().out)
+        assert not doc["verdict"] and doc["t_finite"] and doc["residual"] == 1.0
+        assert doc["t"] == [[[1.0, 0.0]]] and doc["m_boundary"] == [[[0.0, 0.0]]]
 
     def test_masses_of_an_extension_read_tol_bv(self, single_atom_file, tmp_path,
                                                 tol_bv_seen):
@@ -455,7 +456,7 @@ class TestCLI:
     @pytest.mark.parametrize("args", [
         ("boundary", "--x", "nan"), ("boundary", "--x", "inf"),
         ("tmatrix", "--x=-inf"), ("eval", "--z", "nan,1"), ("eval", "--z", "1+infj"),
-        ("scan", "--grid", "0:nan:3"), ("boundary", "--x", "1", "--tol-bv", "nan")])
+        ("scan", "--grid", "0:nan:3"), ("masses", "--x", "1", "--tol-bv", "nan")])
     def test_non_finite_real_argument_exits_2(self, single_atom_file, capsys, args):
         with pytest.raises(SystemExit) as exc:
             self.run(args[0], "--measure", single_atom_file, *args[1:])
@@ -494,7 +495,8 @@ class TestCLI:
         assert captured.out == "" and "--d-matrix" in captured.err
 
     @pytest.mark.parametrize("args", [("boundary", "--x", "2", "--format", "csv"),
-                                      ("eval", "--z", "0,1", "--tol-bv", "1e-8")])
+                                      ("eval", "--z", "0,1", "--tol-bv", "1e-8"),
+                                      ("boundary", "--x", "2", "--tol-bv", "1e-8")])
     def test_option_the_command_does_not_read_exits_2(self, single_atom_file, capsys, args):
         with pytest.raises(SystemExit) as exc:
             self.run(args[0], "--measure", single_atom_file, *args[1:])
@@ -507,13 +509,13 @@ class TestCLI:
         base = {"--measure", "--out", "--tol-rank", "--tol-x"}
         expected = {
             "eval": base | {"--d-matrix", "--z"},
-            "boundary": base | {"--x", "--tol-bv"},
+            "boundary": base | {"--x"},
             "tmatrix": base | {"--x"},
             "masses": base | {"--d-matrix", "--x", "--tol-bv"},
             "eigs": base | {"--d-matrix", "--grid"},
-            "test": base | {"--d-matrix", "--d-prime", "--x", "--tol-bv", "--tol-match"},
+            "test": base | {"--d-matrix", "--d-prime", "--x", "--tol-match"},
             "scan": base | {"--grid", "--format"},
-            "verify": base | {"--trials", "--seed", "--tol-bv", "--tol-match"},
+            "verify": base | {"--trials", "--seed", "--tol-match"},
         }
         sub = next(a for a in cli.build_parser()._actions
                    if isinstance(a, argparse._SubParsersAction))
@@ -521,7 +523,7 @@ class TestCLI:
                            if opt not in ("-h", "--help")}
                     for name, p in sub.choices.items()}
         assert declared == expected
-        assert sum(map(len, declared.values())) == 53
+        assert sum(map(len, declared.values())) == 50
 
     def test_verify_rejects_negative_trials(self, single_atom_file, capsys):
         assert self.run("verify", "--measure", single_atom_file, "--trials", "-1") == 2
