@@ -10,15 +10,14 @@ from hypothesis import given, settings, strategies as st
 from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       ExtensionParameter, HerglotzMatrix, MatrixMeasure,
                       PreconditionError, Tolerances,
-                      extension_for_point, is_divergent, mass_at_max_mult,
+                      extension_for_point, mass_at_max_mult,
                       max_mult_test, max_mult_test_via,
                       resolvent_identity_residual)
 import specstab.extensions as ext
 from specstab.extensions import MIN_GAP_SV, _inv_certified, _inv_checked, extension_weyl
 from specstab.herglotz import atom_mass, boundary_value
-from specstab.measure import hermitian_part
 from specstab.randgen import (random_gap_matrix, random_herglotz, random_hermitian,
-                              random_psd, point_off_atoms)
+                              point_off_atoms)
 from specstab.verify import MASS_AGREE_TOL, N_DPRIME
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
