@@ -8,11 +8,10 @@ forbidden-energy grid scanner.
 """
 
 from .config import DEFAULT_TOLS, Tolerances
-from .measure import (ACPiece, Atom, CauchyKernel, DensityMatrixValue,
-                      Divergent, Interval, IntervalUnion, MatrixMeasure,
-                      MeasureError, PoissonSquareKernel, RegularizedKernel,
-                      density_matrix, hermitian_part, integrate, is_divergent,
-                      matrix_rank)
+from .measure import (ACPiece, Atom, CauchyKernel, Divergent, Interval,
+                      IntervalUnion, MatrixMeasure, MeasureError,
+                      PoissonSquareKernel, RegularizedKernel, hermitian_part,
+                      integrate, is_divergent, matrix_rank)
 from .herglotz import (BoundaryReport, HerglotzMatrix, NotConvergedError,
                        atom_mass, boundary_value, evaluate, t_matrix)
 from .extensions import (ConditioningError, ExtensionParameter,

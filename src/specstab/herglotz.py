@@ -7,12 +7,13 @@ form: on the support M is the finite part M_fin, without the terms within
 tol_x of x (``MatrixMeasure.mass_at``: atoms W, mean density ρ̄, jump J),
 and M(x+i0) = M_fin + iπρ̄ where W = J = 0, with no limit elsewhere.  The
 one ε-limit is ``atom_mass``: ``richardson_limit`` over the schedule
-``EPS``, sampled by one call of ``evaluate`` on a 1-D array of z.  Every
-analysis reads the measure's tolerances, ``m.omega.tols``.  Points are
-checked where they enter a kernel (``measure.as_point``) and by the
-one-point entries; ``t_matrix`` and ``integrate_cauchy`` also take a 1-D
-array of real x.  ``boundary_value`` and ``max_mult_test_via`` read
-T(x), M_fin(x) and the mass at x from a one-slot memo (``_t_and_m``).
+``EPS``, sampled by one call of ``evaluate`` on a 1-D array of z and
+stopped at convergence only.  Every analysis reads the measure's
+tolerances, ``m.omega.tols``.  Points are checked where they enter a
+kernel (``measure.as_point``) and by the one-point entries; ``t_matrix``
+and ``integrate_cauchy`` also take a 1-D array of real x.
+``boundary_value`` and ``max_mult_test_via`` read T(x), M_fin(x) and the
+mass at x from a one-slot memo (``_t_and_m``).
 """
 
 from __future__ import annotations
@@ -147,9 +148,9 @@ def richardson_limit(samples: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     of ``EPS`` (ValueError for any other length); a sample that could not
     be formed (a numerically singular inverse) is NaN.  The scan is that of
     a sequential loop: first-order Richardson extrapolation, stopping at the
-    first extrapolate within tol_bv of the previous one (Frobenius), or at
-    a geometric blow-up: four extrapolate norms each over 1.8 times the
-    last, ending above 1e8.  ConditioningError is raised exactly when a NaN
+    first extrapolate within tol_bv·max(1, its norm) of the previous one
+    (Frobenius), the one stopping rule; a sequence that never settles uses
+    the whole schedule.  ConditioningError is raised exactly when a NaN
     sample is among those consumed.  Returns (the converged extrapolate or
     None, the consumed (eps, sample) pairs, converged).
     """
@@ -157,21 +158,16 @@ def richardson_limit(samples: np.ndarray, tols: Tolerances = DEFAULT_TOLS):
     if s.shape[:1] != EPS.shape:
         raise ValueError(f"expected a stack of {len(EPS)} ε-samples, got shape {s.shape}")
     r = 2.0 * s[1:] - s[:-1]     # r[i] extrapolates samples i, i+1
-    norms = _fro(r)
-    grows = norms[1:] > 1.8 * norms[:-1]
-    converged = np.zeros(norms.size, dtype=bool)
-    converged[1:] = _fro(r[1:] - r[:-1]) <= tols.tol_bv * np.maximum(1.0, norms[1:])
-    blown = np.zeros(norms.size, dtype=bool)
-    blown[3:] = (norms[3:] > 1e8) & grows[:-2] & grows[1:-1] & grows[2:]
-    stops = (converged | blown).nonzero()[0]
-    used = int(stops[0]) + 2 if stops.size else len(EPS)
+    # settled[i]: r[i + 1] within tol_bv of r[i], after samples 0..i+2
+    settled = (_fro(r[1:] - r[:-1]) <= tols.tol_bv * np.maximum(1.0, _fro(r[1:]))).nonzero()[0]
+    ok = bool(settled.size)
+    used = int(settled[0]) + 3 if ok else len(EPS)
     unformed = np.isnan(s[:used]).any(axis=(1, 2)).nonzero()[0]
     if unformed.size:
         raise ConditioningError(
             f"the ε-sample at eps={EPS[unformed[0]]:.3e} could not be formed "
             "(numerically singular)")
     trace = list(zip(EPS[:used].tolist(), s[:used]))
-    ok = bool(converged[used - 2])      # False where no rule fired
     return (r[used - 2] if ok else None), trace, ok
 
 

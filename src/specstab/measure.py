@@ -34,10 +34,6 @@ class MeasureError(ValueError):
     """Invalid measure data (non-PSD weight, overlapping pieces, ...)."""
 
 
-class DefinedNowhereError(ValueError):
-    """Requested a density value at a point carrying no mass."""
-
-
 class PreconditionError(ValueError):
     """An operation precondition was violated."""
 
@@ -205,14 +201,6 @@ class ACPiece:
 
 
 @dataclass(frozen=True)
-class DensityMatrixValue:
-    """Trace-normalized mass direction at a point, with its rank."""
-
-    psi: np.ndarray
-    multiplicity: int
-
-
-@dataclass(frozen=True)
 class Divergent:
     """Marker for a matrix integral that diverges along some directions.
 
@@ -235,10 +223,10 @@ class MatrixMeasure:
 
     ``atoms`` and ``ac_pieces`` hold the terms as given, sorted.  The
     terms carrying mass (nonzero trace) are also held as read-only arrays:
-    ``xs`` (K,) and ``W`` (K, n*n) for the atoms, ``a``, ``b`` (P,) and
-    ``rho`` (P, n*n) for the pieces, weights flattened row-major: the given
-    ones' Hermitian parts with -0.0 made +0.0, which ``hermitian_part`` leaves
-    bit for bit, as it leaves their integrals T(x) and M(x) at real x.
+    ``xs`` (K,) and ``W`` (K, n, n) for the atoms, ``a``, ``b`` (P,) and
+    ``rho`` (P, n, n) for the pieces, each weight the given one's Hermitian
+    part with -0.0 made +0.0, which ``hermitian_part`` leaves bit for bit,
+    as it leaves their integrals T(x) and M(x) at real x.
     ``cauchy_offset`` (n*n,) is ∫ y/(1+y²) dΩ(y), the z-independent part
     of the Cauchy kernel integral.
     """
@@ -290,16 +278,15 @@ class MatrixMeasure:
         self._starts, self._ends = (..., slice(k, k + p)), (..., slice(k + p, None))
         self._terms, self._nn = (..., slice(k + p)), (n, n)
         # integrate's one product weighs the kernel values at xs by W and
-        # the segment integrals by rho: both are views of one array
+        # the segment integrals by rho, flattened row-major: all views of one array
         self._weights = _frozen(np.concatenate([hW[atom_kept], hrho[piece_kept]]).reshape(-1, n * n))
         self._weights_re_im = self._weights.view(float)
         self._zero = _frozen(np.zeros((n, n), dtype=complex))
-        self.W, self.rho = self._weights[:len(self.xs)], self._weights[len(self.xs):]
-        self._w_nn, self._rho_nn = (v.reshape(-1, n, n) for v in (self.W, self.rho))
+        self.W, self.rho = self._weights[:k].reshape(-1, n, n), self._weights[k:].reshape(-1, n, n)
         self._pts = _frozen(np.concatenate([self.xs, self.a, self.b]))
         self.cauchy_offset = _frozen(
-            (self.xs / (1.0 + self.xs ** 2)) @ self.W
-            + (0.5 * np.log((1.0 + self.b ** 2) / (1.0 + self.a ** 2))) @ self.rho)
+            (self.xs / (1.0 + self.xs ** 2)) @ self._weights[:k]
+            + (0.5 * np.log((1.0 + self.b ** 2) / (1.0 + self.a ** 2))) @ self._weights[k:])
 
         # Support of every term widened by tol_x, atoms first, then pieces:
         # [lo, hi] sorted by lo, with the running maximum of hi, so that the
@@ -356,10 +343,10 @@ class MatrixMeasure:
         right = [j for j in pieces if x < self._b[j] - tol]
         near = atoms + [k + j for j in pieces if j not in left]
         near += [k + self._p + j for j in pieces if j not in right]
-        w, below = _summed(self._w_nn, atoms), _summed(self._rho_nn, left)
+        w, below = _summed(self.W, atoms), _summed(self.rho, left)
         if left == right:       # a piece interior, or no piece at all
             return w, below, None, near
-        below, above = (self._rho_nn[side].sum(axis=0) for side in (left, right))
+        below, above = (self.rho[side].sum(axis=0) for side in (left, right))
         jump = above - below
         return w, 0.5 * (below + above), jump if jump.any() else None, near
 
@@ -383,7 +370,7 @@ class MatrixMeasure:
     @cached_property
     def atom_eigh(self):
         """eigh of the atom weights, read-only, formed on first use (not by __init__)."""
-        lam, vecs = np.linalg.eigh(self.W.reshape(-1, self.dim, self.dim))
+        lam, vecs = np.linalg.eigh(self.W)
         return _frozen(lam), _frozen(vecs)
 
 
@@ -576,19 +563,3 @@ def integrate(kernel: Kernel, omega: MatrixMeasure, drop=None):
     if kernel.compensated:
         total -= omega.cauchy_offset
     return total.reshape(coef.shape[:-1] + omega._nn)
-
-
-def density_matrix(omega: MatrixMeasure, t: float) -> DensityMatrixValue:
-    """Trace-normalized density at t and its rank (the local multiplicity).
-
-    At an atom the atom weight dominates the Radon-Nikodym derivative;
-    elsewhere the mean density ρ̄ of ``mass_at`` appears (at a piece end,
-    the density of its side).  Points with no trace mass have no density value.
-    """
-    t = as_real_point(t, "density_matrix", batch=False)
-    w, rho, _ = omega.mass_at(t)
-    w = w if w.any() else rho
-    if not np.trace(w).real > 0.0:
-        raise DefinedNowhereError(f"no trace mass at t={t}")
-    psi = w / np.trace(w).real
-    return DensityMatrixValue(psi, matrix_rank(psi, omega.tols.rank_tol))

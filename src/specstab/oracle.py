@@ -17,10 +17,11 @@ the roots are clustered.  Masses come from residue calculus on the kernel
 of H at each pole, for all the poles in one stacked pass (one
 eigendecomposition of the stack of H(p), one batched T(p), one inverse
 per kernel dimension); maximum multiplicity means that the rank of the
-mass equals the ambient dimension.  A projected derivative V*T(p)V whose
-smallest singular value is within 1e-10·max(1, largest) of 0 is
-ill-conditioned; its inverse certifies the others, so an SVD runs only on
-those it cannot (``extensions._inv_certified``).
+mass equals the ambient dimension.  Every singular-or-not decision is
+``extensions._inv_certified``: a shift whose H(s) has its smallest
+singular value within KERNEL_TOL·max(1, largest) of 0 is singular, a
+projected derivative V*T(p)V within 1e-10·max(1, largest) ill-conditioned;
+the inverse certifies the others, so an SVD runs only on those it cannot.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tupl
     shifts = 0.5 * (pts[:-1] + pts[1:])[np.argsort(-np.diff(pts), kind="stable")]
     for s in shifts[~omega.on_support(shifts)]:
         hs = _h(m, D, np.array([s]))[0]
-        sv = np.linalg.svd(hs, compute_uv=False)
-        if sv[-1] > KERNEL_TOL * max(1.0, sv[0]):
+        if _inv_certified(hs, KERNEL_TOL)[1]:
             break
     else:
         raise OracleError("D - M(x) is numerically singular at every shift tried")

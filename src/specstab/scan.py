@@ -15,6 +15,7 @@ block within a fixed entry budget, however long the grid.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Tuple, Union
@@ -42,8 +43,8 @@ class ScanConfig:
     def __post_init__(self):
         if not self.a < self.b:
             raise ValueError(f"grid requires a < b, got [{self.a}, {self.b}]")
-        if np.isinf([self.a, self.b]).any():
-            raise ValueError(f"grid ends must be finite, got [{self.a}, {self.b}]")
+        if math.isinf(float(self.b) - float(self.a)):   # an infinite end, or an overflow
+            raise ValueError(f"grid ends and their span must be finite, got [{self.a}, {self.b}]")
         if not hasattr(self.steps, "__index__") or operator.index(self.steps) < 2:
             raise ValueError(f"grid needs at least 2 integer steps, got {self.steps!r}")
 

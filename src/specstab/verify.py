@@ -21,8 +21,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .extensions import (extension_for_point, extension_weyl, max_mult_test,
-                         max_mult_test_via)
+from .extensions import (_inv_certified, extension_for_point, extension_weyl,
+                         max_mult_test, max_mult_test_via)
 from .herglotz import ConditioningError, HerglotzMatrix, atom_mass, integrate_cauchy
 from .io import matrix_out
 from .measure import MatrixMeasure, _fro
@@ -36,15 +36,15 @@ N_DPRIME = 3        # random second parameters D' tried per max-mult pole
 
 
 def _scan_window(rng, omega: MatrixMeasure, x0: float, m: HerglotzMatrix, d):
-    """Bounded window containing x0 and all atoms, endpoints off any pole."""
+    """Bounded window containing x0 and all atoms, each end's D - M with its
+    smallest singular value above 1e-6 (``_inv_certified``)."""
     lo, hi = omega.support_bounds()
     lo = min(lo, x0) - 0.5
     hi = max(hi, x0) + 0.5
     for _ in range(50):
         a = lo - float(rng.uniform(0.0, 0.5))
         b = hi + float(rng.uniform(0.0, 0.5))
-        h = d.D - integrate_cauchy(m, [a, b])
-        if (np.linalg.svd(h, compute_uv=False)[:, -1] > 1e-6).all():
+        if _inv_certified(d.D - integrate_cauchy(m, [a, b]), 0.0, 1e-6)[1].all():
             return a, b
     raise ConditioningError("could not pick nonsingular window endpoints")
 

@@ -9,9 +9,9 @@ from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
                       ExtensionParameter, HerglotzMatrix, Interval,
                       IntervalUnion, MatrixMeasure, MeasureError,
                       PoissonSquareKernel, RegularizedKernel, Tolerances,
-                      boundary_value, density_matrix, integrate, is_divergent)
+                      boundary_value, integrate, is_divergent)
 from specstab.io import InputError, load_hermitian
-from specstab.measure import DefinedNowhereError, as_point, is_hermitian
+from specstab.measure import as_point, is_hermitian
 from specstab.randgen import random_atomic_measure
 
 
@@ -240,49 +240,6 @@ class TestIntegrate:
         assert np.allclose(prev, limit, rtol=1e-6)
 
 
-class TestDensityMatrix:
-    def test_identity_atom(self):
-        omega = MatrixMeasure(2, [Atom(1.0, np.eye(2))])
-        dv = density_matrix(omega, 1.0)
-        assert np.allclose(dv.psi, np.eye(2) / 2)
-        assert dv.multiplicity == 2
-
-    def test_rank_one_atom(self):
-        omega = MatrixMeasure(2, [Atom(0.0, np.diag([3.0, 0.0]))])
-        dv = density_matrix(omega, 0.0)
-        assert np.allclose(dv.psi, np.diag([1.0, 0.0]))
-        assert dv.multiplicity == 1
-
-    def test_inside_piece(self):
-        omega = MatrixMeasure(2, ac_pieces=[ACPiece(0.0, 1.0, np.diag([2.0, 2.0]))])
-        dv = density_matrix(omega, 0.5)
-        assert np.allclose(dv.psi, np.eye(2) / 2)
-        assert dv.multiplicity == 2
-
-    def test_unit_trace_and_bounded_multiplicity(self):
-        rng = np.random.default_rng(13)
-        for _ in range(20):
-            omega = random_atomic_measure(rng, 3)
-            at = omega.atoms[int(rng.integers(len(omega.atoms)))]
-            dv = density_matrix(omega, at.x)
-            assert abs(np.trace(dv.psi).real - 1.0) < 1e-12
-            assert 0 <= dv.multiplicity <= 3
-
-    def test_piece_ends_answer_for_their_side(self):
-        # at an end within tol_x the piece holds x on its side only: ρ̄ = ρ/2,
-        # normalized as inside; it raised DefinedNowhereError at an exact end
-        omega = MatrixMeasure(2, ac_pieces=[ACPiece(0.0, 1.0, np.diag([2.0, 1.0]))])
-        inside = density_matrix(omega, 0.5)
-        for t in (0.0, 1.0, 1.0 + 0.5 * omega.tols.tol_x, 1e-13):
-            dv = density_matrix(omega, t)
-            assert np.array_equal(dv.psi, inside.psi) and dv.multiplicity == 2, t
-
-    def test_no_mass_raises(self):
-        omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
-        with pytest.raises(DefinedNowhereError):
-            density_matrix(omega, 5.0)
-
-
 class TestAsPoint:
     def test_numbers_and_batches(self):
         assert as_point(1) == 1.0 and isinstance(as_point(1), float)
@@ -346,10 +303,10 @@ def lookup_points(omega, rng):
 def check_lookups(omega, xs):
     """Every scalar support lookup against its definition from xs, a, b,
     tol_x and the weight diagonals of the terms carrying mass."""
-    n, tol = omega.dim, omega.tols.tol_x
+    tol = omega.tols.tol_x
 
-    def diag(w):        # a flattened weight's directions with diagonal mass
-        return np.flatnonzero(w[::n + 1].real > 0.0).tolist()
+    def diag(w):        # a weight's directions with diagonal mass
+        return np.flatnonzero(w.diagonal().real > 0.0).tolist()
 
     for x in xs:
         atoms = [k for k, y in enumerate(omega.xs.tolist()) if y - tol <= x <= y + tol]
@@ -364,8 +321,8 @@ def check_lookups(omega, xs):
         below = [p for p in pieces if omega.a[p] + tol < x]
         above = [p for p in pieces if x < omega.b[p] - tol]
         w, rho, jump = omega.mass_at(x)
-        rho_b, rho_a = (omega.rho[side].sum(axis=0).reshape(n, n) for side in (below, above))
-        assert np.array_equal(w, omega.W[atoms].sum(axis=0).reshape(n, n)), x
+        rho_b, rho_a = (omega.rho[side].sum(axis=0) for side in (below, above))
+        assert np.array_equal(w, omega.W[atoms].sum(axis=0)), x
         assert np.array_equal(rho, rho_b if below == above else 0.5 * (rho_b + rho_a)), x
         assert np.array_equal(jump, rho_a - rho_b), x
         # the finite part drops the atoms and the piece ends within tol_x

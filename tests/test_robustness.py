@@ -17,7 +17,7 @@ import specstab
 from specstab import (Atom, ConditioningError, ExtensionParameter, HerglotzMatrix,
                       MatrixMeasure, OracleError, PoissonSquareKernel, PreconditionError,
                       RegularizedKernel, ScanConfig, atom_mass, boundary_value, classify, cli,
-                      density_matrix, evaluate, extension_for_point, extension_weyl, integrate,
+                      evaluate, extension_for_point, extension_weyl, integrate,
                       mass_at_max_mult, max_mult_test, max_mult_test_via, real_poles,
                       residue_mass, resolvent_identity_residual, t_matrix, verify)
 from specstab.randgen import point_off_atoms, random_atomic_measure, random_gap_matrix, random_psd
@@ -61,12 +61,12 @@ def test_public_api_census():
               if not name.startswith("_") and not inspect.ismodule(obj)}
     assert public == {
         "ACPiece", "Atom", "BoundaryReport", "CauchyKernel", "ConditioningError",
-        "DEFAULT_TOLS", "DensityMatrixValue", "Divergent", "ExtensionParameter", "GridRecord",
+        "DEFAULT_TOLS", "Divergent", "ExtensionParameter", "GridRecord",
         "HerglotzMatrix", "Interval", "IntervalUnion",
         "MatrixMeasure", "MaxMultEvidence", "MeasureError", "NotConvergedError", "OracleError",
         "PoissonSquareKernel", "PoleRecord", "PreconditionError", "RegularizedKernel",
         "ScanConfig", "Tolerances", "atom_mass", "boundary_value", "classify",
-        "density_matrix", "evaluate", "extension_for_point", "extension_weyl",
+        "evaluate", "extension_for_point", "extension_weyl",
         "hermitian_part", "integrate", "is_divergent", "mass_at_max_mult", "matrix_rank",
         "max_mult_test", "max_mult_test_via", "real_poles", "residue_mass",
         "resolvent_identity_residual", "run_verify", "scan_forbidden", "t_matrix"}
@@ -145,6 +145,37 @@ def test_measure_fro_is_the_only_frobenius_norm():
     assert uses == []
 
 
+def _calls_by_function(tree: ast.Module, module: str, attr: str):
+    """``module.function`` for every call in the tree of a callable named
+    ``attr`` (``np.linalg.svd``, ``linalg.svd``, a bare ``svd``)."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call):
+                f = child.func
+                if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == attr:
+                    found.append(".".join([module] + scope))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_svd_census():
+    # a singular-or-not decision goes through extensions._inv_certified,
+    # whose certificate skips the SVD where the inverse decides; the only
+    # other SVD is the pole branch of max_mult_test_via, which needs the
+    # kernel's vectors
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        calls += _calls_by_function(ast.parse(path.read_text()), path.stem, "svd")
+    assert calls == ["extensions._inv_certified", "extensions.max_mult_test_via"]
+
+
 def test_the_lapack_gufunc_is_the_only_inverse():
     # _inv_certified runs the gufunc np.linalg.inv wraps, without the
     # wrapper's type checks, and its certificate: no second inverse path
@@ -220,14 +251,12 @@ NON_FINITE_POINT_CALLS = {
         m, np.zeros((2, 2)), np.eye(2), complex(math.nan, 1.0)),
     "PoissonSquareKernel": lambda m: integrate(PoissonSquareKernel(math.nan), m.omega),
     "RegularizedKernel": lambda m: integrate(RegularizedKernel(math.inf, 1.0), m.omega),
-    "density_matrix": lambda m: density_matrix(m.omega, math.nan),
 }
 
 
 @pytest.mark.parametrize("call", NON_FINITE_POINT_CALLS.values(), ids=NON_FINITE_POINT_CALLS)
 def test_non_finite_points_are_precondition_errors(two_atom, call):
-    # these returned NaN matrices or raised ConditioningError, a bare LinAlgError
-    # or, for density_matrix, DefinedNowhereError
+    # these returned NaN matrices or raised ConditioningError or a bare LinAlgError
     with pytest.raises(PreconditionError, match="finite"):
         call(two_atom)
 
@@ -287,7 +316,6 @@ ONE_POINT_CALLS = {
     "mass_at_max_mult": lambda m, x: mass_at_max_mult(m, np.zeros((2, 2)), x),
     "max_mult_test_via": lambda m, x: max_mult_test_via(m, np.zeros((2, 2)), np.eye(2), x),
     "atom_mass": atom_mass,
-    "density_matrix": lambda m, x: density_matrix(m.omega, x),
 }
 REAL_X_CALLS = {
     **ONE_POINT_CALLS,
@@ -317,8 +345,7 @@ def test_resolvent_identity_residual_takes_one_point(two_atom):
 @pytest.mark.parametrize("call", ONE_POINT_CALLS.values(), ids=ONE_POINT_CALLS)
 def test_one_point_entry_points_reject_a_batch(two_atom, call, x):
     # max_mult_test_via gave one evidence over all the points, atom_mass a bare
-    # broadcast ValueError, mass_at_max_mult an AttributeError and
-    # density_matrix an ambiguous truth value
+    # broadcast ValueError and mass_at_max_mult an AttributeError
     with pytest.raises(PreconditionError, match="one real point"):
         call(two_atom, x)
 

@@ -2,6 +2,7 @@ import argparse
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -97,6 +98,15 @@ class TestScanForbidden:
             ScanConfig(1.0, 0.0, steps=10)
         with pytest.raises(ValueError):
             ScanConfig(0.0, 1.0, steps=1)
+
+    @pytest.mark.parametrize("a, b", [(-1e308, 1e308), (np.float64(-1e308), np.float64(1e308))],
+                             ids=["float", "float64"])
+    def test_a_span_that_overflows_is_rejected(self, a, b):
+        # the grid was accepted and grid() then overflowed in b - a, a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"span must be finite, got \[-1"):
+                ScanConfig(a, b, 5)
 
     @pytest.mark.parametrize("steps", [2.5, 3.0, "3"])
     def test_non_integral_steps_rejected(self, steps):
@@ -463,6 +473,15 @@ class TestCLI:
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "finite" in captured.err
+
+    def test_a_grid_span_that_overflows_exits_2(self, single_atom_file, capsys):
+        # two numpy overflow warnings used to precede "points must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert self.run("scan", "--measure", single_atom_file, "--grid=-1e308:1e308:5") == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: grid ends and their span must be finite, got [-1e+308, 1e+308]\n")
 
     def test_nan_in_d_file_exits_2_naming_the_entry(self, single_atom_file, tmp_path, capsys):
         d = write_json(tmp_path / "d.json", [[[float("nan"), 0]]])
