@@ -328,7 +328,9 @@ class MatrixMeasure:
     def mass_at(self, x: float):
         """(W, ρ̄, J) at x: the weight of the atoms within tol_x of x, the
         mean ρ̄ = (ρ(x−) + ρ(x+))/2 of the densities beside x and their jump
-        J = ρ(x+) − ρ(x−); a piece holds x on one side within tol_x of an end."""
+        J = ρ(x+) − ρ(x−); a piece holds x on one side within tol_x of an end.
+        PreconditionError for a point that is not one finite real number."""
+        x = as_real_point(x, "mass_at", batch=False)
         return tuple(self._zero if v is None else v for v in self._at(x)[:3])
 
     def _at(self, x: float):

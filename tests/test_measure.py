@@ -9,7 +9,7 @@ from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
                       ExtensionParameter, HerglotzMatrix, Interval,
                       IntervalUnion, MatrixMeasure, MeasureError,
                       PoissonSquareKernel, RegularizedKernel, Tolerances,
-                      boundary_value, integrate, is_divergent)
+                      boundary_value, integrate, is_divergent, matrix_rank)
 from specstab.io import InputError, load_hermitian
 from specstab.measure import as_point, is_hermitian
 from specstab.randgen import random_atomic_measure
@@ -238,6 +238,68 @@ class TestIntegrate:
             prev = diag
         limit = np.real(np.diag(integrate(PoissonSquareKernel(x), omega)))
         assert np.allclose(prev, limit, rtol=1e-6)
+
+
+class TestMassAt:
+    """The mass at a point, and the trace-normalized density and local
+    multiplicity a caller reads from it."""
+
+    @staticmethod
+    def density(omega, t):
+        w, rho, _ = omega.mass_at(t)
+        w = w if w.any() else rho
+        psi = w / np.trace(w).real
+        return psi, matrix_rank(psi, omega.tols.rank_tol)
+
+    def test_identity_atom(self):
+        omega = MatrixMeasure(2, [Atom(1.0, np.eye(2))])
+        w, rho, jump = omega.mass_at(1.0)
+        assert np.array_equal(w, np.eye(2)) and not rho.any() and not jump.any()
+        psi, mult = self.density(omega, 1.0)
+        assert np.allclose(psi, np.eye(2) / 2) and mult == 2
+
+    def test_rank_one_atom(self):
+        omega = MatrixMeasure(2, [Atom(0.0, np.diag([3.0, 0.0]))])
+        assert np.array_equal(omega.mass_at(0.0)[0], np.diag([3.0, 0.0]))
+        psi, mult = self.density(omega, 0.0)
+        assert np.allclose(psi, np.diag([1.0, 0.0])) and mult == 1
+
+    def test_inside_piece(self):
+        omega = MatrixMeasure(2, ac_pieces=[ACPiece(0.0, 1.0, np.diag([2.0, 2.0]))])
+        w, rho, jump = omega.mass_at(0.5)
+        assert not w.any() and np.array_equal(rho, np.diag([2.0, 2.0])) and not jump.any()
+        psi, mult = self.density(omega, 0.5)
+        assert np.allclose(psi, np.eye(2) / 2) and mult == 2
+
+    def test_unit_trace_and_bounded_multiplicity(self):
+        rng = np.random.default_rng(13)
+        for _ in range(20):
+            omega = random_atomic_measure(rng, 3)
+            k = int(rng.integers(len(omega.atoms)))
+            at = omega.atoms[k]
+            w, rho, jump = omega.mass_at(at.x)
+            assert np.array_equal(w, omega.W[k]) and not rho.any() and not jump.any()
+            psi, mult = self.density(omega, at.x)
+            assert abs(np.trace(psi).real - 1.0) < 1e-12
+            assert 0 <= mult <= 3
+
+    def test_piece_ends_answer_for_their_side(self):
+        # at an end within tol_x the piece holds x on its side only: the mean
+        # density is ρ/2, the jump ±ρ, and the normalized density as inside
+        rho_in = np.diag([2.0, 1.0])
+        omega = MatrixMeasure(2, ac_pieces=[ACPiece(0.0, 1.0, rho_in)])
+        inside = self.density(omega, 0.5)
+        for t, sign in ((0.0, 1.0), (1e-13, 1.0), (1.0, -1.0),
+                        (1.0 + 0.5 * omega.tols.tol_x, -1.0)):
+            w, rho, jump = omega.mass_at(t)
+            assert not w.any(), t
+            assert np.array_equal(rho, 0.5 * rho_in) and np.array_equal(jump, sign * rho_in), t
+            psi, mult = self.density(omega, t)
+            assert np.array_equal(psi, inside[0]) and mult == 2, t
+
+    def test_no_mass_is_zero(self):
+        omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
+        assert all(v.shape == (1, 1) and not v.any() for v in omega.mass_at(5.0))
 
 
 class TestAsPoint:

@@ -251,12 +251,14 @@ NON_FINITE_POINT_CALLS = {
         m, np.zeros((2, 2)), np.eye(2), complex(math.nan, 1.0)),
     "PoissonSquareKernel": lambda m: integrate(PoissonSquareKernel(math.nan), m.omega),
     "RegularizedKernel": lambda m: integrate(RegularizedKernel(math.inf, 1.0), m.omega),
+    "mass_at": lambda m: m.omega.mass_at(math.nan),
 }
 
 
 @pytest.mark.parametrize("call", NON_FINITE_POINT_CALLS.values(), ids=NON_FINITE_POINT_CALLS)
 def test_non_finite_points_are_precondition_errors(two_atom, call):
-    # these returned NaN matrices or raised ConditioningError or a bare LinAlgError
+    # these returned NaN matrices or raised ConditioningError or a bare LinAlgError;
+    # mass_at returned zero mass
     with pytest.raises(PreconditionError, match="finite"):
         call(two_atom)
 
@@ -316,6 +318,7 @@ ONE_POINT_CALLS = {
     "mass_at_max_mult": lambda m, x: mass_at_max_mult(m, np.zeros((2, 2)), x),
     "max_mult_test_via": lambda m, x: max_mult_test_via(m, np.zeros((2, 2)), np.eye(2), x),
     "atom_mass": atom_mass,
+    "mass_at": lambda m, x: m.omega.mass_at(x),
 }
 REAL_X_CALLS = {
     **ONE_POINT_CALLS,
@@ -329,7 +332,8 @@ REAL_X_CALLS = {
 @pytest.mark.parametrize("call", REAL_X_CALLS.values(), ids=REAL_X_CALLS)
 def test_real_x_entry_points_reject_complex_points(two_atom, call, x):
     # float(x) raised a bare TypeError, which cli.EXIT_CODES does not map, or
-    # for a numpy complex warned and went on at Re x; atom_mass returned a matrix
+    # for a numpy complex warned and went on at Re x; atom_mass returned a matrix,
+    # and mass_at the zero mass of a numpy complex
     with pytest.raises(PreconditionError, match="real point"):
         call(two_atom, x)
 
@@ -345,7 +349,8 @@ def test_resolvent_identity_residual_takes_one_point(two_atom):
 @pytest.mark.parametrize("call", ONE_POINT_CALLS.values(), ids=ONE_POINT_CALLS)
 def test_one_point_entry_points_reject_a_batch(two_atom, call, x):
     # max_mult_test_via gave one evidence over all the points, atom_mass a bare
-    # broadcast ValueError and mass_at_max_mult an AttributeError
+    # broadcast ValueError, mass_at_max_mult an AttributeError and mass_at an
+    # ambiguous truth value
     with pytest.raises(PreconditionError, match="one real point"):
         call(two_atom, x)
 
