@@ -40,16 +40,7 @@ class ExtensionParameter:
     D: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.D, dtype=complex)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise ValueError(f"D must be square, got shape {d.shape}")
-        if not is_hermitian(d):
-            raise ValueError("D must be Hermitian")
-        object.__setattr__(self, "D", _frozen(d))
-
-    @property
-    def dim(self) -> int:
-        return self.D.shape[0]
+        object.__setattr__(self, "D", _frozen(_hermitian_square(np.asarray(self.D, dtype=complex))))
 
 
 @dataclass
@@ -78,14 +69,23 @@ class MaxMultEvidence:
         return hermitian_part(self.m_boundary @ inv @ self.m_boundary if self.via else inv)
 
 
-def as_parameter(d, n: int) -> ExtensionParameter:
-    """d itself if an ExtensionParameter, else a copy of d validated as one;
-    PreconditionError unless it is n x n, n the dimension of the measure."""
-    p = d if isinstance(d, ExtensionParameter) else ExtensionParameter(np.array(d, dtype=complex))
-    if p.dim != n:
-        raise PreconditionError(f"the parameter is {p.dim}x{p.dim} but the measure "
-                                f"has n={n}")
-    return p
+def _hermitian_square(d: np.ndarray) -> np.ndarray:
+    """d itself, checked as an ``ExtensionParameter`` checks its D."""
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"D must be square, got shape {d.shape}")
+    if not is_hermitian(d):
+        raise ValueError("D must be Hermitian")
+    return d
+
+
+def as_parameter(d, n: int) -> np.ndarray:
+    """The matrix of d: ``d.D`` for an ExtensionParameter, else a checked
+    private copy of d, with no wrapper built; PreconditionError unless it
+    is n x n, n the dimension of the measure."""
+    D = d.D if isinstance(d, ExtensionParameter) else _hermitian_square(np.array(d, dtype=complex))
+    if len(D) != n:
+        raise PreconditionError(f"the parameter is {len(D)}x{len(D)} but the measure has n={n}")
+    return D
 
 
 def _inv_certified(a: np.ndarray, rel: float, floor: float = 0.0):
@@ -144,19 +144,19 @@ def extension_weyl(m: HerglotzMatrix, d):
     every z where D - M(z) is numerically singular; a single z raises
     ConditioningError there.
     """
-    D = as_parameter(d, m.dim).D
+    D = as_parameter(d, m.dim)
     return lambda z: _inv_checked(D - evaluate(m, z), "D - M(z)")
 
 
 def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> float:
     """Relative Frobenius defect of both composed forms of M_D via M_{D'}."""
     n = m.dim
-    D, Dp = as_parameter(d, n).D, as_parameter(d_prime, n).D
+    D, Dp = as_parameter(d, n), as_parameter(d_prime, n)
     if is_batch(z := as_point(z)):
         raise PreconditionError(f"resolvent_identity_residual takes one point z, got {z}")
     eye = np.eye(n)
-    md = extension_weyl(m, D)(z)
-    mdp = extension_weyl(m, Dp)(z)
+    mz = evaluate(m, z)
+    md, mdp = (_inv_checked(p - mz, "D - M(z)") for p in (D, Dp))
     delta = D - Dp
     form1 = mdp @ _inv_checked(delta @ mdp + eye, "(D-D')M_D' + I")
     form2 = _inv_checked(mdp @ delta + eye, "M_D'(D-D') + I") @ mdp
@@ -172,7 +172,7 @@ def max_mult_test(m: HerglotzMatrix, d, x):
     there; each point on the support takes ``boundary_value`` alone, as
     does a single x (its T(x) and M(x) are read-only, from m's memo).
     """
-    D = as_parameter(d, m.dim).D
+    D = as_parameter(d, m.dim)
     if not is_batch(x):
         return _test_at(m, D, x)
     xs = as_real_point(x, "max_mult_test")
@@ -190,7 +190,7 @@ def _test_at(m: HerglotzMatrix, D: np.ndarray, x: float) -> MaxMultEvidence:
     rep = boundary_value(m, x)
     residual = _fro(rep.m_boundary - D) if rep.converged else math.inf
     verdict = rep.t_finite and residual <= m.omega.tols.tol_match
-    return MaxMultEvidence(x, rep.t_matrix, rep.m_boundary, residual, verdict)
+    return MaxMultEvidence(rep.x, rep.t_matrix, rep.m_boundary, residual, verdict)
 
 
 def _kernel_and_pinv(a: np.ndarray, tol: float):
@@ -230,15 +230,15 @@ def max_mult_test_via(m: HerglotzMatrix, d, d_prime, x: float) -> MaxMultEvidenc
     its smallest singular value above max(MIN_GAP_SV, 1e-13·largest).
     """
     x = as_real_point(x, "max_mult_test_via", batch=False)
-    D, dp = as_parameter(d, m.dim).D, as_parameter(d_prime, m.dim)
-    target, ok, smin = _inv_certified(dp.D - D, 1e-13, MIN_GAP_SV)
+    D, Dp = as_parameter(d, m.dim), as_parameter(d_prime, m.dim)
+    target, ok, smin = _inv_certified(Dp - D, 1e-13, MIN_GAP_SV)
     if not ok:      # absolutely or relatively singular
         raise PreconditionError(
             f"det(D - D') vanishes within tolerance (smallest sv {smin:.3e})")
 
     rank_tol = m.omega.tols.rank_tol
     t, mx, (w, rho, j, near) = _t_and_m(m, x)
-    a = dp.D - mx
+    a = Dp - mx
     if rho is not None:
         a -= 1j * np.pi * rho
     # split off the atom at x, then the jump on what the atom leaves

@@ -77,16 +77,23 @@ def is_batch(x) -> bool:
     return not isinstance(x, (float, complex)) and np.ndim(x) > 0
 
 
+def _point_kind(x) -> str:
+    """The dtype kind of x as an array; PreconditionError for a bool or a string."""
+    if (kind := np.asarray(x).dtype.kind) in "bSU":
+        raise PreconditionError(f"points must be numbers, got {x!r}")
+    return kind
+
+
 def as_point(x):
     """x as a number, or a 1-D array of them as an array: complex where x
-    is complex, float otherwise.  PreconditionError for a NaN or infinite
-    part and for a batch that is not 1-D."""
-    if not is_batch(x):     # np.iscomplexobj costs ~2 µs on a Python number
+    is complex, float otherwise.  PreconditionError for a bool, a string, a
+    NaN or infinite part, and a batch that is not 1-D."""
+    if not is_batch(x):     # a float skips np.asarray, ~0.2 µs on a Python int
         x = complex(x) if isinstance(x, complex) or (
-            not isinstance(x, float) and np.iscomplexobj(x)) else float(x)
+            not isinstance(x, float) and _point_kind(x) == "c") else float(x)
         finite = cmath.isfinite(x)
     else:
-        x = np.asarray(x, dtype=complex if np.iscomplexobj(x) else float)
+        x = np.asarray(x, dtype=complex if _point_kind(x) == "c" else float)
         if x.ndim != 1:
             raise PreconditionError("a batch of points must be a 1-D array")
         finite = np.isfinite(x).all()

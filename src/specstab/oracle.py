@@ -31,7 +31,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .extensions import _inv_certified, as_parameter
+from .extensions import ExtensionParameter, _inv_certified, as_parameter
 from .herglotz import HerglotzMatrix, integrate_cauchy, t_matrix
 from .measure import as_real_point, hermitian_part, is_batch, is_divergent, matrix_rank
 
@@ -71,7 +71,7 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tupl
     ν(b) - ν(a) + Σ_{a<x_k<b} rank W_k, ν counting the negative eigenvalues
     of H (H decreases between atoms, and crossing x_k takes rank W_k away).
     """
-    D = as_parameter(d, m.dim).D
+    D = as_parameter(d, m.dim)
     omega = m.omega
     if not omega.purely_atomic:
         raise OracleError("pole search requires a purely atomic measure")
@@ -143,7 +143,7 @@ def residue_mass(m: HerglotzMatrix, d, p, kernel_dim=None) -> np.ndarray:
     support, is not a pole, is given a kernel_dim outside 1..n, or has an
     ill-conditioned projected derivative.
     """
-    D = as_parameter(d, m.dim).D
+    D = as_parameter(d, m.dim)
     ps = np.array(as_real_point(p, "residue_mass"), ndmin=1)
     w, vecs = np.linalg.eigh(_h(m, D, ps))
     if kernel_dim is None:
@@ -179,7 +179,8 @@ def classify(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[PoleRe
     disagreement is left in the record for the caller to report.
     """
     n = m.dim
-    d = as_parameter(d, n)
+    if not isinstance(d, ExtensionParameter):   # checked here once, not by each call below
+        d = ExtensionParameter(np.array(d, dtype=complex))
     poles = real_poles(m, d, interval)
     ps = np.array([p for p, _ in poles], dtype=float)
     kdims = np.array([kdim for _, kdim in poles], dtype=int)

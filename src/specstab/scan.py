@@ -16,6 +16,7 @@ block within a fixed entry budget, however long the grid.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Tuple, Union
@@ -41,6 +42,8 @@ class ScanConfig:
     m_schedule: ClassVar[Tuple[int, ...]] = DEFAULT_M_SCHEDULE
 
     def __post_init__(self):
+        if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) for e in (self.a, self.b)):
+            raise ValueError(f"grid ends must be real numbers, got {self.a!r}, {self.b!r}")
         if not self.a < self.b:
             raise ValueError(f"grid requires a < b, got [{self.a}, {self.b}]")
         if math.isinf(float(self.b) - float(self.a)):   # an infinite end, or an overflow

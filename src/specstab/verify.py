@@ -19,6 +19,8 @@ output is byte-identical across reruns.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .extensions import (_inv_certified, extension_for_point, extension_weyl,
@@ -111,9 +113,9 @@ def run_verify(m: HerglotzMatrix, trials: int, seed: int) -> dict:
     """Full campaign on one measure; deterministic given the seed."""
     if not m.omega.purely_atomic:
         raise ValueError("verification campaigns require a purely atomic measure")
-    trials = int(trials)
-    if trials < 1:
-        raise ValueError(f"a campaign needs at least one trial, got {trials}")
+    if not hasattr(trials, "__index__") or operator.index(trials) < 1:
+        raise ValueError(f"a campaign needs at least one trial, as an integer, got {trials!r}")
+    trials = operator.index(trials)
     rng = np.random.default_rng(seed)
     results = [run_trial(rng, m) for _ in range(trials)]
     ok = all(r["ok"] for r in results)

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       ExtensionParameter, HerglotzMatrix, MatrixMeasure,
-                      PreconditionError, Tolerances,
+                      PreconditionError, Tolerances, classify,
                       extension_for_point, mass_at_max_mult,
                       max_mult_test, max_mult_test_via,
                       resolvent_identity_residual)
@@ -32,6 +32,37 @@ class TestExtensionParameter:
     def test_requires_square(self):
         with pytest.raises(ValueError, match="square"):
             ExtensionParameter(np.zeros((2, 3)))
+
+    def test_a_raw_parameter_is_checked_once_and_never_wrapped(self, two_atom, monkeypatch):
+        # as_parameter wrapped each raw d in a frozen ExtensionParameter
+        checks, built = [], []
+        check, post_init = ext.is_hermitian, ExtensionParameter.__post_init__
+        monkeypatch.setattr(ext, "is_hermitian", lambda a: checks.append(1) or check(a))
+        monkeypatch.setattr(ExtensionParameter, "__post_init__",
+                            lambda p: built.append(1) or post_init(p))
+        d, dp = np.zeros((2, 2)), 2.0 * np.eye(2)
+        calls = {"max_mult_test": (lambda: ext.max_mult_test(two_atom, d, 0.5), 1),
+                 "on a batch": (lambda: ext.max_mult_test(two_atom, d, [0.5, 2.0]), 1),
+                 "max_mult_test_via": (lambda: ext.max_mult_test_via(two_atom, d, dp, 0.5), 2),
+                 "resolvent_identity_residual": (
+                     lambda: ext.resolvent_identity_residual(two_atom, d, dp, 1j), 2),
+                 "extension_weyl": (lambda: ext.extension_weyl(two_atom, d)(1j), 1)}
+        for name, (call, raw) in calls.items():
+            checks.clear()
+            call()
+            assert len(checks) == raw, name
+        assert built == []
+        # classify wraps a raw d once, for its pole search and residues
+        checks.clear()
+        classify(two_atom, d, (-3.0, 3.0))
+        assert built == [1] and checks == [1]
+
+    def test_the_weyl_function_keeps_its_own_copy(self, two_atom):
+        d = np.zeros((2, 2), dtype=complex)
+        fn = extension_weyl(two_atom, d)
+        before = fn(1j)
+        d[0, 0] = 5.0
+        assert fn(1j).tobytes() == before.tobytes()
 
 
 class TestWeylOfExtension:

@@ -7,8 +7,9 @@ import pytest
 from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       HerglotzMatrix, MatrixMeasure, NotConvergedError,
                       PreconditionError, atom_mass, boundary_value, evaluate,
-                      is_divergent, max_mult_test, max_mult_test_via, t_matrix)
-from specstab.herglotz import EPS, richardson_limit
+                      hermitian_part, is_divergent, max_mult_test, max_mult_test_via,
+                      t_matrix)
+from specstab.herglotz import _I_EPS, _MINUS_I_EPS, EPS, richardson_limit
 from specstab.randgen import random_herglotz
 
 
@@ -310,6 +311,83 @@ class TestVectorizedScan:
     def test_a_stack_of_another_length_is_rejected(self, size):
         with pytest.raises(ValueError, match="41"):
             richardson_limit(np.ones((size, 1, 1)))
+
+
+def one_call_mass(f, x, tols=DEFAULT_TOLS):
+    """Reference for atom_mass: one richardson_limit call on the whole schedule."""
+    val, _, ok = richardson_limit(_MINUS_I_EPS * np.asarray(f(x + _I_EPS)), tols)
+    if not ok:
+        raise NotConvergedError(f"atom mass limit at x={x} did not converge")
+    return hermitian_part(val)
+
+
+def _weyl_like(fn, unformed, sizes):
+    """A callable on a batch z = iε over the schedule's first len(z) ε whose
+    -iε-scaled samples follow fn, NaN at the unformed schedule indices; it
+    records the size of each batch it is given."""
+    def f(zs):
+        sizes.append(len(zs))
+        out = np.array([1j * fn(e) / e for e in zs.imag.tolist()], dtype=complex)
+        out[[k for k in unformed if k < len(zs)]] = np.nan
+        return out
+    return f
+
+
+class TestStagedLimit:
+    HALF = len(EPS) // 2
+
+    @pytest.mark.parametrize("tol_bv", [DEFAULT_TOLS.tol_bv, 1e-6])
+    @pytest.mark.parametrize("unformed", [(), (3,), (12,), (19,), (20,), (30,), (40,)])
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_the_first_half_gives_the_whole_stacks_bits(self, name, unformed, tol_bv):
+        _, stacked = _samplers(SEQUENCES[name], set(unformed))
+        tols = DEFAULT_TOLS.with_overrides(tol_bv=tol_bv)
+        whole = _run(richardson_limit, stacked, tols)
+        half = _run(richardson_limit, stacked[:self.HALF], tols)
+        if half == "raised":
+            assert whole == "raised"
+        elif half[2]:
+            assert whole != "raised" and whole[2]
+            assert half[0].tobytes() == whole[0].tobytes()
+            assert [e for e, _ in half[1]] == [e for e, _ in whole[1]]
+            assert all(a.tobytes() == b.tobytes() for (_, a), (_, b) in zip(half[1], whole[1]))
+        else:   # unsettled: every sample of the half consumed, none past it
+            assert half[0] is None and len(half[1]) == self.HALF
+            assert whole == "raised" or len(whole[1]) > self.HALF
+
+    @pytest.mark.parametrize("unformed", [(), (5,), (19,), (25,), (40,)])
+    @pytest.mark.parametrize("name", sorted(SEQUENCES))
+    def test_atom_mass_is_one_call_on_the_whole_schedule(self, name, unformed):
+        # the same mass bits, or the same error, as the single call it replaced
+        def outcome(mass, sizes):
+            f = _weyl_like(SEQUENCES[name], unformed, sizes)
+            try:
+                return mass(f, 0.0).tobytes()
+            except (ConditioningError, NotConvergedError) as exc:
+                return type(exc)
+
+        whole, sizes = [], []
+        assert outcome(atom_mass, sizes) == outcome(one_call_mass, whole)
+        assert sizes in ([self.HALF], [self.HALF, len(EPS)])
+
+    @pytest.mark.parametrize("name, sizes", [("quadratic", [20]),
+                                             ("noise_then_converged", [20, 41]),
+                                             ("oscillating", [20, 41])])
+    def test_the_whole_schedule_only_where_the_half_does_not_settle(self, name, sizes):
+        seen = []
+        f = _weyl_like(SEQUENCES[name], (), seen)
+        if name == "oscillating":
+            with pytest.raises(NotConvergedError, match="x=0.0"):
+                atom_mass(f, 0.0)
+            assert seen == sizes
+        else:
+            got = atom_mass(f, 0.0).tobytes()
+            assert seen == sizes
+            assert got == one_call_mass(f, 0.0).tobytes()
+
+    def test_a_sample_of_another_length_is_named(self):
+        with pytest.raises(ValueError, match="41 or 20"):
+            richardson_limit(np.ones((21, 1, 1)))
 
 
 class TestTMatrix:

@@ -77,6 +77,17 @@ def test_run_verify_rejects_zero_trials(two_atom):
         run_verify(two_atom, trials=0, seed=1)
 
 
+@pytest.mark.parametrize("trials", [1.5, 2.0, "2", None])
+def test_run_verify_rejects_a_non_integral_trial_count(two_atom, trials):
+    # int() ran 1.5 as one trial and "2" as two
+    with pytest.raises(ValueError, match="at least one trial, as an integer"):
+        run_verify(two_atom, trials=trials, seed=1)
+
+
+def test_run_verify_reports_a_numpy_trial_count_as_an_int(two_atom):
+    assert type(run_verify(two_atom, trials=np.int64(1), seed=1)["trials"]) is int
+
+
 def test_run_verify_requires_an_atomic_measure(unit_piece):
     with pytest.raises(ValueError, match="purely atomic"):
         run_verify(unit_piece, trials=1, seed=1)
@@ -353,6 +364,26 @@ def test_one_point_entry_points_reject_a_batch(two_atom, call, x):
     # ambiguous truth value
     with pytest.raises(PreconditionError, match="one real point"):
         call(two_atom, x)
+
+
+NOT_NUMBERS = {"str": "0.5", "bytes": b"0.5", "bool": True, "numpy bool": np.bool_(False),
+               "batch of str": ["0.5", "2.0"], "batch of bool": np.array([True, False])}
+
+
+@pytest.mark.parametrize("x", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+@pytest.mark.parametrize("call", [t_matrix, lambda m, x: max_mult_test(m, np.zeros((2, 2)), x),
+                                  atom_mass],
+                         ids=["t_matrix", "max_mult_test", "atom_mass"])
+def test_strings_and_bools_are_not_points(two_atom, call, x):
+    # float() read "0.5" as 0.5 and True as 1.0, and max_mult_test's evidence kept "0.5" as x
+    with pytest.raises(PreconditionError, match="points must be numbers"):
+        call(two_atom, x)
+
+
+@pytest.mark.parametrize("x", [0, np.float64(0.5), np.int64(0)], ids=["int", "float64", "int64"])
+def test_evidence_records_the_checked_point(two_atom, x):
+    ev = max_mult_test(two_atom, np.zeros((2, 2)), x)
+    assert type(ev.x) is float and ev.x == float(x)
 
 
 def test_a_complex_batch_is_named_whole(two_atom):

@@ -114,6 +114,19 @@ class TestScanForbidden:
         with pytest.raises(ValueError, match="integer"):
             ScanConfig(0.0, 1.0, steps)
 
+    @pytest.mark.parametrize("a, b", [("0", "1"), (None, 1.0), (0.0, None), (True, 2.0),
+                                      (np.bool_(False), 1.0), (np.array(0.0), 1.0)],
+                             ids=["str", "None", "None end", "bool", "numpy bool", "0-d array"])
+    def test_ends_that_are_not_real_numbers_rejected(self, a, b):
+        # "0" failed in grid() with numpy's DTypePromotionError, None with a bare
+        # TypeError, and True was taken as 1.0
+        with pytest.raises(ValueError, match="grid ends must be real numbers"):
+            ScanConfig(a, b, 3)
+
+    def test_numpy_ends_accepted(self):
+        grid = ScanConfig(np.float32(0.0), np.int64(1), 3).grid()
+        assert grid.tolist() == [0.0, 0.5, 1.0]
+
     def test_numpy_integer_steps_accepted(self):
         assert ScanConfig(0.0, 1.0, np.int64(3)).grid().tolist() == [0.0, 0.5, 1.0]
 
