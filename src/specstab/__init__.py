@@ -7,11 +7,10 @@ criteria, a brute-force pole/residue oracle for atomic instances, and a
 forbidden-energy grid scanner.
 """
 
-from .config import DEFAULT_TOLS, Tolerances
-from .measure import (ACPiece, Atom, CauchyKernel, Divergent, Interval,
+from .measure import (DEFAULT_TOLS, ACPiece, Atom, CauchyKernel, Divergent, Interval,
                       IntervalUnion, MatrixMeasure, MeasureError,
-                      PoissonSquareKernel, RegularizedKernel, hermitian_part,
-                      integrate, is_divergent, matrix_rank)
+                      PoissonSquareKernel, RegularizedKernel, Tolerances,
+                      hermitian_part, integrate, is_divergent, matrix_rank)
 from .herglotz import (BoundaryReport, HerglotzMatrix, NotConvergedError,
                        atom_mass, boundary_value, evaluate, t_matrix)
 from .extensions import (ConditioningError, ExtensionParameter,

@@ -22,12 +22,11 @@ import sys
 
 import numpy as np
 
-from .config import DEFAULT_TOLS
 from .extensions import extension_weyl, max_mult_test, max_mult_test_via
 from .herglotz import (ConditioningError, NotConvergedError, atom_mass,
                        boundary_value, t_matrix)
 from .io import dump_json, load_herglotz, load_hermitian, matrix_out
-from .measure import as_point, is_divergent
+from .measure import DEFAULT_TOLS, as_point, is_divergent
 from .oracle import classify
 from .scan import ScanConfig, csv_header, record_to_dict, record_to_row, scan_forbidden
 from .verify import run_verify

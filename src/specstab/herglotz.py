@@ -7,8 +7,8 @@ form: on the support M is the finite part M_fin, without the terms within
 tol_x of x (``MatrixMeasure.mass_at``: atoms W, mean density ρ̄, jump J),
 and M(x+i0) = M_fin + iπρ̄ where W = J = 0, with no limit elsewhere.  The
 one ε-limit is ``atom_mass``: ``richardson_limit`` over the first half of
-``EPS``, and over all of it where that half does not settle, each sampled
-by one call on a 1-D array of z.  Every analysis reads the measure's
+``EPS``, and over all of it where that half does not settle, each half sampled
+once, by one call on a 1-D array of z.  Every analysis reads the measure's
 tolerances, ``m.omega.tols``.  Points are checked where they enter a
 kernel (``measure.as_point``) and by the one-point entries; ``t_matrix``
 and ``integrate_cauchy`` also take a 1-D array of real x.
@@ -24,10 +24,9 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
-from .measure import (CauchyKernel, Divergent, MatrixMeasure, PoissonSquareKernel,
-                      _fro, _frozen, as_real_point, hermitian_part, integrate,
-                      is_batch, is_divergent, is_hermitian)
+from .measure import (DEFAULT_TOLS, CauchyKernel, Divergent, MatrixMeasure,
+                      PoissonSquareKernel, Tolerances, _fro, _frozen, as_point, as_real_point,
+                      hermitian_part, integrate, is_batch, is_divergent, is_hermitian)
 
 
 class NotConvergedError(RuntimeError):
@@ -95,7 +94,7 @@ def evaluate(m: HerglotzMatrix, z) -> np.ndarray:
     """M(z) for z off the real axis: (n, n) for a number, (S, n, n) for a
     1-D array of S points (ValueError if any of them is real)."""
     # a complex batch holding a real z is CauchyKernel's ValueError
-    if (not np.iscomplexobj(z)) if is_batch(z) else complex(z).imag == 0.0:
+    if (not np.iscomplexobj(z)) if is_batch(z) else as_point(z).imag == 0.0:
         raise ValueError("evaluate requires Im z != 0; use boundary_value for real x")
     return integrate_cauchy(m, z)
 
@@ -194,14 +193,16 @@ def atom_mass(f, x: float, tols: Optional[Tolerances] = None) -> np.ndarray:
     typically).  The limit reads ``tols`` when given, else the measure's
     own for a HerglotzMatrix and ``DEFAULT_TOLS`` for any other callable.
     Returns the Hermitian PSD mass, the zero matrix when x carries none.
-    All of ``EPS`` is sampled only where its first half does not settle:
-    the result, or error, of one call on the whole schedule, bit for bit.
+    The rest of ``EPS`` is sampled, once, only where its first half does not
+    settle: the result, or error, of one call on the whole schedule, bit for bit.
     """
     x = as_real_point(x, "atom_mass", batch=False)
     if tols is None:
         tols = f.omega.tols if isinstance(f, HerglotzMatrix) else DEFAULT_TOLS
-    for stop in (EPS.size // 2, EPS.size):
-        val, _, ok = richardson_limit(_MINUS_I_EPS[:stop] * np.asarray(f(x + _I_EPS[:stop])), tols)
+    for part in (slice(EPS.size // 2), slice(EPS.size // 2, None)):
+        new = _MINUS_I_EPS[part] * np.asarray(f(x + _I_EPS[part]))
+        s = np.concatenate([s, new]) if part.start else new     # the second half under the first
+        val, _, ok = richardson_limit(s, tols)
         if ok:
             return hermitian_part(val)
     raise NotConvergedError(f"atom mass limit at x={x} did not converge")

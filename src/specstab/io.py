@@ -18,9 +18,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
 from .herglotz import HerglotzMatrix
-from .measure import ACPiece, Atom, MatrixMeasure, MeasureError, is_hermitian
+from .measure import DEFAULT_TOLS, ACPiece, Atom, MatrixMeasure, MeasureError, Tolerances, is_hermitian
 
 
 class InputError(ValueError):

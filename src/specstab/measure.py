@@ -20,14 +20,36 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Global tolerance configuration.
+
+    A measure is built with one immutable record, and every analysis of that
+    measure reads ``omega.tols``, so rank decisions, limit convergence,
+    matching thresholds and support membership are overridden coherently
+    (e.g. from CLI flags) by building the measure with the overrides.
+    """
+
+    rank_tol: float = 1e-9      # relative eigenvalue cutoff for PSD/rank decisions
+    tol_bv: float = 1e-9        # Frobenius convergence threshold for eps-limits
+    tol_match: float = 1e-7     # Frobenius threshold for boundary-value/parameter matching
+    tol_x: float = 1e-12        # point location tolerance (roots, support membership)
+
+    def with_overrides(self, **kw) -> "Tolerances":
+        kw = {k: v for k, v in kw.items() if v is not None}
+        return replace(self, **kw)
+
+
+DEFAULT_TOLS = Tolerances()
 
 
 class MeasureError(ValueError):
@@ -47,11 +69,11 @@ def hermitian_part(a: np.ndarray) -> np.ndarray:
 
 def _fro(a: np.ndarray):
     """‖a‖_F of a matrix (a float) or each of a stack: np.linalg.norm's sums, not its wrapper."""
+    if a.dtype.kind in "biu":   # as np.linalg.norm does: a bool dot is a logical or
+        a = a.astype(float)
     if a.ndim > 2:
         return np.sqrt(np.add.reduce((a.conj() * a).real, axis=(-2, -1)))
     x = a.ravel(order="K")
-    if x.dtype.kind != "c":
-        return math.sqrt(x.dot(x))
     re, im = x.real, x.imag
     return math.sqrt(re.dot(re) + im.dot(im))
 
@@ -77,6 +99,11 @@ def is_batch(x) -> bool:
     return not isinstance(x, (float, complex)) and np.ndim(x) > 0
 
 
+def is_real(v) -> bool:
+    """One real number, never a bool, a string, None or an array; a float first, ~10x faster."""
+    return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
+
+
 def _point_kind(x) -> str:
     """The dtype kind of x as an array; PreconditionError for a bool or a string."""
     if (kind := np.asarray(x).dtype.kind) in "bSU":
@@ -86,11 +113,14 @@ def _point_kind(x) -> str:
 
 def as_point(x):
     """x as a number, or a 1-D array of them as an array: complex where x
-    is complex, float otherwise.  PreconditionError for a bool, a string, a
-    NaN or infinite part, and a batch that is not 1-D."""
+    is complex, float otherwise.  PreconditionError for what is not a number
+    (a bool, a string, None), a NaN or infinite part, and a batch that is not 1-D."""
     if not is_batch(x):     # a float skips np.asarray, ~0.2 µs on a Python int
-        x = complex(x) if isinstance(x, complex) or (
-            not isinstance(x, float) and _point_kind(x) == "c") else float(x)
+        try:
+            x = complex(x) if isinstance(x, complex) or (
+                not isinstance(x, float) and _point_kind(x) == "c") else float(x)
+        except TypeError:   # float() or complex() of None, say
+            raise PreconditionError(f"points must be numbers, got {x!r}") from None
         finite = cmath.isfinite(x)
     else:
         x = np.asarray(x, dtype=complex if _point_kind(x) == "c" else float)
@@ -171,8 +201,10 @@ class Interval:
     include_b: bool = True
 
     def __post_init__(self):
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise MeasureError("interval endpoints must be finite")
+        if not (is_real(self.a) and is_real(self.b) and np.isfinite([self.a, self.b]).all()):
+            raise MeasureError(f"interval endpoints must be finite real numbers, got {self}")
+        if not all(isinstance(f, (bool, np.bool_)) for f in (self.include_a, self.include_b)):
+            raise MeasureError(f"interval inclusion flags must be bools, got {self}")
         if self.a > self.b:
             raise MeasureError(f"interval [{self.a}, {self.b}] has a > b")
 
@@ -241,10 +273,15 @@ class MatrixMeasure:
     def __init__(self, dim: int, atoms: Sequence[Atom] = (),
                  ac_pieces: Sequence[ACPiece] = (),
                  tols: Tolerances = DEFAULT_TOLS):
-        if dim < 1:
+        if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
             raise MeasureError("dim must be a positive integer")
         self.dim = int(dim)
         self.tols = tols
+        atoms, ac_pieces = tuple(atoms), tuple(ac_pieces)   # checked in the caller's order, unsorted
+        _reject_first(~np.fromiter((is_real(at.x) for at in atoms), bool),
+                      lambda k: f"atoms[{k}].x is not a real number, got {atoms[k].x!r}")
+        _reject_first(~np.fromiter((is_real(pc.a) and is_real(pc.b) for pc in ac_pieces), bool),
+                      lambda k: f"ac[{k}]: ends are not real numbers")
         self.atoms = tuple(sorted(atoms, key=lambda at: at.x))
         self.ac_pieces = tuple(sorted(ac_pieces, key=lambda p: p.a))
         self._validate()
@@ -362,10 +399,9 @@ class MatrixMeasure:
     def on_support(self, x):
         """Whether x is within tol_x of a term carrying mass: a bool, or a
         bool array for a 1-D array of points."""
-        # some term starting at or below x must reach it
         if not is_batch(x):
-            j = bisect_right(self._lo, x)
-            return j > 0 and bool(self._reach[j - 1] >= x)
+            return bool(self._terms_at(x))
+        # some term starting at or below x must reach it
         j = np.searchsorted(self._lo_sorted, x, side="right")
         return (j > 0) & (self._reach_sorted[j - 1] >= x)
 
@@ -431,17 +467,18 @@ class RegularizedKernel(Kernel):
     then levels, then terms, an axis left out where its parameter is one
     number.  One point and one level are each a batch of one, so each row
     of a block has the bytes of its own (x, m) kernel.  Every level must be
-    finite and positive.
+    a finite and positive number, not a bool or a string.
     """
 
     def __init__(self, x, m):
         self.x = as_real_point(x, "the regularized kernel")
-        levels = np.array(m, dtype=float)
-        if levels.ndim > 1:
+        given = np.array(m, dtype=object)
+        if given.ndim > 1:
             raise PreconditionError("a batch of regularization levels m must be a 1-D array")
+        if not all(is_real(v) and 0.0 < v < math.inf for v in given.flat):     # NaN fails too
+            raise PreconditionError(f"regularization level m must be a finite and positive number, got {m!r}")
+        levels = given.astype(float)
         ms = levels.ravel().tolist()
-        if not all(0.0 < v < math.inf for v in ms):     # NaN fails too
-            raise PreconditionError(f"regularization level m must be finite and positive, got {m}")
         self.m = _frozen(levels) if levels.ndim else ms[0]
         widths = [1.0 / v for v in ms]
         # w ** 2 is Python's square (libm pow): numpy's w * w differs from it in the last bit

@@ -33,7 +33,7 @@ import numpy as np
 
 from .extensions import ExtensionParameter, _inv_certified, as_parameter
 from .herglotz import HerglotzMatrix, integrate_cauchy, t_matrix
-from .measure import as_real_point, hermitian_part, is_batch, is_divergent, matrix_rank
+from .measure import as_real_point, hermitian_part, is_batch, is_divergent, is_real, matrix_rank
 
 # an eigenvalue of H within KERNEL_TOL·max(1, ‖H‖) of 0 counts as a kernel
 # direction; a shift with one is numerically singular
@@ -75,11 +75,12 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tupl
     omega = m.omega
     if not omega.purely_atomic:
         raise OracleError("pole search requires a purely atomic measure")
-    a, b = float(interval[0]), float(interval[1])
+    a, b = interval[0], interval[1]
+    if not (is_real(a) and is_real(b) and np.isfinite([a, b]).all()):
+        raise OracleError(f"the window [{a!r}, {b!r}] must be finite real numbers")
+    a, b = float(a), float(b)
     if not a < b:
         raise OracleError(f"empty or inverted interval [{a}, {b}]")
-    if np.isinf([a, b]).any():
-        raise OracleError(f"the window [{a}, {b}] must be finite")
     xs, tols = omega.xs, omega.tols
     if np.any(np.abs(np.subtract.outer([a, b], xs)) <= tols.tol_x):
         raise OracleError("interval endpoints must not be atoms")

@@ -75,10 +75,9 @@ def random_herglotz(rng: np.random.Generator, n: int = None,
 
 
 def point_off_atoms(rng: np.random.Generator, omega: MatrixMeasure, lo: float, hi: float) -> float:
-    """Uniform draw in [lo, hi] rejected while within 0.05 of an atom."""
-    pts = np.array([at.x for at in omega.atoms])
+    """Uniform draw in [lo, hi] rejected while within 0.05 of an atom with mass, omega.xs."""
     for _ in range(MAX_DRAWS):
         x = float(rng.uniform(lo, hi))
-        if pts.size == 0 or np.abs(pts - x).min() >= 0.05:
+        if omega.xs.size == 0 or np.abs(omega.xs - x).min() >= 0.05:
             return x
     raise ValueError("could not place a point away from the atoms")

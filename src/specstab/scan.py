@@ -16,7 +16,6 @@ block within a fixed entry budget, however long the grid.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Tuple, Union
@@ -24,7 +23,7 @@ from typing import ClassVar, Dict, List, Tuple, Union
 import numpy as np
 
 from .measure import (Divergent, Kernel, MatrixMeasure, RegularizedKernel, integrate,
-                      is_divergent)
+                      is_divergent, is_real)
 from .herglotz import HerglotzMatrix, t_matrix
 
 DEFAULT_M_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -42,7 +41,7 @@ class ScanConfig:
     m_schedule: ClassVar[Tuple[int, ...]] = DEFAULT_M_SCHEDULE
 
     def __post_init__(self):
-        if not all(isinstance(e, numbers.Real) and not isinstance(e, bool) for e in (self.a, self.b)):
+        if not (is_real(self.a) and is_real(self.b)):
             raise ValueError(f"grid ends must be real numbers, got {self.a!r}, {self.b!r}")
         if not self.a < self.b:
             raise ValueError(f"grid requires a < b, got [{self.a}, {self.b}]")

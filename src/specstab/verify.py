@@ -113,7 +113,7 @@ def run_verify(m: HerglotzMatrix, trials: int, seed: int) -> dict:
     """Full campaign on one measure; deterministic given the seed."""
     if not m.omega.purely_atomic:
         raise ValueError("verification campaigns require a purely atomic measure")
-    if not hasattr(trials, "__index__") or operator.index(trials) < 1:
+    if not hasattr(trials, "__index__") or isinstance(trials, bool) or operator.index(trials) < 1:
         raise ValueError(f"a campaign needs at least one trial, as an integer, got {trials!r}")
     trials = operator.index(trials)
     rng = np.random.default_rng(seed)

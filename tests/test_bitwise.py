@@ -80,6 +80,18 @@ def test_fro_of_a_stack_is_np_linalg_norm_bitwise(a, transposed):
     assert _bits(got) == _bits(want)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.int64, np.int32, bool])
+@pytest.mark.parametrize("shape", [(3, 3), (1, 1), (2, 4), (5, 3, 3), (2, 3, 2, 2), (0, 3, 3)])
+def test_fro_of_a_real_array_is_np_linalg_norm_bitwise(dtype, shape):
+    # the inputs of the real-only branch _fro no longer has: np.linalg.norm
+    # sums a bool or integer array as floats, where a bool dot is a logical or
+    rng = np.random.default_rng(7)
+    for scale in (1, 3, 4_000_000_000):     # the last squares past the int64 range
+        a = (rng.integers(-2, 3, size=shape) * scale).astype(dtype)
+        want = np.linalg.norm(a, axis=(-2, -1)) if a.ndim > 2 else np.linalg.norm(a)
+        assert _bits(_fro(a)) == _bits(want), (dtype, shape, scale)
+
+
 def _subnormal_case():
     """5e-324j everywhere but a zero at [0, 1]: h *= 0.5 gave +0.0 at
     [0, 1].imag, where 0.5 * (a + a*) gives -0.0."""

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
 from specstab.io import InputError, load_hermitian
 from specstab.measure import as_point, is_hermitian
 from specstab.randgen import random_atomic_measure
+
+sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
+import instances  # noqa: E402
 
 
 def two_atoms_eye2():
@@ -67,6 +72,44 @@ class TestValidation:
     def test_dimension_must_be_positive(self):
         with pytest.raises(MeasureError, match="positive"):
             MatrixMeasure(0)
+
+    @pytest.mark.parametrize("dim", [2.5, 2.0, True, np.bool_(True), None, "2"])
+    def test_dimension_must_be_an_integer(self, dim):
+        # 2.5 and 2.0 built a 2-dimensional measure, True a 1-dimensional one;
+        # None and "2" raised a bare TypeError
+        with pytest.raises(MeasureError, match="dim must be a positive integer"):
+            MatrixMeasure(dim, [Atom(0.0, np.eye(2))])
+
+    def test_a_numpy_dimension_is_an_integer(self):
+        assert MatrixMeasure(np.int64(2), [Atom(0.0, np.eye(2))]).dim == 2
+
+    @pytest.mark.parametrize("atoms, pieces, match", [
+        ([Atom(0.0, [[1.0]]), Atom("1.0", [[1.0]])], [], r"atoms\[1\].x is not a real number"),
+        ([Atom(True, [[1.0]])], [], r"atoms\[0\].x is not a real number"),
+        ([Atom(2.0, [[1.0]]), Atom(1 + 0j, [[1.0]])], [], r"atoms\[1\].x is not a real number"),
+        ([Atom(None, [[1.0]])], [], r"atoms\[0\].x is not a real number"),
+        ([], [ACPiece(0.0, "1", [[1.0]])], r"ac\[0\]: ends are not real numbers"),
+        ([], [ACPiece(2.0, 3.0, [[1.0]]), ACPiece(np.True_, 1.0, [[1.0]])],
+         r"ac\[1\]: ends are not real numbers"),
+    ], ids=["str", "bool", "complex", "None", "str end", "numpy bool end"])
+    def test_term_points_must_be_real_numbers(self, atoms, pieces, match):
+        # "1.0" and True were read as 1.0; 1+0j raised a bare TypeError
+        with pytest.raises(MeasureError, match=match):
+            MatrixMeasure(1, atoms, pieces)
+
+    def test_numpy_term_points_are_real_numbers(self):
+        omega = MatrixMeasure(1, [Atom(np.float64(0.5), [[1.0]]), Atom(np.int64(2), [[1.0]])],
+                              [ACPiece(np.float32(3.0), 4, [[1.0]])])
+        assert omega.xs.tolist() == [0.5, 2.0] and omega.b.tolist() == [4.0]
+
+    @pytest.mark.parametrize("spec", [(True, 2.0), (None, 1.0), ("0", "1"), (0.0, 1.0, "no", True),
+                                      (0.0, 1.0, True, 1)],
+                             ids=["bool end", "None end", "str ends", "str flag", "int flag"])
+    def test_interval_data_must_be_numbers_and_flags(self, spec):
+        # (True, 2.0) and the flag "no" were accepted, the flag failing later in
+        # integrate; (None, 1.0) and ("0", "1") raised a bare TypeError
+        with pytest.raises(MeasureError, match="interval"):
+            IntervalUnion(spec)
 
     @pytest.mark.parametrize("a, b, match", [(0.0, math.inf, "finite"), (math.nan, 1.0, "finite"),
                                              (2.0, 1.0, "a > b")])
@@ -424,6 +467,18 @@ class TestSupportLookup:
     @given(omega=lookup_measures(), seed=st.integers(0, 2 ** 32 - 1))
     def test_scalar_lookups_match_their_definitions(self, omega, seed):
         check_lookups(omega, lookup_points(omega, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 99])
+    def test_one_point_answers_as_the_batch_on_the_mixed_measures(self, seed):
+        # a one-point on_support reads _terms_at; the batch keeps its searchsorted
+        omega = instances.mixed_instance(np.random.default_rng(seed)).layout.matrix_measure()
+        ends, tol = np.concatenate([omega.xs, omega.a, omega.b]), omega.tols.tol_x
+        xs = np.concatenate([ends + f * tol for f in (0.0, 1.0, -1.0, 2.0, -2.0)]
+                            + [0.5 * (omega.a + omega.b)]).tolist()
+        one = [omega.on_support(x) for x in xs]
+        assert all(type(v) is bool for v in one)
+        assert one == omega.on_support(np.array(xs)).tolist()
+        assert any(one) and not all(one)
 
 
 def frobenius_hermitian(a):

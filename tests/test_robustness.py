@@ -8,6 +8,8 @@ import math
 import pkgutil
 import re
 import time
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +22,7 @@ from specstab import (Atom, ConditioningError, ExtensionParameter, HerglotzMatri
                       evaluate, extension_for_point, extension_weyl, integrate,
                       mass_at_max_mult, max_mult_test, max_mult_test_via, real_poles,
                       residue_mass, resolvent_identity_residual, t_matrix, verify)
+from specstab.measure import is_real
 from specstab.randgen import point_off_atoms, random_atomic_measure, random_gap_matrix, random_psd
 from specstab.verify import run_verify
 
@@ -55,6 +58,14 @@ def test_settings_census():
                           "herglotz.atom_mass"}
 
 
+def test_tolerances_live_with_the_measure():
+    # config.py held nothing but the record the measure carries
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("specstab.config")
+    assert specstab.measure.Tolerances is specstab.Tolerances
+    assert specstab.measure.DEFAULT_TOLS is specstab.DEFAULT_TOLS
+
+
 def test_public_api_census():
     # adding or removing a public name of the package is done here, on purpose
     public = {name for name, obj in vars(specstab).items()
@@ -77,7 +88,7 @@ def test_run_verify_rejects_zero_trials(two_atom):
         run_verify(two_atom, trials=0, seed=1)
 
 
-@pytest.mark.parametrize("trials", [1.5, 2.0, "2", None])
+@pytest.mark.parametrize("trials", [1.5, 2.0, "2", None, True, np.bool_(True)])
 def test_run_verify_rejects_a_non_integral_trial_count(two_atom, trials):
     # int() ran 1.5 as one trial and "2" as two
     with pytest.raises(ValueError, match="at least one trial, as an integer"):
@@ -105,6 +116,19 @@ def test_atom_sampler_needs_an_atom():
     # K = 0 failed in eigvalsh with a LinAlgError about a 0-d array
     with pytest.raises(ValueError, match="K=0"):
         random_atomic_measure(np.random.default_rng(0), 2, n_atoms=0)
+
+
+def test_atom_sampler_keeps_off_the_atoms_with_mass():
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        omega = random_atomic_measure(rng, 2)
+        lo, hi = omega.support_bounds()
+        for _ in range(20):
+            x = point_off_atoms(rng, omega, lo - 0.5, hi + 0.5)
+            assert np.abs(omega.xs - x).min() >= 0.05
+    # an atom without mass, which no analysis reads, no longer blocks a draw
+    omega = MatrixMeasure(1, [Atom(0.0, [[0.0]]), Atom(1.0, [[1.0]])])
+    assert point_off_atoms(np.random.default_rng(0), omega, 0.0, 0.0) == 0.0
 
 
 def test_atom_sampler_repairs_a_nearly_singular_total():
@@ -308,14 +332,24 @@ def test_regularized_kernel_checks_a_batch_of_points(x, match):
 
 
 @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf, 0.0, -1.0,
-                               np.array([1.0, math.nan, 4.0]), [2.0, math.inf], np.array([8.0, 0.0])],
+                               np.array([1.0, math.nan, 4.0]), [2.0, math.inf], np.array([8.0, 0.0]),
+                               True, np.bool_(True), "2", [True, 2.0], np.array(["1", "2"]), None],
                          ids=["nan", "inf", "-inf", "zero", "negative", "batch with nan",
-                              "batch with inf", "batch with zero"])
+                              "batch with inf", "batch with zero", "bool", "numpy bool", "str",
+                              "batch with a bool", "batch of str", "None"])
 def test_regularization_levels_must_be_finite_and_positive(two_atom, m):
     # a NaN level passed the old `m <= 0` check and integrated to a NaN
-    # matrix; an infinite one gave a zero width (inf at an atom)
+    # matrix; an infinite one gave a zero width (inf at an atom); True, "2"
+    # and [True, 2.0] were read as the levels 1.0, 2.0 and [1.0, 2.0]
     with pytest.raises(PreconditionError, match="finite and positive"):
         integrate(RegularizedKernel(0.5, m), two_atom.omega)
+
+
+@pytest.mark.parametrize("m", [2, np.int64(2), np.float32(2.0), Fraction(1, 2), [1, 2.0],
+                               np.array([1, 4]), np.array(2.0)])
+def test_numeric_levels_are_levels(two_atom, m):
+    kernel = RegularizedKernel(0.5, m)
+    assert np.array_equal(kernel.m, np.array(m, dtype=float))
 
 
 def test_a_batch_of_levels_must_be_one_dimensional():
@@ -353,6 +387,29 @@ def test_resolvent_identity_residual_takes_one_point(two_atom):
     # a batch of z gave one residual over all the points
     with pytest.raises(PreconditionError, match="one point z"):
         resolvent_identity_residual(two_atom, np.zeros((2, 2)), np.eye(2), np.array([1j, 2j]))
+
+
+NOT_A_NUMBER_CALLS = {
+    "boundary_value": boundary_value,
+    "t_matrix": t_matrix,
+    "max_mult_test": lambda m, x: max_mult_test(m, np.zeros((2, 2)), x),
+    "evaluate": evaluate,
+    "atom_mass": atom_mass,
+}
+
+
+@pytest.mark.parametrize("x", [None, object(), {}], ids=["None", "object", "dict"])
+@pytest.mark.parametrize("call", NOT_A_NUMBER_CALLS.values(), ids=NOT_A_NUMBER_CALLS)
+def test_objects_that_are_not_numbers_are_not_points(two_atom, call, x):
+    # float() or complex() raised a bare TypeError, which cli.EXIT_CODES does not map
+    with pytest.raises(PreconditionError, match="points must be numbers"):
+        call(two_atom, x)
+
+
+@pytest.mark.parametrize("x", [Fraction(5, 2), Decimal("2.5")], ids=["Fraction", "Decimal"])
+def test_fractions_and_decimals_are_points(two_atom, x):
+    assert t_matrix(two_atom, x).tobytes() == t_matrix(two_atom, 2.5).tobytes()
+    assert boundary_value(two_atom, x).x == 2.5
 
 
 @pytest.mark.parametrize("x", [np.array([0.5, 2.0]), np.array([0.5, 1.0])],
@@ -400,6 +457,38 @@ def test_non_finite_grid_and_window_ends_are_rejected(two_atom):
     with pytest.raises(OracleError, match="finite") as info:
         real_poles(two_atom, np.zeros((2, 2)), (-math.inf, 1.0))
     assert "-inf" in str(info.value)
+
+
+@pytest.mark.parametrize("window", [("-3", "3"), (False, 3.0), (-3.0, True), (None, 1.0),
+                                    (-3.0, 1 + 0j)],
+                         ids=["str", "bool start", "bool end", "None", "complex"])
+@pytest.mark.parametrize("call", [real_poles, classify], ids=["real_poles", "classify"])
+def test_window_ends_must_be_real_numbers(two_atom, call, window):
+    # float() read ("-3", "3") as a window and False as 0.0
+    with pytest.raises(OracleError, match="must be finite real numbers"):
+        call(two_atom, np.zeros((2, 2)), window)
+
+
+def test_numpy_window_ends_are_real_numbers(two_atom):
+    want = real_poles(two_atom, np.zeros((2, 2)), (-3.0, 3.0))
+    assert real_poles(two_atom, np.zeros((2, 2)), np.array([-3, 3])) == want
+    assert real_poles(two_atom, np.zeros((2, 2)), (np.float64(-3.0), 3)) == want
+
+
+@pytest.mark.parametrize("v, real", [
+    (1, True), (1.5, True), (np.int64(1), True), (np.float64(1.5), True), (np.float32(1.5), True),
+    (np.uint8(1), True), (Fraction(1, 2), True), ("1", False), (b"1", False), (None, False),
+    (True, False), (np.bool_(True), False), (np.array(1.0), False), (np.array([1.0]), False),
+    (1 + 0j, False), (Decimal("1"), False)], ids=repr)
+def test_is_real_accepts_what_scan_config_accepted(v, real):
+    # the predicate that replaced ScanConfig's inline numbers.Real test
+    assert is_real(v) is real
+    try:
+        ScanConfig(v, 1e6, 3)
+    except ValueError:
+        assert not real
+    else:
+        assert real
 
 
 def test_functions_validate_a_copy_of_the_callers_parameter(two_atom):
