@@ -7,9 +7,9 @@ Each command returns its document, which ``main`` alone writes to stdout or
 --out: as JSON, or as CSV rows for ``scan --format csv``.
 Only ``masses`` takes an ε-limit, so only it reads --tol-bv.
 Exit codes: 0 ok, 1 a ``verify`` report whose "ok" is false, 2 input error
-(NaN or ±inf in an argument or a matrix entry, a malformed file or an
-unwritable --out included), 3 numerical failure (a limit that did not
-converge, a numerically singular matrix).
+(NaN or ±inf in an argument, which the library check reading it rejects, or
+in a matrix entry, a malformed file or an unwritable --out included), 3
+numerical failure (a limit that did not converge, a numerically singular matrix).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from .extensions import extension_weyl, max_mult_test, max_mult_test_via
 from .herglotz import (ConditioningError, NotConvergedError, atom_mass,
                        boundary_value, t_matrix)
 from .io import dump_json, load_herglotz, load_hermitian, matrix_out
-from .measure import DEFAULT_TOLS, as_point, is_divergent
+from .measure import DEFAULT_TOLS, is_divergent
 from .oracle import classify
 from .scan import ScanConfig, csv_header, record_to_dict, record_to_row, scan_forbidden
 from .verify import run_verify
@@ -44,31 +44,24 @@ EXIT_CODES = ((NotConvergedError, EXIT_NUMERIC), (ConditioningError, EXIT_NUMERI
               (ValueError, EXIT_INPUT), (OSError, EXIT_INPUT))
 
 
-# argument types: a bad value makes the parser exit with EXIT_INPUT
-def finite_float(spec) -> float:
-    """float(spec), rejecting NaN and ±inf with ValueError."""
-    return as_point(float(spec))
-
-
+# argument types: a value that does not parse exits EXIT_INPUT; NaN and ±inf parse
 def _parse_grid(spec: str):
     try:
         a, b, steps = spec.split(":")
-        return finite_float(a), finite_float(b), int(steps)
+        return float(a), float(b), int(steps)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a:b:steps with finite a, b, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"expected a:b:steps, got {spec!r}")
 
 
 def _parse_complex(spec: str) -> complex:
     try:
-        if "," in spec:
-            re, im = spec.split(",")
-        else:
-            z = complex(spec)
-            re, im = z.real, z.imag
-        return complex(finite_float(re), finite_float(im))
+        if "," not in spec:
+            return complex(spec)
+        re, im = spec.split(",")
+        return complex(float(re), float(im))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a finite complex number as RE,IM or python literal, got {spec!r}")
+            f"expected a complex number as RE,IM or python literal, got {spec!r}")
 
 
 def _emit(doc, out, fmt):
@@ -153,14 +146,14 @@ OPTIONS = {
     "--measure": dict(help="measure JSON file"),
     "--d-matrix": dict(help="Hermitian parameter JSON file"),
     "--d-prime": dict(help="second Hermitian parameter JSON file"),
-    "--x": dict(type=finite_float, help="real energy"),
+    "--x": dict(type=float, help="real energy"),
     "--z": dict(type=_parse_complex, help="complex point as RE,IM"),
     "--grid": dict(type=_parse_grid, help="a:b:steps"),
     "--trials": dict(type=int, default=10),
     "--seed": dict(type=int, default=0),
     "--out": dict(help="output file (default stdout)"),
     "--format": dict(choices=["csv", "json"], default="json"),
-    **{f"--tol-{name}": dict(type=finite_float) for name in ("rank", "bv", "match", "x")},
+    **{f"--tol-{name}": dict(type=float) for name in ("rank", "bv", "match", "x")},
 }
 
 

@@ -33,7 +33,7 @@ from .measure import (Divergent, PoissonSquareKernel, PreconditionError, _fro, _
 MIN_GAP_SV = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionParameter:
     """Hermitian n x n matrix naming one self-adjoint extension; takes ownership of D."""
 
@@ -43,7 +43,7 @@ class ExtensionParameter:
         object.__setattr__(self, "D", _frozen(_hermitian_square(np.asarray(self.D, dtype=complex))))
 
 
-@dataclass
+@dataclass(eq=False)
 class MaxMultEvidence:
     """What the maximum-multiplicity criterion saw at one energy."""
 

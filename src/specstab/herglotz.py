@@ -37,12 +37,12 @@ class ConditioningError(np.linalg.LinAlgError):
     """A matrix that should be invertible is numerically singular."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HerglotzMatrix:
     """Hermitian offset C plus a matrix-valued measure; takes ownership of C, or
     stores its Hermitian part, -0.0 made +0.0, where that differs from C.
     The values at the last real point (``_t_and_m``) live in a slot that
-    is not a field: equality, repr and ``replace`` ignore it."""
+    is not a field: repr and ``replace`` ignore it.  Equality is identity."""
 
     C: np.ndarray
     omega: MatrixMeasure
@@ -75,7 +75,7 @@ class HerglotzMatrix:
         return evaluate(self, z)
 
 
-@dataclass
+@dataclass(eq=False)
 class BoundaryReport:
     """Per-energy record of the boundary value and the divergence matrix."""
 

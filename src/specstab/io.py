@@ -13,30 +13,24 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .herglotz import HerglotzMatrix
-from .measure import DEFAULT_TOLS, ACPiece, Atom, MatrixMeasure, MeasureError, Tolerances, is_hermitian
+from .measure import (DEFAULT_TOLS, ACPiece, Atom, MatrixMeasure, MeasureError, Tolerances,
+                      is_count, is_hermitian, is_real)
 
 
 class InputError(ValueError):
     """Malformed or invalid input file; message carries the location."""
 
 
-def _is_real(v) -> bool:
-    """A JSON number a float can hold: a float, or an int (never a bool)
-    within the float range; never a string."""
-    return isinstance(v, float) or (type(v) is int and abs(v) <= sys.float_info.max)
-
-
 def _complex_in(v, where: str) -> complex:
-    if _is_real(v):
+    if is_real(v):
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
-        if not (_is_real(v[0]) and _is_real(v[1])):
+        if not (is_real(v[0]) and is_real(v[1])):
             raise InputError(f"{where}: [re, im] entries must be real numbers, got {v!r}")
         return complex(v[0], v[1])
     raise InputError(f"{where}: expected [re, im] pair, got {v!r}")
@@ -65,7 +59,7 @@ def matrix_out(a: np.ndarray) -> list:
 def measure_from_dict(doc: dict, tols: Tolerances = DEFAULT_TOLS,
                       where: str = "measure") -> Tuple[MatrixMeasure, Optional[np.ndarray]]:
     n = doc.get("n") if isinstance(doc, dict) else None
-    if type(n) is not int:      # not 1.7, "1" or true
+    if not is_count(n):     # not 1.7, "1" or true
         raise InputError(f"{where}: missing or invalid field 'n'")
     for key in ("atoms", "ac"):
         if not isinstance(doc.get(key, []), list):
@@ -73,13 +67,13 @@ def measure_from_dict(doc: dict, tols: Tolerances = DEFAULT_TOLS,
     atoms = []
     for k, a in enumerate(doc.get("atoms", [])):
         x = a.get("x") if isinstance(a, dict) else None
-        if not _is_real(x):
+        if not is_real(x):
             raise InputError(f"{where}: atoms[{k}].x missing or not a real number")
         atoms.append(Atom(float(x), matrix_in(a.get("W"), n, f"{where}: atoms[{k}].W")))
     pieces = []
     for k, p in enumerate(doc.get("ac", [])):
         ends = (p.get("a"), p.get("b")) if isinstance(p, dict) else (None, None)
-        if not all(map(_is_real, ends)):
+        if not all(map(is_real, ends)):
             raise InputError(f"{where}: ac[{k}] needs real fields a, b")
         pieces.append(ACPiece(float(ends[0]), float(ends[1]),
                               matrix_in(p.get("rho"), n, f"{where}: ac[{k}].rho")))

@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -44,12 +45,15 @@ class Tolerances:
     tol_match: float = 1e-7     # Frobenius threshold for boundary-value/parameter matching
     tol_x: float = 1e-12        # point location tolerance (roots, support membership)
 
+    def __post_init__(self):
+        for name, v in vars(self).items():
+            # as a float first: a long double can be finite and still pass the float range
+            if not (is_real(v) and 0.0 <= float(v) < math.inf):     # NaN fails too
+                raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
+            object.__setattr__(self, name, float(v))
+
     def with_overrides(self, **kw) -> "Tolerances":
-        kw = {k: v for k, v in kw.items() if v is not None}
-        return replace(self, **kw)
-
-
-DEFAULT_TOLS = Tolerances()
+        return replace(self, **{k: v for k, v in kw.items() if v is not None})
 
 
 class MeasureError(ValueError):
@@ -100,34 +104,52 @@ def is_batch(x) -> bool:
 
 
 def is_real(v) -> bool:
-    """One real number, never a bool, a string, None or an array; a float first, ~10x faster."""
-    return type(v) is float or isinstance(v, numbers.Real) and not isinstance(v, bool)
+    """One real number a float can hold, NaN and ±inf included: never a bool, a string,
+    None, an array or a rational beyond ±sys.float_info.max; a float first, ~10x faster."""
+    if isinstance(v, float):
+        return True
+    if isinstance(v, bool) or not isinstance(v, numbers.Real):
+        return False
+    return not (isinstance(v, numbers.Rational) and abs(v) > sys.float_info.max)
 
 
-def _point_kind(x) -> str:
-    """The dtype kind of x as an array; PreconditionError for a bool or a string."""
-    if (kind := np.asarray(x).dtype.kind) in "bSU":
-        raise PreconditionError(f"points must be numbers, got {x!r}")
-    return kind
+def is_count(v) -> bool:
+    """One integral number, never a bool: an int or a numpy integer."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+DEFAULT_TOLS = Tolerances()
+# np.square silent about overflow, for a point or an atom far out: the square
+# is inf there, and 1/inf the 0 wanted; the same bits as np.square and x ** 2
+_QUIET_SQUARE = np.errstate(over="ignore")(np.square)
 
 
 def as_point(x):
     """x as a number, or a 1-D array of them as an array: complex where x
     is complex, float otherwise.  PreconditionError for what is not a number
-    (a bool, a string, None), a NaN or infinite part, and a batch that is not 1-D."""
-    if not is_batch(x):     # a float skips np.asarray, ~0.2 µs on a Python int
-        try:
-            x = complex(x) if isinstance(x, complex) or (
-                not isinstance(x, float) and _point_kind(x) == "c") else float(x)
-        except TypeError:   # float() or complex() of None, say
-            raise PreconditionError(f"points must be numbers, got {x!r}") from None
-        finite = cmath.isfinite(x)
-    else:
-        x = np.asarray(x, dtype=complex if _point_kind(x) == "c" else float)
+    (a bool, a string, None, alone or in a list), a NaN or infinite part, a
+    number beyond the float range and a batch that is not 1-D."""
+    if is_batch(x):     # a float or complex array as it is, any other element by element
+        if not (isinstance(x, np.ndarray) and x.dtype in (float, complex)):
+            x = np.array([as_point(v) for v in x]) if np.ndim(x) == 1 else np.asarray(x)
         if x.ndim != 1:
             raise PreconditionError("a batch of points must be a 1-D array")
-        finite = np.isfinite(x).all()
-    if not finite:
+    else:   # a float or a complex number skips np.asarray, ~0.2 µs on a Python int
+        if isinstance(x, float):
+            kind = "f"
+        elif isinstance(x, complex):
+            kind = "c"
+        else:
+            kind = np.asarray(x).dtype.kind
+        if kind in "bSU":   # a bool or a string
+            raise PreconditionError(f"points must be numbers, got {x!r}")
+        try:
+            x = complex(x) if kind == "c" else float(x)
+        except TypeError:   # float() of None, say
+            raise PreconditionError(f"points must be numbers, got {x!r}") from None
+        except OverflowError:   # an int or a Fraction beyond the float range
+            raise PreconditionError("points must be finite, got a number beyond ±1.8e308") from None
+    if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else cmath.isfinite(x)):
         raise PreconditionError(f"points must be finite, got {x}")
     return x
 
@@ -193,7 +215,7 @@ def _reject_first(bad: np.ndarray, message) -> None:
 
 @dataclass(frozen=True)
 class Interval:
-    """Bounded interval with endpoint-inclusion flags."""
+    """Bounded interval with endpoint-inclusion flags; its ends are held as floats."""
 
     a: float
     b: float
@@ -201,8 +223,10 @@ class Interval:
     include_b: bool = True
 
     def __post_init__(self):
-        if not (is_real(self.a) and is_real(self.b) and np.isfinite([self.a, self.b]).all()):
+        if not (is_real(self.a) and is_real(self.b) and math.isfinite(self.a) and math.isfinite(self.b)):
             raise MeasureError(f"interval endpoints must be finite real numbers, got {self}")
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
         if not all(isinstance(f, (bool, np.bool_)) for f in (self.include_a, self.include_b)):
             raise MeasureError(f"interval inclusion flags must be bools, got {self}")
         if self.a > self.b:
@@ -216,7 +240,7 @@ class Interval:
                 | ((x == self.b) & self.include_b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Atom:
     """Point mass: Hermitian PSD weight W sitting at x; it takes ownership of W."""
 
@@ -227,7 +251,7 @@ class Atom:
         object.__setattr__(self, "W", _frozen(np.asarray(self.W, dtype=complex)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ACPiece:
     """Constant PSD density rho (w.r.t. Lebesgue) on [a, b]; takes ownership of rho."""
 
@@ -273,7 +297,7 @@ class MatrixMeasure:
     def __init__(self, dim: int, atoms: Sequence[Atom] = (),
                  ac_pieces: Sequence[ACPiece] = (),
                  tols: Tolerances = DEFAULT_TOLS):
-        if not isinstance(dim, numbers.Integral) or isinstance(dim, bool) or dim < 1:
+        if not is_count(dim) or dim < 1:
             raise MeasureError("dim must be a positive integer")
         self.dim = int(dim)
         self.tols = tols
@@ -329,7 +353,7 @@ class MatrixMeasure:
         self.W, self.rho = self._weights[:k].reshape(-1, n, n), self._weights[k:].reshape(-1, n, n)
         self._pts = _frozen(np.concatenate([self.xs, self.a, self.b]))
         self.cauchy_offset = _frozen(
-            (self.xs / (1.0 + self.xs ** 2)) @ self._weights[:k]
+            (self.xs / (1.0 + _QUIET_SQUARE(self.xs))) @ self._weights[:k]
             + (0.5 * np.log((1.0 + self.b ** 2) / (1.0 + self.a ** 2))) @ self._weights[k:])
 
         # Support of every term widened by tol_x, atoms first, then pieces:
@@ -455,7 +479,7 @@ class PoissonSquareKernel(Kernel):
 
     def coefficients(self, pts, k):
         d = self._x - pts   # 1/d² at the atoms, squared first; 1/d at piece ends
-        np.square(d[..., :k], out=d[..., :k])
+        _QUIET_SQUARE(d[..., :k], out=d[..., :k])
         return np.divide(1.0, d, out=d)
 
 
@@ -475,7 +499,8 @@ class RegularizedKernel(Kernel):
         given = np.array(m, dtype=object)
         if given.ndim > 1:
             raise PreconditionError("a batch of regularization levels m must be a 1-D array")
-        if not all(is_real(v) and 0.0 < v < math.inf for v in given.flat):     # NaN fails too
+        # each as a float first: a long double can pass the float range; NaN fails too
+        if not all(is_real(v) and 0.0 < float(v) < math.inf for v in given.flat):
             raise PreconditionError(f"regularization level m must be a finite and positive number, got {m!r}")
         levels = given.astype(float)
         ms = levels.ravel().tolist()
@@ -490,7 +515,7 @@ class RegularizedKernel(Kernel):
     def coefficients(self, pts, k):
         d = pts - self._x
         sq = np.zeros(d.shape)  # (y - x)² at the atoms once per point; 0 at the piece ends
-        np.square(d[:, :k], out=sq[:, :k])
+        _QUIET_SQUARE(d[:, :k], out=sq[:, :k])
         # one add and one reciprocal over the contiguous block, whose piece
         # columns the primitive then overwrites: numpy runs one loop, not one per row
         out = np.add(sq[:, None], self._width2)

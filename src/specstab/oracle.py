@@ -26,6 +26,7 @@ the inverse certifies the others, so an SVD runs only on those it cannot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -44,7 +45,7 @@ class OracleError(ValueError):
     """Oracle preconditions violated (AC mass present, pole at endpoint...)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PoleRecord:
     p: float
     mass: np.ndarray
@@ -76,7 +77,7 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tupl
     if not omega.purely_atomic:
         raise OracleError("pole search requires a purely atomic measure")
     a, b = interval[0], interval[1]
-    if not (is_real(a) and is_real(b) and np.isfinite([a, b]).all()):
+    if not (is_real(a) and is_real(b) and math.isfinite(a) and math.isfinite(b)):
         raise OracleError(f"the window [{a!r}, {b!r}] must be finite real numbers")
     a, b = float(a), float(b)
     if not a < b:

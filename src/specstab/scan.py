@@ -16,14 +16,13 @@ block within a fixed entry budget, however long the grid.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Tuple, Union
 
 import numpy as np
 
 from .measure import (Divergent, Kernel, MatrixMeasure, RegularizedKernel, integrate,
-                      is_divergent, is_real)
+                      is_count, is_divergent, is_real)
 from .herglotz import HerglotzMatrix, t_matrix
 
 DEFAULT_M_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -43,18 +42,18 @@ class ScanConfig:
     def __post_init__(self):
         if not (is_real(self.a) and is_real(self.b)):
             raise ValueError(f"grid ends must be real numbers, got {self.a!r}, {self.b!r}")
+        if not math.isfinite(float(self.b) - float(self.a)):    # a NaN or infinite end, or an overflow
+            raise ValueError(f"grid ends and their span must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"grid requires a < b, got [{self.a}, {self.b}]")
-        if math.isinf(float(self.b) - float(self.a)):   # an infinite end, or an overflow
-            raise ValueError(f"grid ends and their span must be finite, got [{self.a}, {self.b}]")
-        if not hasattr(self.steps, "__index__") or operator.index(self.steps) < 2:
+        if not is_count(self.steps) or self.steps < 2:
             raise ValueError(f"grid needs at least 2 integer steps, got {self.steps!r}")
 
     def grid(self) -> np.ndarray:
-        return np.linspace(self.a, self.b, self.steps)
+        return np.linspace(float(self.a), float(self.b), self.steps)
 
 
-@dataclass
+@dataclass(eq=False)
 class GridRecord:
     x: float
     in_support: bool

@@ -19,15 +19,13 @@ output is byte-identical across reruns.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .extensions import (_inv_certified, extension_for_point, extension_weyl,
                          max_mult_test, max_mult_test_via)
 from .herglotz import ConditioningError, HerglotzMatrix, atom_mass, integrate_cauchy
 from .io import matrix_out
-from .measure import MatrixMeasure, _fro
+from .measure import MatrixMeasure, _fro, is_count
 from .oracle import classify
 from .randgen import point_off_atoms, random_gap_matrix
 
@@ -46,7 +44,7 @@ def _scan_window(rng, omega: MatrixMeasure, x0: float, m: HerglotzMatrix, d):
     for _ in range(50):
         a = lo - float(rng.uniform(0.0, 0.5))
         b = hi + float(rng.uniform(0.0, 0.5))
-        if _inv_certified(d.D - integrate_cauchy(m, [a, b]), 0.0, 1e-6)[1].all():
+        if _inv_certified(d.D - integrate_cauchy(m, np.array([a, b])), 0.0, 1e-6)[1].all():
             return a, b
     raise ConditioningError("could not pick nonsingular window endpoints")
 
@@ -69,7 +67,7 @@ def run_trial(rng: np.random.Generator, m: HerglotzMatrix) -> dict:
                            "oracle_max_mult": oracle_max})
 
     pole_rows = []
-    evidence = max_mult_test(m, d, [pr.p for pr in poles])
+    evidence = max_mult_test(m, d, np.array([pr.p for pr in poles]))
     for pr, ev in zip(poles, evidence):
         row = {"p": pr.p, "rank": pr.rank, "oracle_max_mult": pr.is_max_mult,
                "criterion": bool(ev.verdict), "residual": ev.residual}
@@ -113,11 +111,10 @@ def run_verify(m: HerglotzMatrix, trials: int, seed: int) -> dict:
     """Full campaign on one measure; deterministic given the seed."""
     if not m.omega.purely_atomic:
         raise ValueError("verification campaigns require a purely atomic measure")
-    if not hasattr(trials, "__index__") or isinstance(trials, bool) or operator.index(trials) < 1:
+    if not is_count(trials) or trials < 1:
         raise ValueError(f"a campaign needs at least one trial, as an integer, got {trials!r}")
-    trials = operator.index(trials)
     rng = np.random.default_rng(seed)
     results = [run_trial(rng, m) for _ in range(trials)]
     ok = all(r["ok"] for r in results)
-    return {"seed": int(seed), "trials": trials, "dim": m.dim,
+    return {"seed": int(seed), "trials": int(trials), "dim": m.dim,
             "ok": ok, "results": results}

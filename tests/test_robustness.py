@@ -7,6 +7,7 @@ import inspect
 import math
 import pkgutil
 import re
+import sys
 import time
 from decimal import Decimal
 from fractions import Fraction
@@ -16,13 +17,16 @@ import numpy as np
 import pytest
 
 import specstab
-from specstab import (Atom, ConditioningError, ExtensionParameter, HerglotzMatrix,
-                      MatrixMeasure, OracleError, PoissonSquareKernel, PreconditionError,
-                      RegularizedKernel, ScanConfig, atom_mass, boundary_value, classify, cli,
-                      evaluate, extension_for_point, extension_weyl, integrate,
-                      mass_at_max_mult, max_mult_test, max_mult_test_via, real_poles,
-                      residue_mass, resolvent_identity_residual, t_matrix, verify)
-from specstab.measure import is_real
+from specstab import (ACPiece, Atom, ConditioningError, ExtensionParameter, HerglotzMatrix,
+                      IntervalUnion, MatrixMeasure, MeasureError, OracleError, PoissonSquareKernel,
+                      PreconditionError, RegularizedKernel, ScanConfig, Tolerances, atom_mass,
+                      boundary_value, classify, cli, evaluate, extension_for_point,
+                      extension_weyl, integrate, mass_at_max_mult, max_mult_test,
+                      max_mult_test_via, real_poles, residue_mass, resolvent_identity_residual,
+                      scan_forbidden, t_matrix, verify)
+from specstab.io import dump_json
+from specstab.measure import is_count, is_real
+from specstab.scan import record_to_dict
 from specstab.randgen import point_off_atoms, random_atomic_measure, random_gap_matrix, random_psd
 from specstab.verify import run_verify
 
@@ -521,3 +525,196 @@ def test_random_gap_matrix_makes_the_draws_of_the_diagonal_product(n):
         want = q @ np.diag(mags * old.choice([-1.0, 1.0], size=n)) @ q.conj().T
         assert got.tobytes() == want.tobytes()
         assert rng.random() == old.random()     # the generator is left where it was
+
+
+def _cli(measure_file, command, *argv):
+    """cli.main's exit code for a command on the measure file; ``test`` gets
+    D = [[0.5]], written beside the file."""
+    if command == "test":
+        d_file = Path(measure_file).with_name("d.json")
+        d_file.write_text("[[[0.5, 0]]]")
+        argv = ("--d-matrix", str(d_file), *argv)
+    return cli.main([command, "--measure", measure_file, *argv])
+
+
+BEYOND = {"10**400": 10**400, "Fraction(10**400)": Fraction(10**400)}
+# each entry point names its own error for a number no float can hold
+BEYOND_CALLS = {
+    "t_matrix": (lambda m, v: t_matrix(m, v), PreconditionError, "finite"),
+    "t_matrix on a list": (lambda m, v: t_matrix(m, [0.5, v]), PreconditionError, "finite"),
+    "boundary_value": (boundary_value, PreconditionError, "finite"),
+    "atom_mass": (atom_mass, PreconditionError, "finite"),
+    "max_mult_test": (lambda m, v: max_mult_test(m, np.zeros((2, 2)), v), PreconditionError, "finite"),
+    "max_mult_test_via": (lambda m, v: max_mult_test_via(m, np.zeros((2, 2)), np.eye(2), v),
+                          PreconditionError, "finite"),
+    "evaluate": (evaluate, PreconditionError, "finite"),
+    "atom": (lambda m, v: MatrixMeasure(1, [Atom(v, [[1.0]])]), MeasureError,
+             r"atoms\[0\].x is not a real number"),
+    "piece end": (lambda m, v: MatrixMeasure(1, [], [ACPiece(0.0, v, [[1.0]])]), MeasureError,
+                  r"ac\[0\]: ends are not real numbers"),
+    "grid end": (lambda m, v: ScanConfig(0.0, v, 3), ValueError, "grid ends must be real numbers"),
+    "level": (lambda m, v: RegularizedKernel(0.5, v), PreconditionError, "finite and positive"),
+    "interval end": (lambda m, v: IntervalUnion((0.0, v)), MeasureError, "finite real numbers"),
+    "window end": (lambda m, v: real_poles(m, np.zeros((2, 2)), (-3.0, v)), OracleError,
+                   "finite real numbers"),
+    "tolerance": (lambda m, v: Tolerances(tol_x=v), ValueError, "tol_x must be a finite number"),
+}
+# every input this table names was accepted, or failed with an error of the wrong
+# kind or text: a bare OverflowError or TypeError, NaN output, exit 0 or exit 3
+MENDED_INPUTS = {
+    **{f"{name} at {big}": (lambda m, f, call=call, v=v: call(m, v), expected)
+       for big, v in BEYOND.items() for name, (call, *expected) in BEYOND_CALLS.items()},
+    "point list with a bool": (lambda m, f: t_matrix(m, [True, 2.0]),
+                               (PreconditionError, "points must be numbers, got True")),
+    "point list with None": (lambda m, f: t_matrix(m, [None, 2.0]),
+                             (PreconditionError, "points must be numbers, got None")),
+    "negative tolerance": (lambda m, f: Tolerances(rank_tol=-1e-9),
+                           (ValueError, "rank_tol must be a finite number >= 0, got -1e-09")),
+    "NaN tolerance": (lambda m, f: Tolerances(tol_bv=math.nan),
+                      (ValueError, "tol_bv must be a finite number >= 0, got nan")),
+    "infinite tolerance": (lambda m, f: Tolerances(tol_match=math.inf),
+                           (ValueError, "tol_match must be a finite number >= 0, got inf")),
+    "string tolerance": (lambda m, f: Tolerances(tol_x="1e-12"),
+                         (ValueError, "tol_x must be a finite number >= 0, got '1e-12'")),
+    "long double tolerance": (lambda m, f: Tolerances(tol_x=np.longdouble("1e400")),
+                              (ValueError, "tol_x must be a finite number >= 0")),
+    "long double level": (lambda m, f: RegularizedKernel(0.5, np.longdouble("1e400")),
+                          (PreconditionError, "finite and positive")),
+    "negative override": (lambda m, f: m.omega.tols.with_overrides(tol_x=-1.0),
+                          (ValueError, "tol_x must be a finite number >= 0")),
+    "--tol-x -1": (lambda m, f: _cli(f, "tmatrix", "--x", "0", "--tol-x", "-1"),
+                   "tol_x must be a finite number >= 0, got -1.0"),
+    "--tol-rank -5": (lambda m, f: _cli(f, "tmatrix", "--x", "2", "--tol-rank", "-5"),
+                      "rank_tol must be a finite number >= 0, got -5.0"),
+    "--tol-bv -1": (lambda m, f: _cli(f, "masses", "--x", "0", "--tol-bv", "-1"),
+                    "tol_bv must be a finite number >= 0, got -1.0"),
+    "--tol-match -1": (lambda m, f: _cli(f, "test", "--x", "0.3", "--tol-match", "-1"),
+                       "tol_match must be a finite number >= 0, got -1.0"),
+}
+
+
+@pytest.mark.parametrize("call, expected", MENDED_INPUTS.values(), ids=MENDED_INPUTS)
+def test_each_mended_input_is_rejected(two_atom, single_atom_file, capsys, call, expected):
+    if isinstance(expected, str):   # a CLI command: exit 2 with one error line naming the field
+        assert call(two_atom, single_atom_file) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {expected}\n"
+        return
+    kind, match = expected
+    with pytest.raises(kind, match=match):
+        call(two_atom, single_atom_file)
+
+
+def test_a_fraction_is_the_float_it_names(two_atom, tmp_path):
+    # IntervalUnion and real_poles raised a TypeError from np.isfinite on an object
+    # array, and the scan kept Fraction points, which dump_json could not write
+    half = Fraction(1, 2)
+    union = IntervalUnion((half, 1.0))
+    assert [(iv.a, type(iv.a)) for iv in union.intervals] == [(0.5, float)]
+    assert integrate(union, two_atom.omega).tobytes() == integrate(
+        IntervalUnion((0.5, 1.0)), two_atom.omega).tobytes()
+    window = (-half, Fraction(3))
+    assert real_poles(two_atom, np.zeros((2, 2)), window) == real_poles(
+        two_atom, np.zeros((2, 2)), (-0.5, 3.0))
+    records = scan_forbidden(two_atom.omega, ScanConfig(half, 3, 3))
+    assert [(r.x, type(r.x)) for r in records] == [(0.5, float), (1.75, float), (3.0, float)]
+    with open(tmp_path / "scan.json", "w") as fh:
+        dump_json([record_to_dict(r) for r in records], fh)
+
+
+REALS = {"10**400": (10**400, False), "-10**400": (-10**400, False),
+         "Fraction(10**400)": (Fraction(10**400), False),
+         "Fraction(-10**400, 3)": (Fraction(-10**400, 3), False),
+         "int(float max)": (int(sys.float_info.max), True),
+         "Fraction(10**300, 3)": (Fraction(10**300, 3), True), "int64": (np.int64(2), True),
+         "uint64 max": (np.uint64(2**64 - 1), True), "inf": (math.inf, True), "nan": (math.nan, True)}
+
+
+@pytest.mark.parametrize("v, real", REALS.values(), ids=REALS)
+def test_is_real_holds_what_a_float_can_hold(v, real):
+    # io's rule, now the only one: a rational beyond the float range is not a real number
+    assert is_real(v) is real
+
+
+@pytest.mark.parametrize("v, count", [
+    (2, True), (np.int64(2), True), (np.uint8(2), True), (-1, True), (2**64, True),
+    (True, False), (np.bool_(True), False), (2.0, False), (np.float64(2.0), False),
+    (Fraction(2), False), ("2", False), (None, False), (np.array(2), False)], ids=repr)
+def test_is_count_is_an_integral_number_that_is_not_a_bool(v, count):
+    assert is_count(v) is count
+
+
+def test_a_far_point_squares_to_zero_without_a_warning(two_atom):
+    # numpy's "overflow encountered in square" was a RuntimeWarning, an error
+    # under this suite's filter; 1/inf = 0 is the correctly rounded value
+    zero = np.zeros((2, 2), dtype=complex)
+    for x in (1e200, -1e200):
+        assert t_matrix(two_atom, x).tobytes() == zero.tobytes()
+        assert integrate(RegularizedKernel(x, 1.0), two_atom.omega).tobytes() == zero.tobytes()
+    stack = t_matrix(two_atom, np.array([1e200, 2.0]))
+    assert stack[0].tobytes() == zero.tobytes()
+    assert stack[1].tobytes() == t_matrix(two_atom, 2.0).tobytes()
+
+
+def test_a_far_atom_adds_zero_without_a_warning(two_atom):
+    # the square overflows at a far atom seen from a near point as well
+    near = two_atom.omega
+    far = HerglotzMatrix.from_measure(MatrixMeasure(2, [*near.atoms, Atom(1e200, np.eye(2))]))
+    for x in (0.5, np.array([0.5, 2.0])):
+        assert t_matrix(far, x).tobytes() == t_matrix(two_atom, x).tobytes()
+        assert integrate(RegularizedKernel(x, 1.0), far.omega).tobytes() == integrate(
+            RegularizedKernel(x, 1.0), near).tobytes()
+    assert boundary_value(far, 0.5).t_matrix.tobytes() == boundary_value(two_atom, 0.5).t_matrix.tobytes()
+    assert max_mult_test(far, np.zeros((2, 2)), 0.5).verdict == max_mult_test(
+        two_atom, np.zeros((2, 2)), 0.5).verdict
+
+
+RECORDS = {
+    "Atom": lambda m: Atom(0.0, np.eye(2)),
+    "ACPiece": lambda m: ACPiece(0.0, 1.0, np.eye(2)),
+    "ExtensionParameter": lambda m: ExtensionParameter(np.eye(2)),
+    "HerglotzMatrix": lambda m: HerglotzMatrix(np.eye(2), m.omega),
+    "PoleRecord": lambda m: classify(m, np.zeros((2, 2)), (-3.0, 3.0))[0],
+    "MaxMultEvidence": lambda m: max_mult_test(m, np.zeros((2, 2)), 0.5),
+    "BoundaryReport": lambda m: boundary_value(m, 0.5),
+    "GridRecord": lambda m: scan_forbidden(m.omega, ScanConfig(0.5, 2.0, 2))[0],
+}
+
+
+@pytest.mark.parametrize("make", RECORDS.values(), ids=RECORDS)
+def test_records_holding_arrays_compare_by_identity(two_atom, make):
+    # == compared the fields as tuples, and two equal but distinct arrays
+    # raised numpy's ambiguous truth value
+    one, other = make(two_atom), make(HerglotzMatrix.from_measure(two_atom.omega))
+    assert one == one and one != other
+
+
+def _number_check_copies(tree: ast.Module, module: str):
+    """What decides a number outside measure's predicates: operator.index,
+    __index__, np.isfinite over a list or tuple literal, and every function
+    named like is_real, is_count or finite_float, as ``module.name``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and re.fullmatch(
+                r"_*(is_real|is_count|finite_float)", node.name):
+            found.append(f"{module}.{node.name}")
+        elif isinstance(node, (ast.Import, ast.ImportFrom)) and "operator" in ast.unparse(node):
+            found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Attribute) and node.attr in ("index", "__index__") and (
+                node.attr == "__index__" or ast.unparse(node.value) == "operator"):
+            found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+        elif isinstance(node, ast.Constant) and node.value == "__index__":
+            found.append(f"{module}:{node.lineno}: '__index__'")
+        elif (isinstance(node, ast.Call) and ast.unparse(node.func).endswith("isfinite")
+              and node.args and isinstance(node.args[0], (ast.List, ast.Tuple))):
+            found.append(f"{module}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_number_check_census():
+    # measure alone decides what a real number and a count are; the CLI's
+    # finite_float and io's _is_real were second copies that disagreed
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _number_check_copies(ast.parse(path.read_text()), path.stem)
+    assert found == ["measure.is_real", "measure.is_count"]
