@@ -26,7 +26,7 @@ from .extensions import extension_weyl, max_mult_test, max_mult_test_via
 from .herglotz import (ConditioningError, NotConvergedError, atom_mass,
                        boundary_value, t_matrix)
 from .io import dump_json, load_herglotz, load_hermitian, matrix_out
-from .measure import DEFAULT_TOLS, is_divergent
+from .measure import DEFAULT_TOLS, is_divergent, shown
 from .oracle import classify
 from .scan import ScanConfig, csv_header, record_to_dict, record_to_row, scan_forbidden
 from .verify import run_verify
@@ -50,7 +50,7 @@ def _parse_grid(spec: str):
         a, b, steps = spec.split(":")
         return float(a), float(b), int(steps)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"expected a:b:steps, got {spec!r}")
+        raise argparse.ArgumentTypeError(f"expected a:b:steps, got {shown(spec)}")
 
 
 def _parse_complex(spec: str) -> complex:
@@ -61,7 +61,7 @@ def _parse_complex(spec: str) -> complex:
         return complex(float(re), float(im))
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"expected a complex number as RE,IM or python literal, got {spec!r}")
+            f"expected a complex number as RE,IM or python literal, got {shown(spec)}")
 
 
 def _emit(doc, out, fmt):

@@ -25,8 +25,8 @@ from numpy.linalg import _umath_linalg
 from .herglotz import (ConditioningError, HerglotzMatrix, _t_and_m, boundary_value,
                        evaluate, integrate_cauchy, t_matrix)
 from .measure import (Divergent, PoissonSquareKernel, PreconditionError, _fro, _frozen,
-                      as_point, as_real_point, hermitian_part, integrate, is_batch,
-                      is_divergent, is_hermitian)
+                      as_hermitian, as_point, as_real_point, hermitian_part, integrate,
+                      is_batch, is_divergent)
 
 
 # smallest singular value of D' - D accepted by the second-parameter test
@@ -40,7 +40,7 @@ class ExtensionParameter:
     D: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "D", _frozen(_hermitian_square(np.asarray(self.D, dtype=complex))))
+        object.__setattr__(self, "D", _frozen(as_hermitian(self.D, "D")))
 
 
 @dataclass(eq=False)
@@ -69,20 +69,11 @@ class MaxMultEvidence:
         return hermitian_part(self.m_boundary @ inv @ self.m_boundary if self.via else inv)
 
 
-def _hermitian_square(d: np.ndarray) -> np.ndarray:
-    """d itself, checked as an ``ExtensionParameter`` checks its D."""
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError(f"D must be square, got shape {d.shape}")
-    if not is_hermitian(d):
-        raise ValueError("D must be Hermitian")
-    return d
-
-
 def as_parameter(d, n: int) -> np.ndarray:
     """The matrix of d: ``d.D`` for an ExtensionParameter, else a checked
     private copy of d, with no wrapper built; PreconditionError unless it
     is n x n, n the dimension of the measure."""
-    D = d.D if isinstance(d, ExtensionParameter) else _hermitian_square(np.array(d, dtype=complex))
+    D = d.D if isinstance(d, ExtensionParameter) else as_hermitian(d, "D", copy=True)
     if len(D) != n:
         raise PreconditionError(f"the parameter is {len(D)}x{len(D)} but the measure has n={n}")
     return D

@@ -25,8 +25,8 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from .measure import (DEFAULT_TOLS, CauchyKernel, Divergent, MatrixMeasure,
-                      PoissonSquareKernel, Tolerances, _fro, _frozen, as_point, as_real_point,
-                      hermitian_part, integrate, is_batch, is_divergent, is_hermitian)
+                      PoissonSquareKernel, Tolerances, _fro, _frozen, as_hermitian, as_matrix,
+                      as_point, as_real_point, hermitian_part, integrate, is_batch, is_divergent)
 
 
 class NotConvergedError(RuntimeError):
@@ -48,15 +48,12 @@ class HerglotzMatrix:
     omega: MatrixMeasure
 
     def __post_init__(self):
-        c = np.asarray(self.C, dtype=complex)
-        n = self.omega.dim
+        c, n = as_matrix(self.C, "C"), self.omega.dim
         if c.shape != (n, n):
             raise ValueError(f"C must be {n}x{n}, got {c.shape}")
-        if not is_hermitian(c):
-            raise ValueError("C must be Hermitian")
-        raw = c.tobytes()       # all +0.0, the default C, is left unchecked
-        h = hermitian_part(c) + 0.0 if raw != bytes(len(raw)) else c
-        object.__setattr__(self, "C", _frozen(c if h.tobytes() == raw else h))
+        c = as_hermitian(c, "C")
+        h = hermitian_part(c) + 0.0
+        object.__setattr__(self, "C", _frozen(c if h.tobytes() == c.tobytes() else h))
         # (bits of x, T(x), M_fin(x), mass at x) at the last real point of ``_t_and_m``
         object.__setattr__(self, "_last", (None,))
 
@@ -65,7 +62,7 @@ class HerglotzMatrix:
         """C (zero if None) and omega; stores a copy of C."""
         if C is None:
             C = np.zeros((omega.dim, omega.dim))
-        return cls(np.array(C, dtype=complex), omega)
+        return cls(as_matrix(C, "C", copy=True), omega)
 
     @property
     def dim(self) -> int:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .herglotz import HerglotzMatrix
 from .measure import (DEFAULT_TOLS, ACPiece, Atom, MatrixMeasure, MeasureError, Tolerances,
-                      is_count, is_hermitian, is_real)
+                      is_count, is_hermitian, is_real, shown)
 
 
 class InputError(ValueError):
@@ -31,9 +31,9 @@ def _complex_in(v, where: str) -> complex:
         return complex(v)
     if isinstance(v, (list, tuple)) and len(v) == 2:
         if not (is_real(v[0]) and is_real(v[1])):
-            raise InputError(f"{where}: [re, im] entries must be real numbers, got {v!r}")
+            raise InputError(f"{where}: [re, im] entries must be real numbers, got {shown(v)}")
         return complex(v[0], v[1])
-    raise InputError(f"{where}: expected [re, im] pair, got {v!r}")
+    raise InputError(f"{where}: expected [re, im] pair, got {shown(v)}")
 
 
 def matrix_in(rows, n: int, where: str) -> np.ndarray:

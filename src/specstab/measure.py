@@ -49,7 +49,7 @@ class Tolerances:
         for name, v in vars(self).items():
             # as a float first: a long double can be finite and still pass the float range
             if not (is_real(v) and 0.0 <= float(v) < math.inf):     # NaN fails too
-                raise ValueError(f"{name} must be a finite number >= 0, got {v!r}")
+                raise ValueError(f"{name} must be a finite number >= 0, got {shown(v)}")
             object.__setattr__(self, name, float(v))
 
     def with_overrides(self, **kw) -> "Tolerances":
@@ -118,6 +118,40 @@ def is_count(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def shown(v) -> str:
+    """repr(v) for an error message, cut after 40 characters where it is
+    longer than 60, and a placeholder for an int too long to print."""
+    try:
+        s = repr(v)
+    except ValueError:  # Python prints no int of more than 4300 digits
+        return f"<{type(v).__name__} too long to print>"
+    return s if len(s) <= 60 else f"{s[:40]}... ({len(s)} characters)"
+
+
+def as_matrix(a, what: str, copy: bool = False) -> np.ndarray:
+    """a as a complex array, a complex ndarray itself unless ``copy``.  An
+    int, float or complex ndarray is read as it is, anything else one entry
+    at a time: ValueError, naming ``what``, unless each is a real number
+    (``is_real``) or a complex one."""
+    if not (isinstance(a, np.ndarray) and a.dtype.kind in "iufc"):
+        a = np.array(a, dtype=object)
+        for v in a.flat:
+            if not (is_real(v) or isinstance(v, (complex, np.complexfloating))):
+                raise ValueError(f"{what} must be numbers, got {shown(v)}")
+    return np.array(a, dtype=complex) if copy else np.asarray(a, dtype=complex)
+
+
+def as_hermitian(a, what: str, copy: bool = False) -> np.ndarray:
+    """``as_matrix``, then ValueError, naming ``what``, unless it is square
+    and Hermitian (``is_hermitian``)."""
+    a = as_matrix(a, what, copy)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {a.shape}")
+    if not is_hermitian(a):
+        raise ValueError(f"{what} must be Hermitian")
+    return a
+
+
 DEFAULT_TOLS = Tolerances()
 # np.square silent about overflow, for a point or an atom far out: the square
 # is inf there, and 1/inf the 0 wanted; the same bits as np.square and x ** 2
@@ -142,11 +176,11 @@ def as_point(x):
         else:
             kind = np.asarray(x).dtype.kind
         if kind in "bSU":   # a bool or a string
-            raise PreconditionError(f"points must be numbers, got {x!r}")
+            raise PreconditionError(f"points must be numbers, got {shown(x)}")
         try:
             x = complex(x) if kind == "c" else float(x)
         except TypeError:   # float() of None, say
-            raise PreconditionError(f"points must be numbers, got {x!r}") from None
+            raise PreconditionError(f"points must be numbers, got {shown(x)}") from None
         except OverflowError:   # an int or a Fraction beyond the float range
             raise PreconditionError("points must be finite, got a number beyond ±1.8e308") from None
     if not (np.isfinite(x).all() if isinstance(x, np.ndarray) else cmath.isfinite(x)):
@@ -224,7 +258,8 @@ class Interval:
 
     def __post_init__(self):
         if not (is_real(self.a) and is_real(self.b) and math.isfinite(self.a) and math.isfinite(self.b)):
-            raise MeasureError(f"interval endpoints must be finite real numbers, got {self}")
+            raise MeasureError("interval endpoints must be finite real numbers, "
+                               f"got {shown(self.a)}, {shown(self.b)}")
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         if not all(isinstance(f, (bool, np.bool_)) for f in (self.include_a, self.include_b)):
@@ -248,7 +283,7 @@ class Atom:
     W: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "W", _frozen(np.asarray(self.W, dtype=complex)))
+        object.__setattr__(self, "W", _frozen(as_matrix(self.W, "W")))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +295,7 @@ class ACPiece:
     rho: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "rho", _frozen(np.asarray(self.rho, dtype=complex)))
+        object.__setattr__(self, "rho", _frozen(as_matrix(self.rho, "rho")))
 
 
 @dataclass(frozen=True)
@@ -303,7 +338,7 @@ class MatrixMeasure:
         self.tols = tols
         atoms, ac_pieces = tuple(atoms), tuple(ac_pieces)   # checked in the caller's order, unsorted
         _reject_first(~np.fromiter((is_real(at.x) for at in atoms), bool),
-                      lambda k: f"atoms[{k}].x is not a real number, got {atoms[k].x!r}")
+                      lambda k: f"atoms[{k}].x is not a real number, got {shown(atoms[k].x)}")
         _reject_first(~np.fromiter((is_real(pc.a) and is_real(pc.b) for pc in ac_pieces), bool),
                       lambda k: f"ac[{k}]: ends are not real numbers")
         self.atoms = tuple(sorted(atoms, key=lambda at: at.x))
@@ -352,9 +387,13 @@ class MatrixMeasure:
         self._zero = _frozen(np.zeros((n, n), dtype=complex))
         self.W, self.rho = self._weights[:k].reshape(-1, n, n), self._weights[k:].reshape(-1, n, n)
         self._pts = _frozen(np.concatenate([self.xs, self.a, self.b]))
+        # a piece's ∫ y/(1+y²), 0.5·log((1 + b²)/(1 + a²)), by hypot where a square is inf
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):   # replaced below
+            logs = 0.5 * np.log((1.0 + self.b ** 2) / (1.0 + self.a ** 2))
+        far = ~np.isfinite(logs)
+        logs[far] = np.log(np.hypot(1.0, self.b[far]) / np.hypot(1.0, self.a[far]))
         self.cauchy_offset = _frozen(
-            (self.xs / (1.0 + _QUIET_SQUARE(self.xs))) @ self._weights[:k]
-            + (0.5 * np.log((1.0 + self.b ** 2) / (1.0 + self.a ** 2))) @ self._weights[k:])
+            (self.xs / (1.0 + _QUIET_SQUARE(self.xs))) @ self._weights[:k] + logs @ self._weights[k:])
 
         # Support of every term widened by tol_x, atoms first, then pieces:
         # [lo, hi] sorted by lo, with the running maximum of hi, so that the
@@ -501,7 +540,7 @@ class RegularizedKernel(Kernel):
             raise PreconditionError("a batch of regularization levels m must be a 1-D array")
         # each as a float first: a long double can pass the float range; NaN fails too
         if not all(is_real(v) and 0.0 < float(v) < math.inf for v in given.flat):
-            raise PreconditionError(f"regularization level m must be a finite and positive number, got {m!r}")
+            raise PreconditionError(f"regularization level m must be a finite and positive number, got {shown(m)}")
         levels = given.astype(float)
         ms = levels.ravel().tolist()
         self.m = _frozen(levels) if levels.ndim else ms[0]

@@ -34,7 +34,8 @@ import numpy as np
 
 from .extensions import ExtensionParameter, _inv_certified, as_parameter
 from .herglotz import HerglotzMatrix, integrate_cauchy, t_matrix
-from .measure import as_real_point, hermitian_part, is_batch, is_divergent, is_real, matrix_rank
+from .measure import (as_matrix, as_real_point, hermitian_part, is_batch, is_divergent,
+                      is_real, matrix_rank, shown)
 
 # an eigenvalue of H within KERNEL_TOL·max(1, ‖H‖) of 0 counts as a kernel
 # direction; a shift with one is numerically singular
@@ -78,7 +79,7 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tupl
         raise OracleError("pole search requires a purely atomic measure")
     a, b = interval[0], interval[1]
     if not (is_real(a) and is_real(b) and math.isfinite(a) and math.isfinite(b)):
-        raise OracleError(f"the window [{a!r}, {b!r}] must be finite real numbers")
+        raise OracleError(f"the window [{shown(a)}, {shown(b)}] must be finite real numbers")
     a, b = float(a), float(b)
     if not a < b:
         raise OracleError(f"empty or inverted interval [{a}, {b}]")
@@ -182,7 +183,7 @@ def classify(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[PoleRe
     """
     n = m.dim
     if not isinstance(d, ExtensionParameter):   # checked here once, not by each call below
-        d = ExtensionParameter(np.array(d, dtype=complex))
+        d = ExtensionParameter(as_matrix(d, "D", copy=True))
     poles = real_poles(m, d, interval)
     ps = np.array([p for p, _ in poles], dtype=float)
     kdims = np.array([kdim for _, kdim in poles], dtype=int)

@@ -22,7 +22,7 @@ from typing import ClassVar, Dict, List, Tuple, Union
 import numpy as np
 
 from .measure import (Divergent, Kernel, MatrixMeasure, RegularizedKernel, integrate,
-                      is_count, is_divergent, is_real)
+                      is_count, is_divergent, is_real, shown)
 from .herglotz import HerglotzMatrix, t_matrix
 
 DEFAULT_M_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
@@ -30,6 +30,9 @@ DEFAULT_M_SCHEDULE = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
 # bounded however long the grid is (a 1500-point grid over K = 512 atoms ran
 # faster in 4 MiB chunks than in 1, 2 or 16 MiB ones)
 _BLOCK_ENTRIES = 1 << 19
+# a grid's largest step count: a record holds about 2.8 KB at n = 3, so a
+# million points is about 3 GB of records
+_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -41,13 +44,13 @@ class ScanConfig:
 
     def __post_init__(self):
         if not (is_real(self.a) and is_real(self.b)):
-            raise ValueError(f"grid ends must be real numbers, got {self.a!r}, {self.b!r}")
+            raise ValueError(f"grid ends must be real numbers, got {shown(self.a)}, {shown(self.b)}")
         if not math.isfinite(float(self.b) - float(self.a)):    # a NaN or infinite end, or an overflow
             raise ValueError(f"grid ends and their span must be finite, got [{self.a}, {self.b}]")
         if not self.a < self.b:
             raise ValueError(f"grid requires a < b, got [{self.a}, {self.b}]")
-        if not is_count(self.steps) or self.steps < 2:
-            raise ValueError(f"grid needs at least 2 integer steps, got {self.steps!r}")
+        if not (is_count(self.steps) and 2 <= self.steps <= _MAX_STEPS):
+            raise ValueError(f"grid needs 2 to {_MAX_STEPS} integer steps, got {shown(self.steps)}")
 
     def grid(self) -> np.ndarray:
         return np.linspace(float(self.a), float(self.b), self.steps)

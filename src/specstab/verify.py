@@ -25,7 +25,7 @@ from .extensions import (_inv_certified, extension_for_point, extension_weyl,
                          max_mult_test, max_mult_test_via)
 from .herglotz import ConditioningError, HerglotzMatrix, atom_mass, integrate_cauchy
 from .io import matrix_out
-from .measure import MatrixMeasure, _fro, is_count
+from .measure import MatrixMeasure, _fro, is_count, shown
 from .oracle import classify
 from .randgen import point_off_atoms, random_gap_matrix
 
@@ -112,7 +112,7 @@ def run_verify(m: HerglotzMatrix, trials: int, seed: int) -> dict:
     if not m.omega.purely_atomic:
         raise ValueError("verification campaigns require a purely atomic measure")
     if not is_count(trials) or trials < 1:
-        raise ValueError(f"a campaign needs at least one trial, as an integer, got {trials!r}")
+        raise ValueError(f"a campaign needs at least one trial, as an integer, got {shown(trials)}")
     rng = np.random.default_rng(seed)
     results = [run_trial(rng, m) for _ in range(trials)]
     ok = all(r["ok"] for r in results)

@@ -14,6 +14,7 @@ from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       max_mult_test, max_mult_test_via,
                       resolvent_identity_residual)
 import specstab.extensions as ext
+import specstab.measure as measure
 from specstab.extensions import MIN_GAP_SV, _inv_certified, _inv_checked, extension_weyl
 from specstab.herglotz import atom_mass, boundary_value
 from specstab.randgen import (random_gap_matrix, random_herglotz, random_hermitian,
@@ -36,8 +37,8 @@ class TestExtensionParameter:
     def test_a_raw_parameter_is_checked_once_and_never_wrapped(self, two_atom, monkeypatch):
         # as_parameter wrapped each raw d in a frozen ExtensionParameter
         checks, built = [], []
-        check, post_init = ext.is_hermitian, ExtensionParameter.__post_init__
-        monkeypatch.setattr(ext, "is_hermitian", lambda a: checks.append(1) or check(a))
+        check, post_init = measure.is_hermitian, ExtensionParameter.__post_init__
+        monkeypatch.setattr(measure, "is_hermitian", lambda a: checks.append(1) or check(a))
         monkeypatch.setattr(ExtensionParameter, "__post_init__",
                             lambda p: built.append(1) or post_init(p))
         d, dp = np.zeros((2, 2)), 2.0 * np.eye(2)

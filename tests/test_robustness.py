@@ -1,5 +1,6 @@
 import ast
 import builtins
+import copy
 import dataclasses
 import functools
 import importlib
@@ -25,7 +26,7 @@ from specstab import (ACPiece, Atom, ConditioningError, ExtensionParameter, Herg
                       max_mult_test_via, real_poles, residue_mass, resolvent_identity_residual,
                       scan_forbidden, t_matrix, verify)
 from specstab.io import dump_json
-from specstab.measure import is_count, is_real
+from specstab.measure import as_matrix, is_count, is_real, shown
 from specstab.scan import record_to_dict
 from specstab.randgen import point_off_atoms, random_atomic_measure, random_gap_matrix, random_psd
 from specstab.verify import run_verify
@@ -590,6 +591,12 @@ MENDED_INPUTS = {
                     "tol_bv must be a finite number >= 0, got -1.0"),
     "--tol-match -1": (lambda m, f: _cli(f, "test", "--x", "0.3", "--tol-match", "-1"),
                        "tol_match must be a finite number >= 0, got -1.0"),
+    "grid of 10**20 steps": (lambda m, f: ScanConfig(0.0, 1.0, 10**20),
+                             (ValueError, "^grid needs 2 to 1000000 integer steps, got 1(0){20}$")),
+    "grid of 10**6 + 1 steps": (lambda m, f: ScanConfig(0.0, 1.0, 10**6 + 1),
+                                (ValueError, "^grid needs 2 to 1000000 integer steps, got 1000001$")),
+    "--grid 0:1:10**20": (lambda m, f: _cli(f, "scan", "--grid", f"0:1:{10**20}"),
+                          f"grid needs 2 to 1000000 integer steps, got {10**20}"),
 }
 
 
@@ -718,3 +725,163 @@ def test_number_check_census():
     for path in sorted(SRC.glob("*.py")):
         found += _number_check_copies(ast.parse(path.read_text()), path.stem)
     assert found == ["measure.is_real", "measure.is_count"]
+
+
+def test_a_million_steps_is_still_a_grid():
+    # constructed, not scanned: the bound is the largest grid accepted
+    assert ScanConfig(0, 1, 10**6).steps == 10**6
+
+
+def _hermitian_census(tree: ast.Module, module: str):
+    """The functions of a module that call is_hermitian, as ``module.name``."""
+    return [f"{module}.{fn.name}" for fn in ast.walk(tree)
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(isinstance(node, ast.Call) and ast.unparse(node.func).endswith("is_hermitian")
+                    for node in ast.walk(fn))]
+
+
+def test_is_hermitian_census():
+    # D, D' and C are checked by as_hermitian alone, the weights by is_psd and
+    # a parameter file by io's reader; extensions and HerglotzMatrix had their own copies
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += _hermitian_census(ast.parse(path.read_text()), path.stem)
+    assert found == ["io.load_hermitian", "measure.as_hermitian", "measure.is_psd"]
+
+
+MATRIX_CALLS = {
+    "Atom": (lambda m, a: Atom(0.0, a), "W"),
+    "ACPiece": (lambda m, a: ACPiece(0.0, 1.0, a), "rho"),
+    "HerglotzMatrix": (lambda m, a: HerglotzMatrix(a, m.omega), "C"),
+    "from_measure": (lambda m, a: HerglotzMatrix.from_measure(m.omega, a), "C"),
+    "ExtensionParameter": (lambda m, a: ExtensionParameter(a), "D"),
+    "max_mult_test": (lambda m, a: max_mult_test(m, a, 0.5), "D"),
+    "max_mult_test_via D'": (lambda m, a: max_mult_test_via(m, np.zeros((2, 2)), a, 0.5), "D"),
+    "extension_weyl": (lambda m, a: extension_weyl(m, a), "D"),
+    "resolvent_identity_residual D'": (
+        lambda m, a: resolvent_identity_residual(m, np.zeros((2, 2)), a, 1j), "D"),
+    "classify": (lambda m, a: classify(m, a, (-3.0, 3.0)), "D"),
+    "real_poles": (lambda m, a: real_poles(m, a, (-3.0, 3.0)), "D"),
+    "residue_mass": (lambda m, a: residue_mass(m, a, 0.0), "D"),
+}
+# each matrix with the text its first bad entry is shown by
+NOT_NUMBER_MATRICES = {
+    "bool entry": ([[True, 0.0], [0.0, 1.0]], "True"),
+    "string entry": ([["0.5", 0.0], [0.0, 1.0]], "'0.5'"),
+    "None entry": ([[None, 0.0], [0.0, 1.0]], "None"),
+    "10**400 entry": ([[10**400, 0.0], [0.0, 1.0]], f"{10**39}... (401 characters)"),
+    "bool array": (np.eye(2, dtype=bool), "True"),
+}
+
+
+@pytest.mark.parametrize("a, text", NOT_NUMBER_MATRICES.values(), ids=NOT_NUMBER_MATRICES)
+@pytest.mark.parametrize("call, what", MATRIX_CALLS.values(), ids=MATRIX_CALLS)
+def test_matrix_entries_must_be_numbers(two_atom, call, what, a, text):
+    # a bool or a string was read as the number it spells, None as NaN,
+    # and 10**400 raised numpy's bare OverflowError
+    with pytest.raises(ValueError, match=f"^{what} must be numbers, got {re.escape(text)}$"):
+        call(two_atom, a)
+
+
+NUMERIC_MATRICES = {
+    "int8": np.array([[2, 1], [1, 3]], dtype=np.int8),
+    "float32": np.array([[2.5, 0.1], [0.1, 3.0]], dtype=np.float32),
+    "complex": np.array([[2.0, 1j], [-1j, 3.0]]),
+    "Fractions": [[Fraction(1, 3), Fraction(1, 7)], [Fraction(1, 7), 2]],
+    "2**70": [[2**70, 0], [0, 2**70]],
+}
+
+
+@pytest.mark.parametrize("a", NUMERIC_MATRICES.values(), ids=NUMERIC_MATRICES)
+def test_numeric_matrices_keep_their_bytes(two_atom, a):
+    # np.asarray(a, dtype=complex) is the conversion every constructor made;
+    # a complex array is the constructors' own, so each test takes a copy
+    a = copy.deepcopy(a)
+    c = np.asarray(a, dtype=complex)
+    assert as_matrix(a, "W").tobytes() == c.tobytes()
+    assert Atom(0.0, a).W.tobytes() == c.tobytes()
+    assert ACPiece(0.0, 1.0, a).rho.tobytes() == c.tobytes()
+    assert ExtensionParameter(a).D.tobytes() == c.tobytes()
+    omega = two_atom.omega
+    assert HerglotzMatrix(a, omega).C.tobytes() == HerglotzMatrix(c.copy(), omega).C.tobytes()
+    assert HerglotzMatrix.from_measure(omega, a).C.tobytes() == HerglotzMatrix(c.copy(), omega).C.tobytes()
+    ev, want = max_mult_test(two_atom, a, 0.5), max_mult_test(two_atom, c, 0.5)
+    assert ev.residual == want.residual and ev.t_value.tobytes() == want.t_value.tobytes()
+
+
+def test_a_complex_matrix_is_its_own_unless_copied():
+    c = np.eye(2, dtype=complex)
+    assert as_matrix(c, "D") is c
+    assert as_matrix(c, "D", copy=True) is not c
+
+
+HUGE = 10**5000     # more digits than Python prints (4300)
+# each site built its message from repr(HUGE), which raised a ValueError of its own
+HUGE_CALLS = {
+    "atom point": (lambda m: MatrixMeasure(1, [Atom(HUGE, [[1.0]])]), MeasureError,
+                   r"atoms\[0\].x is not a real number, got <int too long to print>"),
+    "interval end": (lambda m: IntervalUnion((0.0, HUGE)), MeasureError,
+                     "interval endpoints must be finite real numbers, got 0.0, <int too long"),
+    "grid end": (lambda m: ScanConfig(0.0, HUGE, 3), ValueError,
+                 "grid ends must be real numbers, got 0.0, <int too long to print>"),
+    "grid steps": (lambda m: ScanConfig(0.0, 1.0, HUGE), ValueError,
+                   "grid needs 2 to 1000000 integer steps, got <int too long to print>"),
+    "tolerance": (lambda m: Tolerances(tol_x=HUGE), ValueError,
+                  "tol_x must be a finite number >= 0, got <int too long to print>"),
+    "level": (lambda m: RegularizedKernel(0.5, HUGE), PreconditionError,
+              "regularization level m must be a finite and positive number, got <int too long"),
+    "window end": (lambda m: real_poles(m, np.zeros((2, 2)), (-3.0, HUGE)), OracleError,
+                   r"the window \[-3.0, <int too long to print>\] must be finite real numbers"),
+}
+
+
+@pytest.mark.parametrize("call, kind, match", HUGE_CALLS.values(), ids=HUGE_CALLS)
+def test_a_value_too_long_to_print_keeps_its_own_error(two_atom, call, kind, match):
+    with pytest.raises(kind, match=match):
+        call(two_atom)
+
+
+@pytest.mark.parametrize("v, text", [
+    (-1e-9, "-1e-09"), ("1e-12", "'1e-12'"), (True, "True"), ("x" * 58, repr("x" * 58)),
+    ("x" * 59, f"'{'x' * 39}... (61 characters)"), (HUGE, "<int too long to print>")],
+    ids=shown)     # repr(HUGE) raises
+def test_shown_is_repr_cut_to_size(v, text):
+    assert shown(v) == text
+
+
+FAR_PIECES = {"[0, 1e200]": (0.0, 1e200), "[1e200, 2e200]": (1e200, 2e200),
+              "[-1e200, 0]": (-1e200, 0.0), "[-1e308, 1e300]": (-1e308, 1e300)}
+
+
+@pytest.mark.parametrize("a, b", FAR_PIECES.values(), ids=FAR_PIECES)
+def test_a_far_piece_end_keeps_a_finite_cauchy_offset(a, b):
+    # 0.5·log((1 + b²)/(1 + a²)) overflowed to inf or NaN beyond ±1.34e154
+    mp = pytest.importorskip("mpmath").mp
+    with mp.workdps(40):
+        want = float(mp.log((1 + mp.mpf(b) ** 2) / (1 + mp.mpf(a) ** 2)) / 2)
+    omega = MatrixMeasure(1, [], [ACPiece(a, b, [[1.0]])])
+    assert omega.cauchy_offset[0] == pytest.approx(want, rel=1e-15, abs=0.0)
+    assert np.isfinite(evaluate(HerglotzMatrix.from_measure(omega), 1j)).all()
+
+
+def test_a_far_piece_end_evaluates_in_the_cli(tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text('{"n": 1, "ac": [{"a": 0.0, "b": 1e200, "rho": [[[1, 0]]]}]}')
+    assert cli.main(["eval", "--measure", str(path), "--z", "0,1"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "null" not in captured.out
+
+
+def test_piece_offsets_within_the_float_range_keep_their_bits():
+    # the overflow branch is taken only where 1 + a² or 1 + b² is inf
+    rng = np.random.default_rng(11)
+    ends = np.sort(rng.choice([-1.0, 1.0], size=(300, 2)) * np.exp(rng.uniform(-20, 400, size=(300, 2))))
+    kept = 0
+    for a, b in ends[ends[:, 0] < ends[:, 1]]:
+        offset = MatrixMeasure(1, [], [ACPiece(a, b, [[1.0]])]).cauchy_offset
+        assert np.isfinite(offset).all()
+        if max(abs(a), abs(b)) < 1.3e154:
+            old = 0.5 * np.log((1.0 + np.array([b]) ** 2) / (1.0 + np.array([a]) ** 2))
+            assert offset.real.tobytes() == old.tobytes() and not offset.imag.any()
+            kept += 1
+    assert 100 < kept < 250     # both branches taken
