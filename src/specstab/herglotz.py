@@ -48,10 +48,9 @@ class HerglotzMatrix:
     omega: MatrixMeasure
 
     def __post_init__(self):
-        c, n = as_matrix(self.C, "C"), self.omega.dim
+        c, n = as_hermitian(self.C, "C"), self.omega.dim
         if c.shape != (n, n):
             raise ValueError(f"C must be {n}x{n}, got {c.shape}")
-        c = as_hermitian(c, "C")
         h = hermitian_part(c) + 0.0
         object.__setattr__(self, "C", _frozen(c if h.tobytes() == c.tobytes() else h))
         # (bits of x, T(x), M_fin(x), mass at x) at the last real point of ``_t_and_m``

@@ -64,19 +64,13 @@ def measure_from_dict(doc: dict, tols: Tolerances = DEFAULT_TOLS,
     for key in ("atoms", "ac"):
         if not isinstance(doc.get(key, []), list):
             raise InputError(f"{where}: field '{key}' must be a list")
-    atoms = []
-    for k, a in enumerate(doc.get("atoms", [])):
-        x = a.get("x") if isinstance(a, dict) else None
-        if not is_real(x):
-            raise InputError(f"{where}: atoms[{k}].x missing or not a real number")
-        atoms.append(Atom(float(x), matrix_in(a.get("W"), n, f"{where}: atoms[{k}].W")))
-    pieces = []
-    for k, p in enumerate(doc.get("ac", [])):
-        ends = (p.get("a"), p.get("b")) if isinstance(p, dict) else (None, None)
-        if not all(map(is_real, ends)):
-            raise InputError(f"{where}: ac[{k}] needs real fields a, b")
-        pieces.append(ACPiece(float(ends[0]), float(ends[1]),
-                              matrix_in(p.get("rho"), n, f"{where}: ac[{k}].rho")))
+    atoms, pieces = [], []      # MatrixMeasure checks the terms; one that is not an object is empty
+    for k, t in enumerate(doc.get("atoms", [])):
+        t = t if isinstance(t, dict) else {}
+        atoms.append(Atom(t.get("x"), matrix_in(t.get("W"), n, f"{where}: atoms[{k}].W")))
+    for k, t in enumerate(doc.get("ac", [])):
+        t = t if isinstance(t, dict) else {}
+        pieces.append(ACPiece(t.get("a"), t.get("b"), matrix_in(t.get("rho"), n, f"{where}: ac[{k}].rho")))
     try:
         omega = MatrixMeasure(n, atoms, pieces, tols)
     except MeasureError as exc:

@@ -135,6 +135,9 @@ def as_matrix(a, what: str, copy: bool = False) -> np.ndarray:
     (``is_real``) or a complex one."""
     if not (isinstance(a, np.ndarray) and a.dtype.kind in "iufc"):
         a = np.array(a, dtype=object)
+        rows = [len(v) for v in a if isinstance(v, (list, tuple))] if a.ndim == 1 else []
+        if len(rows) == a.size > 1:     # rows of one length would have made a 2-D array
+            raise ValueError(f"{what} must have rows of one length, got lengths {', '.join(map(str, rows))}")
         for v in a.flat:
             if not (is_real(v) or isinstance(v, (complex, np.complexfloating))):
                 raise ValueError(f"{what} must be numbers, got {shown(v)}")
@@ -216,18 +219,10 @@ def matrix_rank(a: np.ndarray, rank_tol: float):
 
 
 def _stack(mats: list, n: int, what: str) -> np.ndarray:
-    """The n x n matrices as one (len, n, n) array; ``what`` names entry k."""
-    if not mats:
-        return np.zeros((0, n, n), dtype=complex)
-    try:
-        out = np.array(mats, dtype=complex)
-    except ValueError:   # ragged shapes
-        out = None
-    if out is None or out.shape[1:] != (n, n):
-        k = next(k for k, m in enumerate(mats) if np.shape(m) != (n, n))
-        raise MeasureError(f"{what.format(k)}: expected {n}x{n} matrix, "
-                           f"got shape {np.shape(mats[k])}")
-    return out
+    """The n x n arrays as one (len, n, n) array; ``what`` names entry k."""
+    _reject_first(np.array([m.shape != (n, n) for m in mats], dtype=bool),
+                  lambda k: f"{what.format(k)}: expected {n}x{n} matrix, got shape {mats[k].shape}")
+    return np.array(mats, dtype=complex).reshape(-1, n, n)
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -334,44 +329,45 @@ class MatrixMeasure:
                  tols: Tolerances = DEFAULT_TOLS):
         if not is_count(dim) or dim < 1:
             raise MeasureError("dim must be a positive integer")
+        if not isinstance(tols, Tolerances):
+            raise MeasureError(f"tols must be a Tolerances, got {shown(tols)}")
         self.dim = int(dim)
         self.tols = tols
-        atoms, ac_pieces = tuple(atoms), tuple(ac_pieces)   # checked in the caller's order, unsorted
+        self._validate(tuple(atoms), tuple(ac_pieces))    # checked in the caller's order, then sorted
+
+    def _validate(self, atoms: tuple, pieces: tuple):
+        n, rt, tol_x = self.dim, self.tols.rank_tol, self.tols.tol_x
         _reject_first(~np.fromiter((is_real(at.x) for at in atoms), bool),
                       lambda k: f"atoms[{k}].x is not a real number, got {shown(atoms[k].x)}")
-        _reject_first(~np.fromiter((is_real(pc.a) and is_real(pc.b) for pc in ac_pieces), bool),
+        _reject_first(~np.fromiter((is_real(pc.a) and is_real(pc.b) for pc in pieces), bool),
                       lambda k: f"ac[{k}]: ends are not real numbers")
-        self.atoms = tuple(sorted(atoms, key=lambda at: at.x))
-        self.ac_pieces = tuple(sorted(ac_pieces, key=lambda p: p.a))
-        self._validate()
-
-    def _validate(self):
-        n, rt, tol_x = self.dim, self.tols.rank_tol, self.tols.tol_x
-        xs = np.array([at.x for at in self.atoms], dtype=float)
-        W = _stack([at.W for at in self.atoms], n, "atoms[{}].W")
-        ends = np.array([(pc.a, pc.b) for pc in self.ac_pieces], dtype=float).reshape(-1, 2)
-        rho = _stack([pc.rho for pc in self.ac_pieces], n, "ac[{}].rho")
-        a, b = ends[:, 0], ends[:, 1]
+        xs = np.array([at.x for at in atoms], dtype=float)
+        W = _stack([at.W for at in atoms], n, "atoms[{}].W")
+        a, b = np.array([(pc.a, pc.b) for pc in pieces], dtype=float).reshape(-1, 2).T
+        rho = _stack([pc.rho for pc in pieces], n, "ac[{}].rho")
 
         _reject_first(~np.isfinite(xs), lambda k: f"atoms[{k}].x is not finite")
         _reject_first(~np.isfinite(W).all(axis=(1, 2)), lambda k: f"atoms[{k}].W is not finite")
-        _reject_first(~np.isfinite(ends).all(axis=1), lambda k: f"ac[{k}]: ends are not finite")
+        _reject_first(~(np.isfinite(a) & np.isfinite(b)), lambda k: f"ac[{k}]: ends are not finite")
         _reject_first(~np.isfinite(rho).all(axis=(1, 2)), lambda k: f"ac[{k}].rho is not finite")
         _reject_first(~(a < b), lambda k: f"ac[{k}]: requires a < b, got [{a[k]}, {b[k]}]")
         hW, hrho = hermitian_part(W) + 0.0, hermitian_part(rho) + 0.0     # as stored
         _reject_first(~is_psd(W, hW, rt), lambda k: f"atoms[{k}].W is not Hermitian positive semidefinite")
         _reject_first(~is_psd(rho, hrho, rt), lambda k: f"ac[{k}].rho is not Hermitian positive semidefinite")
-        _reject_first(np.abs(np.diff(xs)) <= tol_x,
-                      lambda k: f"atom points {xs[k]} and {xs[k + 1]} coincide")
-        _reject_first(a[1:] < b[:-1] - tol_x, lambda k: "ac pieces have overlapping interiors")
-        w_tr = np.trace(W, axis1=1, axis2=2).real
-        r_tr = np.trace(rho, axis1=1, axis2=2).real
-        if w_tr.sum() + (r_tr * (b - a)).sum() <= 0.0:
+        ia, ip = np.argsort(xs, kind="stable"), np.argsort(a, kind="stable")
+        self.atoms = tuple(atoms[k] for k in ia.tolist())
+        self.ac_pieces = tuple(pieces[k] for k in ip.tolist())
+        _reject_first(np.abs(np.diff(xs[ia])) <= tol_x,
+                      lambda k: f"atom points {xs[ia[k]]} and {xs[ia[k + 1]]} coincide")
+        _reject_first(a[ip[1:]] < b[ip[:-1]] - tol_x, lambda k: "ac pieces have overlapping interiors")
+        w_tr = np.trace(W, axis1=1, axis2=2).real[ia]
+        r_tr = np.trace(rho, axis1=1, axis2=2).real[ip]
+        if w_tr.sum() + (r_tr * (b - a)[ip]).sum() <= 0.0:
             raise MeasureError("measure is trivial (no mass anywhere)")
 
         # Terms without mass are left out: they add nothing, and a kernel
-        # pole on one would give inf * 0.
-        atom_kept, piece_kept = w_tr > 0.0, r_tr > 0.0
+        # pole on one would give inf * 0.  Sorted and kept in one index.
+        atom_kept, piece_kept = ia[w_tr > 0.0], ip[r_tr > 0.0]
         self.xs = _frozen(xs[atom_kept])
         self.a = _frozen(a[piece_kept])
         self.b = _frozen(b[piece_kept])
@@ -612,7 +608,11 @@ class IntervalUnion(Kernel):
     """
 
     def __init__(self, *specs):
-        self.intervals = tuple(Interval(*s) for s in specs)
+        try:    # Interval(*s) raises a TypeError only for a spec of other than 2 to 4 fields
+            self.intervals = tuple(Interval(*s) for s in specs)
+        except TypeError:
+            raise MeasureError("an interval is (a, b) with up to two inclusion flags, "
+                               f"got {shown(specs)}") from None
 
     def coefficients(self, pts, k):
         """The indicator at the atoms, then the Lebesgue measure of

@@ -77,7 +77,10 @@ def real_poles(m: HerglotzMatrix, d, interval: Tuple[float, float]) -> List[Tupl
     omega = m.omega
     if not omega.purely_atomic:
         raise OracleError("pole search requires a purely atomic measure")
-    a, b = interval[0], interval[1]
+    try:
+        a, b = interval
+    except (TypeError, ValueError):     # not iterable, or not two ends
+        raise OracleError(f"the window must be two numbers (a, b), got {shown(interval)}") from None
     if not (is_real(a) and is_real(b) and math.isfinite(a) and math.isfinite(b)):
         raise OracleError(f"the window [{shown(a)}, {shown(b)}] must be finite real numbers")
     a, b = float(a), float(b)

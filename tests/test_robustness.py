@@ -5,6 +5,7 @@ import dataclasses
 import functools
 import importlib
 import inspect
+import json
 import math
 import pkgutil
 import re
@@ -25,7 +26,7 @@ from specstab import (ACPiece, Atom, ConditioningError, ExtensionParameter, Herg
                       extension_weyl, integrate, mass_at_max_mult, max_mult_test,
                       max_mult_test_via, real_poles, residue_mass, resolvent_identity_residual,
                       scan_forbidden, t_matrix, verify)
-from specstab.io import dump_json
+from specstab.io import InputError, dump_json, load_herglotz
 from specstab.measure import as_matrix, is_count, is_real, shown
 from specstab.scan import record_to_dict
 from specstab.randgen import point_off_atoms, random_atomic_measure, random_gap_matrix, random_psd
@@ -597,6 +598,36 @@ MENDED_INPUTS = {
                                 (ValueError, "^grid needs 2 to 1000000 integer steps, got 1000001$")),
     "--grid 0:1:10**20": (lambda m, f: _cli(f, "scan", "--grid", f"0:1:{10**20}"),
                           f"grid needs 2 to 1000000 integer steps, got {10**20}"),
+    # ragged rows were "must be numbers, got [1, 0]"
+    **{f"ragged {what}": (lambda m, f, call=call: call(m, [[1, 0], [0]]),
+                          (ValueError, f"^{what} must have rows of one length, got lengths 2, 1$"))
+       for what, call in [("W", lambda m, a: Atom(0.0, a)),
+                          ("D", lambda m, a: ExtensionParameter(a)),
+                          ("C", lambda m, a: HerglotzMatrix(a, m.omega))]},
+    "ragged rows of three": (lambda m, f: ACPiece(0.0, 1.0, [[1, 0, 0], [0], [0, 1]]),
+                             (ValueError, "^rho must have rows of one length, got lengths 3, 1, 2$")),
+    # a bare AttributeError on tols.rank_tol
+    "tols None": (lambda m, f: MatrixMeasure(1, [Atom(0.0, [[1.0]])], tols=None),
+                  (MeasureError, "^tols must be a Tolerances, got None$")),
+    "tols a dict": (lambda m, f: MatrixMeasure(1, [Atom(0.0, [[1.0]])], tols={"tol_x": 1e-12}),
+                    (MeasureError, r"^tols must be a Tolerances, got \{'tol_x': 1e-12\}$")),
+    # an IndexError, a TypeError, and a third end silently dropped
+    "window of one end": (lambda m, f: real_poles(m, np.zeros((2, 2)), (-1.0,)),
+                          (OracleError, r"^the window must be two numbers \(a, b\), got \(-1.0,\)$")),
+    "window a number": (lambda m, f: real_poles(m, np.zeros((2, 2)), 5),
+                        (OracleError, r"^the window must be two numbers \(a, b\), got 5$")),
+    "window of three ends": (lambda m, f: classify(m, np.zeros((2, 2)), (-1.0, 1.0, 3.0)),
+                             (OracleError, r"^the window must be two numbers \(a, b\), "
+                                           r"got \(-1.0, 1.0, 3.0\)$")),
+    # a bare TypeError from Interval(*s)
+    "interval of one end": (lambda m, f: IntervalUnion((0.0, 1.0), (2.0,)),
+                            (MeasureError, r"^an interval is \(a, b\) with up to two inclusion flags, "
+                                           r"got \(\(0.0, 1.0\), \(2.0,\)\)$")),
+    "interval a number": (lambda m, f: IntervalUnion(5),
+                          (MeasureError, r"^an interval is \(a, b\) with up to two inclusion flags, "
+                                         r"got \(5,\)$")),
+    "interval of five fields": (lambda m, f: IntervalUnion((0.0, 1.0, True, True, True)),
+                                (MeasureError, "an interval is")),
 }
 
 
@@ -610,6 +641,78 @@ def test_each_mended_input_is_rejected(two_atom, single_atom_file, capsys, call,
     kind, match = expected
     with pytest.raises(kind, match=match):
         call(two_atom, single_atom_file)
+
+
+def _measure_doc(atoms, pieces):
+    """A measure file's document (n = 1) holding the (x, W) atoms and (a, b, ρ) pieces."""
+    return {"n": 1, "atoms": [{"x": x, "W": w} for x, w in atoms],
+            "ac": [{"a": a, "b": b, "rho": r} for a, b, r in pieces]}
+
+
+# The term at fault is second in the caller's list and first once sorted by
+# its point or its start: each message named it by its sorted index, 0.  The
+# last column is the file's message where io's matrix reader decides first.
+GOOD_ATOM, GOOD_PIECE = (5.0, [[1.0]]), (6.0, 7.0, [[1.0]])
+CALLER_ORDER = {
+    "W of the wrong shape": ([GOOD_ATOM, (1.0, [[1.0, 0.0], [0.0, 1.0]])], [],
+                             "atoms[1].W: expected 1x1 matrix, got shape (2, 2)",
+                             "atoms[1].W: expected 1 rows"),
+    "x not finite": ([GOOD_ATOM, (-math.inf, [[1.0]])], [], "atoms[1].x is not finite", None),
+    "W not finite": ([GOOD_ATOM, (1.0, [[math.nan]])], [], "atoms[1].W is not finite",
+                     "atoms[1].W[0][0]: not a finite number"),
+    "end not finite": ([], [GOOD_PIECE, (-math.inf, 1.0, [[1.0]])], "ac[1]: ends are not finite", None),
+    "rho not finite": ([], [GOOD_PIECE, (1.0, 2.0, [[math.inf]])], "ac[1].rho is not finite",
+                       "ac[1].rho[0][0]: not a finite number"),
+    "W not PSD": ([GOOD_ATOM, (1.0, [[-1.0]])], [], "atoms[1].W is not Hermitian positive semidefinite",
+                  None),
+    "rho not PSD": ([GOOD_ATOM], [GOOD_PIECE, (1.0, 2.0, [[-1.0]])],
+                    "ac[1].rho is not Hermitian positive semidefinite", None),
+    "b < a": ([GOOD_ATOM], [GOOD_PIECE, (2.0, 1.0, [[1.0]])], "ac[1]: requires a < b, got [2.0, 1.0]", None),
+}
+
+
+@pytest.mark.parametrize("atoms, pieces, message, in_file", CALLER_ORDER.values(), ids=CALLER_ORDER)
+def test_each_term_is_named_by_the_callers_index(tmp_path, capsys, atoms, pieces, message, in_file):
+    with pytest.raises(MeasureError) as exc:
+        MatrixMeasure(1, [Atom(*t) for t in atoms], [ACPiece(*t) for t in pieces])
+    assert str(exc.value) == message
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(_measure_doc(atoms, pieces)))
+    with pytest.raises(InputError) as exc:
+        load_herglotz(str(path))
+    assert str(exc.value) == f"{path}: {in_file or message}"
+    assert cli.main(["tmatrix", "--measure", str(path), "--x", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == f"error: {path}: {in_file or message}\n"
+
+
+# io said "atoms[1].x missing or not a real number" or "ac[1] needs real fields a, b"
+MALFORMED_TERMS = {
+    "x missing": ("atoms", {"W": [[1.0]]}),
+    "x null": ("atoms", {"x": None, "W": [[1.0]]}),
+    "x a string": ("atoms", {"x": "0.5", "W": [[1.0]]}),
+    "x a bool": ("atoms", {"x": True, "W": [[1.0]]}),
+    "x 10**400": ("atoms", {"x": 10**400, "W": [[1.0]]}),
+    "x a list": ("atoms", {"x": [0.5], "W": [[1.0]]}),
+    "a missing": ("ac", {"b": 1.0, "rho": [[1.0]]}),
+    "a a bool": ("ac", {"a": True, "b": 1.0, "rho": [[1.0]]}),
+    "b a string": ("ac", {"a": 0.0, "b": "1", "rho": [[1.0]]}),
+    "a a list": ("ac", {"a": [0.0], "b": 1.0, "rho": [[1.0]]}),
+}
+
+
+@pytest.mark.parametrize("key, term", MALFORMED_TERMS.values(), ids=MALFORMED_TERMS)
+def test_a_malformed_term_in_a_file_has_the_constructors_message(tmp_path, key, term):
+    doc = _measure_doc([GOOD_ATOM], [GOOD_PIECE])
+    doc[key].append(term)
+    with pytest.raises(MeasureError) as want:
+        MatrixMeasure(1, [Atom(t.get("x"), t["W"]) for t in doc["atoms"]],
+                      [ACPiece(t.get("a"), t.get("b"), t["rho"]) for t in doc["ac"]])
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputError) as got:
+        load_herglotz(str(path))
+    assert str(got.value) == f"{path}: {want.value}"
 
 
 def test_a_fraction_is_the_float_it_names(two_atom, tmp_path):
@@ -781,6 +884,13 @@ def test_matrix_entries_must_be_numbers(two_atom, call, what, a, text):
     # and 10**400 raised numpy's bare OverflowError
     with pytest.raises(ValueError, match=f"^{what} must be numbers, got {re.escape(text)}$"):
         call(two_atom, a)
+
+
+@pytest.mark.parametrize("call, what", MATRIX_CALLS.values(), ids=MATRIX_CALLS)
+def test_a_list_entry_in_rows_of_one_length_is_not_a_number(two_atom, call, what):
+    # the ragged-rows message is for rows of different lengths only
+    with pytest.raises(ValueError, match=f"^{what} must be numbers, got \\[0.0\\]$"):
+        call(two_atom, [[[0.0], 0.0], [0.0, 1.0]])
 
 
 NUMERIC_MATRICES = {

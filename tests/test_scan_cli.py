@@ -222,10 +222,10 @@ class TestIO:
     @pytest.mark.parametrize("doc, match", [
         ({"atoms": []}, "field 'n'"),
         ({"n": "two"}, "field 'n'"),
-        ({"n": 1, "atoms": [{"W": [[[1, 0]]]}]}, r"atoms\[0\].x missing or not a real number"),
-        ({"n": 1, "atoms": [{"x": "left", "W": [[[1, 0]]]}]}, r"atoms\[0\].x missing"),
-        ({"n": 1, "ac": [{"a": 0.0, "rho": [[[1, 0]]]}]}, r"ac\[0\] needs real fields a, b"),
-        ({"n": 1, "ac": [{"a": [0.0], "b": 1.0, "rho": [[[1, 0]]]}]}, r"ac\[0\] needs"),
+        ({"n": 1, "atoms": [{"W": [[[1, 0]]]}]}, r"atoms\[0\].x is not a real number, got None$"),
+        ({"n": 1, "atoms": [{"x": "left", "W": [[[1, 0]]]}]}, r"atoms\[0\].x is not a real number, got 'left'$"),
+        ({"n": 1, "ac": [{"a": 0.0, "rho": [[[1, 0]]]}]}, r"ac\[0\]: ends are not real numbers$"),
+        ({"n": 1, "ac": [{"a": [0.0], "b": 1.0, "rho": [[[1, 0]]]}]}, r"ac\[0\]: ends are not real numbers$"),
         ({"n": 1, "atoms": [{"x": 0.0, "W": [[[1, 0]], [[1, 0]]]}]},
          r"atoms\[0\].W: expected 1 rows"),
         ({"n": 2, "atoms": [{"x": 0.0, "W": [[[1, 0]], [[0, 0], [1, 0]]]}]},
@@ -239,13 +239,13 @@ class TestIO:
         ({"n": True, "atoms": [{"x": 0.0, "W": [[[1, 0]]]}]}, "field 'n'"),
         # a string or a bool is not read as the number it spells
         ({"n": 1, "atoms": [{"x": "0.5", "W": [[[1, 0]]]}]},
-         r"atoms\[0\].x missing or not a real number"),
+         r"atoms\[0\].x is not a real number, got '0.5'$"),
         ({"n": 1, "atoms": [{"x": True, "W": [[[1, 0]]]}]},
-         r"atoms\[0\].x missing or not a real number"),
+         r"atoms\[0\].x is not a real number, got True$"),
         ({"n": 1, "ac": [{"a": "0", "b": 1.0, "rho": [[[1, 0]]]}]},
-         r"ac\[0\] needs real fields a, b"),
+         r"ac\[0\]: ends are not real numbers$"),
         ({"n": 1, "ac": [{"a": 0.0, "b": True, "rho": [[[1, 0]]]}]},
-         r"ac\[0\] needs real fields a, b"),
+         r"ac\[0\]: ends are not real numbers$"),
         ({"n": 1, "atoms": [{"x": 0.0, "W": [[["1", "0"]]]}]},
          r"atoms\[0\].W\[0\]\[0\]: \[re, im\] entries must be real numbers"),
         ({"n": 1, "atoms": [{"x": 0.0, "W": [[[1, False]]]}]},
@@ -257,7 +257,8 @@ class TestIO:
         ({"n": 1, "atoms": [{"x": 0.0, "W": [[1]]}], "C": [[[0, "0"]]]},
          r"C\[0\]\[0\]: \[re, im\] entries must be real numbers"),
         # an integer no float can hold raised a bare OverflowError
-        ({"n": 1, "atoms": [{"x": 10 ** 400, "W": [[[1, 0]]]}]}, r"atoms\[0\].x missing or not"),
+        ({"n": 1, "atoms": [{"x": 10 ** 400, "W": [[[1, 0]]]}]},
+         r"atoms\[0\].x is not a real number, got 1(0){39}\.\.\. \(401 characters\)$"),
         ({"n": 1, "atoms": [{"x": 0.0, "W": [[[-10 ** 400, 0]]]}]},
          r"atoms\[0\].W\[0\]\[0\]: \[re, im\] entries must be real numbers"),
     ])
