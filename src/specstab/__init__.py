@@ -7,8 +7,8 @@ criteria, a brute-force pole/residue oracle for atomic instances, and a
 forbidden-energy grid scanner.
 """
 
-from .measure import (DEFAULT_TOLS, ACPiece, Atom, CauchyKernel, Divergent, Interval,
-                      IntervalUnion, MatrixMeasure, MeasureError,
+from .measure import (DEFAULT_TOLS, ACPiece, Atom, CauchyKernel, Divergent,
+                      MatrixMeasure, MeasureError,
                       PoissonSquareKernel, RegularizedKernel, Tolerances,
                       hermitian_part, integrate, is_divergent, matrix_rank)
 from .herglotz import (BoundaryReport, HerglotzMatrix, NotConvergedError,
@@ -16,8 +16,7 @@ from .herglotz import (BoundaryReport, HerglotzMatrix, NotConvergedError,
 from .extensions import (ConditioningError, ExtensionParameter,
                          MaxMultEvidence, PreconditionError,
                          extension_for_point, extension_weyl,
-                         mass_at_max_mult, max_mult_test, max_mult_test_via,
-                         resolvent_identity_residual)
+                         mass_at_max_mult, max_mult_test, max_mult_test_via)
 from .oracle import OracleError, PoleRecord, classify, real_poles, residue_mass
 from .scan import ScanConfig, GridRecord, scan_forbidden
 from .verify import run_verify

@@ -2,15 +2,15 @@
 
 Each extension disjoint from the reference one is carried solely by its
 Hermitian parameter D; its Weyl function is M_D(z) = (D - M(z))^{-1}.
-This module evaluates M_D, checks the two-parameter resolvent-type
-identity, and decides whether a real energy is an eigenvalue of maximum
-multiplicity:  T(x) finite and M(x+i0) = D, or equivalently (through any
-second parameter D' with det(D - D') != 0) the boundary value of M_{D'}
-equals (D' - D)^{-1} with the corresponding divergence integral finite.
-Both are closed form at every real x: the mass at x is split off and the
-rest integrated as it is.  ``max_mult_test`` also takes a 1-D array of
-real points: those off the support share one T(x) and one boundary-value
-call.  Every parameter must be n x n for the n of the measure it meets.
+This module evaluates M_D and decides whether a real energy is an
+eigenvalue of maximum multiplicity:  T(x) finite and M(x+i0) = D, or
+equivalently (through any second parameter D' with det(D - D') != 0) the
+boundary value of M_{D'} equals (D' - D)^{-1} with the corresponding
+divergence integral finite.  Both are closed form at every real x: the
+mass at x is split off and the rest integrated as it is.
+``max_mult_test`` also takes a 1-D array of real points: those off the
+support share one T(x) and one boundary-value call.  Every parameter
+must be n x n for the n of the measure it meets.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from numpy.linalg import _umath_linalg
 from .herglotz import (ConditioningError, HerglotzMatrix, _t_and_m, boundary_value,
                        evaluate, integrate_cauchy, t_matrix)
 from .measure import (Divergent, PoissonSquareKernel, PreconditionError, _fro, _frozen,
-                      as_hermitian, as_point, as_real_point, hermitian_part, integrate,
+                      as_hermitian, as_real_point, hermitian_part, integrate,
                       is_batch, is_divergent)
 
 
@@ -137,21 +137,6 @@ def extension_weyl(m: HerglotzMatrix, d):
     """
     D = as_parameter(d, m.dim)
     return lambda z: _inv_checked(D - evaluate(m, z), "D - M(z)")
-
-
-def resolvent_identity_residual(m: HerglotzMatrix, d, d_prime, z: complex) -> float:
-    """Relative Frobenius defect of both composed forms of M_D via M_{D'}."""
-    n = m.dim
-    D, Dp = as_parameter(d, n), as_parameter(d_prime, n)
-    if is_batch(z := as_point(z)):
-        raise PreconditionError(f"resolvent_identity_residual takes one point z, got {z}")
-    eye = np.eye(n)
-    mz = evaluate(m, z)
-    md, mdp = (_inv_checked(p - mz, "D - M(z)") for p in (D, Dp))
-    delta = D - Dp
-    form1 = mdp @ _inv_checked(delta @ mdp + eye, "(D-D')M_D' + I")
-    form2 = _inv_checked(mdp @ delta + eye, "M_D'(D-D') + I") @ mdp
-    return max(_fro(md - form1), _fro(md - form2)) / max(1e-300, _fro(md))
 
 
 def max_mult_test(m: HerglotzMatrix, d, x):

@@ -12,8 +12,7 @@ integral is one weighted sum: kernel values at the atoms times their
 weights plus exact segment integrals times the piece densities, all read
 from one row of coefficients that the kernel fills in place.  A kernel
 checks its point with ``as_point``, a real-x kernel with ``as_real_point``
-(PreconditionError).  A set, an ``IntervalUnion``, is the kernel of its own
-indicator, so its measure is ``integrate(region, omega)``.
+(PreconditionError).
 """
 
 from __future__ import annotations
@@ -135,7 +134,8 @@ def as_matrix(a, what: str, copy: bool = False) -> np.ndarray:
     (``is_real``) or a complex one."""
     if not (isinstance(a, np.ndarray) and a.dtype.kind in "iufc"):
         a = np.array(a, dtype=object)
-        rows = [len(v) for v in a if isinstance(v, (list, tuple))] if a.ndim == 1 else []
+        rows = [len(v) for v in a if isinstance(v, (list, tuple))
+                or isinstance(v, np.ndarray) and v.ndim == 1] if a.ndim == 1 else []
         if len(rows) == a.size > 1:     # rows of one length would have made a 2-D array
             raise ValueError(f"{what} must have rows of one length, got lengths {', '.join(map(str, rows))}")
         for v in a.flat:
@@ -240,34 +240,6 @@ def _reject_first(bad: np.ndarray, message) -> None:
     hits = bad.nonzero()[0]
     if hits.size:
         raise MeasureError(message(int(hits[0])))
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Bounded interval with endpoint-inclusion flags; its ends are held as floats."""
-
-    a: float
-    b: float
-    include_a: bool = True
-    include_b: bool = True
-
-    def __post_init__(self):
-        if not (is_real(self.a) and is_real(self.b) and math.isfinite(self.a) and math.isfinite(self.b)):
-            raise MeasureError("interval endpoints must be finite real numbers, "
-                               f"got {shown(self.a)}, {shown(self.b)}")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
-        if not all(isinstance(f, (bool, np.bool_)) for f in (self.include_a, self.include_b)):
-            raise MeasureError(f"interval inclusion flags must be bools, got {self}")
-        if self.a > self.b:
-            raise MeasureError(f"interval [{self.a}, {self.b}] has a > b")
-
-    def contains(self, x):
-        """Membership of x, a number or an array of numbers."""
-        x = np.asarray(x)
-        return (((self.a < x) & (x < self.b))
-                | ((x == self.a) & self.include_a)
-                | ((x == self.b) & self.include_b))
 
 
 @dataclass(frozen=True, eq=False)
@@ -597,39 +569,6 @@ class CauchyKernel(Kernel):
         if e.size:      # a purely atomic measure skips two calls on nothing
             np.log(e if self.pole is None else np.abs(e, out=e), out=e)
         return d
-
-
-class IntervalUnion(Kernel):
-    """Finite union of bounded intervals, the only Borel sets supported,
-    from (a, b) or (a, b, incl_a, incl_b) tuples; none is the empty set.
-
-    As a kernel it is its own indicator, so ``integrate(region, omega)``
-    is Ω(region).
-    """
-
-    def __init__(self, *specs):
-        try:    # Interval(*s) raises a TypeError only for a spec of other than 2 to 4 fields
-            self.intervals = tuple(Interval(*s) for s in specs)
-        except TypeError:
-            raise MeasureError("an interval is (a, b) with up to two inclusion flags, "
-                               f"got {shown(specs)}") from None
-
-    def coefficients(self, pts, k):
-        """The indicator at the atoms, then the Lebesgue measure of
-        (union) ∩ (-inf, y] at each piece end y."""
-        out = np.zeros(pts.shape)
-        for iv in self.intervals:
-            np.logical_or(out[:k], iv.contains(pts[:k]), out=out[:k])
-        segs = sorted((iv.a, iv.b) for iv in self.intervals if iv.b > iv.a)
-        merged = []
-        for s, e in segs:
-            if merged and s <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], e)
-            else:
-                merged.append([s, e])
-        for s, e in merged:
-            out[k:] += np.clip(pts[k:], s, e) - s
-        return out
 
 
 # -- operations ----------------------------------------------------------

@@ -13,14 +13,15 @@ import pytest
 from specstab import (ACPiece, Atom, HerglotzMatrix, MatrixMeasure,
                       ScanConfig, classify, evaluate, extension_for_point,
                       mass_at_max_mult, max_mult_test, max_mult_test_via,
-                      resolvent_identity_residual, scan_forbidden, t_matrix)
+                      scan_forbidden, t_matrix)
 from specstab.extensions import extension_weyl
 from specstab.herglotz import atom_mass, boundary_value, richardson_limit
 from specstab.oracle import residue_mass
-from specstab.randgen import (point_off_atoms, random_atomic_measure,
-                              random_gap_matrix, random_herglotz,
-                              random_hermitian)
+from specstab.randgen import point_off_atoms, random_gap_matrix
 from specstab.verify import run_verify
+
+from helpers import (random_atomic_measure, random_herglotz, random_hermitian,
+                     resolvent_identity_residual)
 
 
 def report(name, detail=""):

@@ -11,15 +11,15 @@ from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       ExtensionParameter, HerglotzMatrix, MatrixMeasure,
                       PreconditionError, Tolerances, classify,
                       extension_for_point, mass_at_max_mult,
-                      max_mult_test, max_mult_test_via,
-                      resolvent_identity_residual)
+                      max_mult_test, max_mult_test_via)
 import specstab.extensions as ext
 import specstab.measure as measure
 from specstab.extensions import MIN_GAP_SV, _inv_certified, _inv_checked, extension_weyl
 from specstab.herglotz import atom_mass, boundary_value
-from specstab.randgen import (random_gap_matrix, random_herglotz, random_hermitian,
-                              point_off_atoms)
+from specstab.randgen import point_off_atoms, random_gap_matrix
 from specstab.verify import MASS_AGREE_TOL, N_DPRIME
+
+from helpers import random_herglotz, random_hermitian, resolvent_identity_residual
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import instances  # noqa: E402  (the benchmark's seeded layouts)
@@ -45,8 +45,6 @@ class TestExtensionParameter:
         calls = {"max_mult_test": (lambda: ext.max_mult_test(two_atom, d, 0.5), 1),
                  "on a batch": (lambda: ext.max_mult_test(two_atom, d, [0.5, 2.0]), 1),
                  "max_mult_test_via": (lambda: ext.max_mult_test_via(two_atom, d, dp, 0.5), 2),
-                 "resolvent_identity_residual": (
-                     lambda: ext.resolvent_identity_residual(two_atom, d, dp, 1j), 2),
                  "extension_weyl": (lambda: ext.extension_weyl(two_atom, d)(1j), 1)}
         for name, (call, raw) in calls.items():
             checks.clear()

@@ -10,7 +10,8 @@ from specstab import (DEFAULT_TOLS, ACPiece, Atom, ConditioningError, Divergent,
                       hermitian_part, is_divergent, max_mult_test, max_mult_test_via,
                       t_matrix)
 from specstab.herglotz import _I_EPS, _MINUS_I_EPS, EPS, richardson_limit
-from specstab.randgen import random_herglotz
+
+from helpers import random_herglotz
 
 
 class TestEvaluate:

@@ -11,9 +11,10 @@ the results must be equal, not merely close.
 import numpy as np
 import pytest
 
-from specstab import (ACPiece, Atom, CauchyKernel, IntervalUnion, MatrixMeasure,
+from specstab import (ACPiece, Atom, CauchyKernel, MatrixMeasure,
                       PoissonSquareKernel, RegularizedKernel, integrate)
-from specstab.randgen import random_psd
+
+from helpers import random_psd
 
 
 def _param(v):
@@ -23,27 +24,6 @@ def _param(v):
 
 def _cauchy_point(kernel):
     return _param(kernel.z if kernel.pole is None else kernel.pole)
-
-
-def _union_length(kernel, ys):
-    segs = sorted((iv.a, iv.b) for iv in kernel.intervals if iv.b > iv.a)
-    merged = []
-    for s, e in segs:
-        if merged and s <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], e)
-        else:
-            merged.append([s, e])
-    total = np.zeros(np.shape(ys))
-    for s, e in merged:
-        total += np.clip(ys, s, e) - s
-    return total
-
-
-def _union_indicator(kernel, ys):
-    out = np.zeros(np.shape(ys), dtype=bool)
-    for iv in kernel.intervals:
-        out |= iv.contains(ys)
-    return out.astype(float)
 
 
 def _cauchy_primitive(kernel, ys):
@@ -81,7 +61,6 @@ REFERENCE = {
                           lambda k, ys: 1.0 / (_param(k.x) - ys)),
     RegularizedKernel: (_regularized_values, _regularized_primitive),
     CauchyKernel: (lambda k, ys: 1.0 / (ys - _cauchy_point(k)), _cauchy_primitive),
-    IntervalUnion: (_union_indicator, _union_length),
 }
 
 
@@ -145,8 +124,6 @@ def _kernels(omega):
         "cauchy real batch": CauchyKernel(off),
         "cauchy scalar complex": CauchyKernel(z),
         "cauchy complex batch": CauchyKernel(zs),
-        "indicator": IntervalUnion((-3.5, -1.2), (-2.0, 0.4, False, True), (1.0, 1.0),
-                                   (2.2, 4.0, True, False)),
     }
     if omega.a.size:    # the principal value inside a piece, off every atom
         kernels["cauchy finite part in a piece"] = CauchyKernel(

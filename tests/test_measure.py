@@ -8,16 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from specstab import (ACPiece, Atom, CauchyKernel, DEFAULT_TOLS, Divergent,
-                      ExtensionParameter, HerglotzMatrix, Interval,
-                      IntervalUnion, MatrixMeasure, MeasureError,
+                      ExtensionParameter, HerglotzMatrix, MatrixMeasure, MeasureError,
                       PoissonSquareKernel, RegularizedKernel, Tolerances,
                       boundary_value, integrate, is_divergent, matrix_rank)
 from specstab.io import InputError, load_hermitian
 from specstab.measure import as_point, is_hermitian
-from specstab.randgen import random_atomic_measure
 
 sys.path.append(str(Path(__file__).resolve().parent.parent / "bench"))
 import instances  # noqa: E402
+
+from helpers import random_atomic_measure
 
 
 def two_atoms_eye2():
@@ -102,21 +102,6 @@ class TestValidation:
                               [ACPiece(np.float32(3.0), 4, [[1.0]])])
         assert omega.xs.tolist() == [0.5, 2.0] and omega.b.tolist() == [4.0]
 
-    @pytest.mark.parametrize("spec", [(True, 2.0), (None, 1.0), ("0", "1"), (0.0, 1.0, "no", True),
-                                      (0.0, 1.0, True, 1)],
-                             ids=["bool end", "None end", "str ends", "str flag", "int flag"])
-    def test_interval_data_must_be_numbers_and_flags(self, spec):
-        # (True, 2.0) and the flag "no" were accepted, the flag failing later in
-        # integrate; (None, 1.0) and ("0", "1") raised a bare TypeError
-        with pytest.raises(MeasureError, match="interval"):
-            IntervalUnion(spec)
-
-    @pytest.mark.parametrize("a, b, match", [(0.0, math.inf, "finite"), (math.nan, 1.0, "finite"),
-                                             (2.0, 1.0, "a > b")])
-    def test_bad_interval_rejected(self, a, b, match):
-        with pytest.raises(MeasureError, match=match):
-            Interval(a, b)
-
     def test_divergent_has_no_truth_value(self):
         with pytest.raises(TypeError, match="used as a value"):
             bool(Divergent((0,)))
@@ -138,64 +123,6 @@ class TestMasslessTerms:
         rep = boundary_value(HerglotzMatrix.from_measure(self.zero_atom()), 0.0)
         assert rep.converged
         np.testing.assert_allclose(rep.t_matrix, np.eye(2))
-
-
-class TestMeasureOfSet:
-    def test_empty_set(self):
-        omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
-        assert np.allclose(integrate(IntervalUnion(), omega), 0.0)
-
-    def test_atom_in_interval(self):
-        omega = MatrixMeasure(1, [Atom(0.0, [[1.0]])])
-        v = integrate(IntervalUnion((-1.0, 1.0)), omega)
-        assert np.allclose(v, [[1.0]])
-
-    def test_ac_slice(self):
-        # length-1 slice of constant density diag(1,2), cross-checked by
-        # scalar quadrature of the indicator
-        omega = MatrixMeasure(2, ac_pieces=[ACPiece(0.0, 2.0, np.diag([1.0, 2.0]))])
-        v = integrate(IntervalUnion((0.0, 1.0)), omega)
-        xs = np.linspace(0, 2, 200001)
-        quad = np.trapezoid((xs <= 1.0).astype(float), xs)
-        assert np.allclose(v, quad * np.diag([1.0, 2.0]), atol=1e-4)
-        assert np.allclose(v, np.diag([1.0, 2.0]), atol=1e-12)
-
-    def test_endpoint_inclusion_flags(self):
-        omega = MatrixMeasure(1, [Atom(1.0, [[1.0]])])
-        closed = integrate(IntervalUnion((0.0, 1.0, True, True)), omega)
-        open_ = integrate(IntervalUnion((0.0, 1.0, True, False)), omega)
-        assert np.allclose(closed, [[1.0]])
-        assert np.allclose(open_, [[0.0]])
-
-    def test_additivity_over_disjoint_pieces(self):
-        rng = np.random.default_rng(7)
-        omega = random_atomic_measure(rng, 2)
-        left = IntervalUnion((-4.0, 0.0, True, False))
-        right = IntervalUnion((0.0, 4.0, True, True))
-        both = IntervalUnion((-4.0, 0.0, True, False), (0.0, 4.0, True, True))
-        assert np.allclose(integrate(left, omega) + integrate(right, omega),
-                           integrate(both, omega), atol=1e-12)
-
-
-class TestTraceMeasure:
-    def test_two_identity_atoms(self):
-        m = integrate(IntervalUnion((-2.0, 2.0)), two_atoms_eye2())
-        assert float(np.trace(m).real) == pytest.approx(4.0)
-
-    def test_empty(self):
-        assert float(np.trace(integrate(IntervalUnion(), two_atoms_eye2())).real) == 0.0
-
-    def test_ac_slice(self):
-        omega = MatrixMeasure(2, ac_pieces=[ACPiece(0.0, 2.0, np.diag([1.0, 2.0]))])
-        m = integrate(IntervalUnion((0.0, 1.0)), omega)
-        assert float(np.trace(m).real) == pytest.approx(3.0)
-
-    def test_matches_sum_of_diagonal_entries(self):
-        rng = np.random.default_rng(3)
-        omega = random_atomic_measure(rng, 3)
-        m = integrate(IntervalUnion((-2.0, 1.0)), omega)
-        inside = [at.W for at in omega.atoms if -2.0 <= at.x <= 1.0]
-        assert float(np.trace(m).real) == pytest.approx(float(np.trace(sum(inside)).real))
 
 
 class TestIntegrate:
@@ -224,21 +151,6 @@ class TestIntegrate:
         v = integrate(PoissonSquareKernel(0.0), omega)
         assert is_divergent(v)
         assert v.directions == (1,)
-
-    def test_indicator_matches_the_weights_inside(self):
-        # reference: the weights of the atoms in [0, 1) ∪ [2, 3], plus ρ times
-        # the piece's overlap length with each interval; the atoms at 0 and 3
-        # sit on closed ends, the one at 1 on an open end
-        rho = np.array([[2.0, 0.5], [0.5, 1.0]])
-        atoms = [Atom(0.0, np.diag([1.0, 0.0])), Atom(1.0, np.eye(2)),
-                 Atom(3.0, np.diag([0.0, 4.0]))]
-        omega = MatrixMeasure(2, atoms, [ACPiece(0.5, 2.5, rho)])
-        region = IntervalUnion((0.0, 1.0, True, False), (2.0, 3.0))
-        inside = [a.W for a in atoms if 0.0 <= a.x < 1.0 or 2.0 <= a.x <= 3.0]
-        overlap = sum(max(0.0, min(b, 2.5) - max(a, 0.5)) for a, b in ((0.0, 1.0), (2.0, 3.0)))
-        reference = sum(inside) + overlap * rho
-        assert len(inside) == 2 and overlap == 1.0
-        assert np.allclose(integrate(region, omega), reference, atol=1e-14)
 
     def test_cauchy_real_axis_rejection_path(self):
         # real z sitting on an atom is reported divergent, not evaluated

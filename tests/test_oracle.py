@@ -13,7 +13,9 @@ from specstab.extensions import extension_weyl
 from specstab.herglotz import atom_mass, boundary_value, integrate_cauchy, t_matrix
 from specstab.io import load_herglotz
 from specstab.measure import hermitian_part, ACPiece
-from specstab.randgen import random_atomic_measure, point_off_atoms
+from specstab.randgen import point_off_atoms
+
+from helpers import random_atomic_measure
 
 DATA = Path(__file__).resolve().parent / "data"
 

@@ -17,7 +17,9 @@ from hypothesis import assume, given, settings, strategies as st
 from specstab import Atom, HerglotzMatrix, MatrixMeasure, classify, real_poles
 from specstab.herglotz import boundary_value, integrate_cauchy
 from specstab.measure import hermitian_part
-from specstab.randgen import point_off_atoms, random_hermitian, random_psd
+from specstab.randgen import point_off_atoms
+
+from helpers import random_hermitian, random_psd
 
 
 def _negative_count(m, d, x):

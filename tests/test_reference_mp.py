@@ -30,7 +30,9 @@ from hypothesis import given, settings, strategies as st
 from specstab import (DEFAULT_TOLS, ACPiece, Atom, HerglotzMatrix, MatrixMeasure,
                       boundary_value, is_divergent, max_mult_test_via)
 from specstab.measure import hermitian_part
-from specstab.randgen import random_gap_matrix, random_hermitian
+from specstab.randgen import random_gap_matrix
+
+from helpers import random_hermitian
 
 DPS = 60
 REL = 1e-12
