@@ -120,6 +120,19 @@ class TestResolventIdentity:
         d, dp = random_hermitian(rng, 2), random_hermitian(rng, 2)
         assert resolvent_identity_residual(two_atom, d, dp, 1 + 1j) <= 1e-10
 
+    @pytest.mark.parametrize("z", [1j, -1j, 2 + 0.5j, -2 - 0.5j, 0.5 + 3j, 0.5 - 0.1j])
+    def test_two_atom_on_both_sides_of_the_axis(self, two_atom, z):
+        rng = np.random.default_rng(5)
+        d, dp = random_hermitian(rng, 2), random_hermitian(rng, 2)
+        assert resolvent_identity_residual(two_atom, d, dp, z) <= 1e-10
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_random_instance(self, n):
+        rng = np.random.default_rng(10 + n)
+        m = random_herglotz(rng, n=n)
+        d, dp = random_hermitian(rng, n), random_hermitian(rng, n)
+        assert resolvent_identity_residual(m, d, dp, 0.5 + 1j) <= 1e-10
+
 
 class TestMaxMultTest:
     def test_scalar_true(self, single_atom):

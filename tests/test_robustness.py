@@ -884,6 +884,22 @@ def test_a_list_entry_in_rows_of_one_length_is_not_a_number(two_atom, call, what
         call(two_atom, [[[0.0], 0.0], [0.0, 1.0]])
 
 
+# numpy keeps ndarray rows of unequal lengths as the entries of a 1-D object
+# array; as_matrix reads them as rows for every matrix argument
+NDARRAY_ROWS = {
+    "ragged": ([np.zeros(2), np.zeros(1)], "must have rows of one length, got lengths 2, 1"),
+    "a 0-d array among them": ([np.zeros(2), np.array(1.0)],
+                               r"must be numbers, got array\(\[0., 0.\]\)"),
+}
+
+
+@pytest.mark.parametrize("a, text", NDARRAY_ROWS.values(), ids=NDARRAY_ROWS)
+@pytest.mark.parametrize("call, what", MATRIX_CALLS.values(), ids=MATRIX_CALLS)
+def test_ndarray_rows_are_read_as_rows(two_atom, call, what, a, text):
+    with pytest.raises(ValueError, match=f"^{what} {text}$"):
+        call(two_atom, a)
+
+
 NUMERIC_MATRICES = {
     "int8": np.array([[2, 1], [1, 3]], dtype=np.int8),
     "float32": np.array([[2.5, 0.1], [0.1, 3.0]], dtype=np.float32),
